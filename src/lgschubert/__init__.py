@@ -18,7 +18,6 @@ from .qtilde import (
     expand_in_basis,
     f_constant,
     pieri_strict,
-    qtilde,
     qtilde_pair,
     structure_constants,
 )

@@ -9,7 +9,8 @@ equal pair, hence dies; a part > n dies by truncation).
 
 from __future__ import annotations
 
-from .partitions import Partition, dual, in_d, rho
+from .partitions import Partition, dual, in_d, pfaffian_terms, rho
+from .polyring import add_into
 from .qtilde import structure_constants
 
 CohClass = dict  # map Partition -> int
@@ -34,12 +35,7 @@ def class_product(x: CohClass, y: CohClass, n: int) -> CohClass:
     out: CohClass = {}
     for lam, a in x.items():
         for mu, b in y.items():
-            for nu, c in classical_product(lam, mu, n).items():
-                v = out.get(nu, 0) + a * b * c
-                if v:
-                    out[nu] = v
-                else:
-                    del out[nu]
+            add_into(out, classical_product(lam, mu, n).items(), a * b)
     return out
 
 
@@ -66,46 +62,18 @@ def giambelli_check(lam: Partition, n: int) -> bool:
     """Check the Pfaffian expansion of a Schubert class into two-condition
     classes inside H*(LG(n, 2n)), for len(lam) >= 3."""
     lam = tuple(lam)
-    ell = len(lam)
-    if not in_d(lam, n) or ell < 3:
+    if not in_d(lam, n) or len(lam) < 3:
         raise ValueError(f"{lam} must be in D_{n} with length >= 3")
-    r = 2 * ((ell + 1) // 2)
-    seq = lam + (0,) * (r - ell)
     acc: CohClass = {}
-    sign = 1
-    for j in range(r - 1):
-        pair = (seq[j], seq[r - 1]) if seq[r - 1] else (seq[j],)
-        rest = tuple(x for x in seq[:j] + seq[j + 1 : r - 1] if x)
-        for nu, c in classical_product(pair, rest, n).items():
-            v = acc.get(nu, 0) + sign * c
-            if v:
-                acc[nu] = v
-            else:
-                del acc[nu]
-        sign = -sign
+    for sign, a, b, rest in pfaffian_terms(lam):
+        add_into(acc, classical_product((a, b) if b else (a,), rest, n).items(), sign)
     return acc == {lam: 1}
-
-
-def cohclass_to_json(x: CohClass, n: int) -> dict:
-    """Serialize as the expansion map plus the ambient rank."""
-    coeffs = {",".join(map(str, lam)): c for lam, c in sorted(x.items(), reverse=True)}
-    return {"n": n, "coeffs": coeffs}
-
-
-def cohclass_from_json(data: dict) -> tuple[CohClass, int]:
-    coeffs = {}
-    for key, c in data["coeffs"].items():
-        lam = tuple(int(t) for t in key.split(",")) if key else ()
-        coeffs[lam] = c
-    return coeffs, data["n"]
 
 
 __all__ = [
     "CohClass",
     "class_product",
     "classical_product",
-    "cohclass_from_json",
-    "cohclass_to_json",
     "dual",
     "giambelli_check",
     "integral",

@@ -9,7 +9,6 @@ denote the empty partition.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -136,7 +135,8 @@ def _cache_path(n: int, engine: str) -> Path:
 
 
 def load_cache(n: int, engine: str) -> dict:
-    """Read the cache file; any header mismatch means it is ignored whole."""
+    """Read the cache file; a header mismatch or a record of the wrong shape
+    means it is ignored whole."""
     path = _cache_path(n, engine)
     if not path.exists():
         return {}
@@ -151,7 +151,7 @@ def load_cache(n: int, engine: str) -> dict:
             key = (partition_from_str(rec["lambda"]), partition_from_str(rec["mu"]))
             out[key] = quantum_from_json(rec["product"])
         return out
-    except (ValueError, KeyError, IndexError):
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return {}
 
 
@@ -186,15 +186,9 @@ def cmd_table(args) -> int:
     classes = all_strict_upto(args.n)
     table = load_cache(args.n, engine)
     pending = [(lam, mu) for lam in classes for mu in classes if (lam, mu) not in table]
-
-    def cell(pair):
-        lam, mu = pair
-        return pair, quantum.qprod_constants(lam, mu, args.n)
-
+    for lam, mu in pending:
+        table[(lam, mu)] = quantum.qprod_constants(lam, mu, args.n)
     if pending:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as pool:
-            for pair, product in pool.map(cell, pending):
-                table[pair] = product
         save_cache(args.n, engine, table)
 
     entries = []
@@ -231,6 +225,17 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """Argument type for ranks and variable counts, which must be >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgschubert",
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product", help="expand a product of two Schubert classes")
     p.add_argument("--ring", choices=("classical", "quantum"), default="quantum")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--engine", choices=tuple(ENGINES), default="constants")
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("gw", help="three-point genus-zero invariant")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
@@ -258,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--n", type=_positive_int, default=4)
+    p.add_argument("--m", type=_positive_int, default=5)
     p.add_argument("--wmax", type=int, default=None)
     p.add_argument("--pmax", type=int, default=12)
     p.add_argument("--sample", type=int, default=None)
@@ -267,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="full quantum multiplication table for D_n x D_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
+    # accepted for compatibility and ignored: cells are computed in order
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_table)
 

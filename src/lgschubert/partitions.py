@@ -12,7 +12,7 @@ connected when they share an edge or a vertex.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -31,11 +31,6 @@ def is_strict(lam: Partition) -> bool:
 def in_d(lam: Partition, n: int) -> bool:
     """Membership in D_n, the strict partitions with largest part <= n."""
     return is_strict(lam) and (not lam or lam[0] <= n)
-
-
-def in_e(lam: Partition, n: int) -> bool:
-    """Membership in E_n, all partitions with largest part <= n."""
-    return not lam or lam[0] <= n
 
 
 def rho(n: int) -> Partition:
@@ -87,6 +82,19 @@ def prepend(a: int, d: int, nu: Partition) -> Partition:
     if nu and nu[0] > a:
         raise ValueError(f"cannot prepend {a} to {nu}")
     return (a,) * d + tuple(nu)
+
+
+def pfaffian_terms(lam: Partition) -> Iterator[tuple[int, int, int, Partition]]:
+    """Terms (sign, a, b, rest) of the Pfaffian expansion along the last
+    column, for nonempty lam.  lam is padded with a zero part to even length
+    r; term j < r - 1 pairs part a = lam_j with the last part b (0 for the
+    padding), rest is lam without both (a partition), and the sign
+    alternates starting at +1."""
+    seq = lam + (0,) if len(lam) % 2 else lam
+    r = len(seq)
+    b = seq[-1]
+    for j in range(r - 1):
+        yield (-1 if j % 2 else 1), seq[j], b, seq[:j] + seq[j + 1 : r - 1]
 
 
 class Strip(NamedTuple):
@@ -219,18 +227,6 @@ def all_strict_upto(n: int) -> list[Partition]:
     for w in range(n * (n + 1) // 2 + 1):
         out.extend(_enum(w, min(n, w), True))
     return out
-
-
-def partition_to_json(lam: Partition) -> list[int]:
-    """JSON form: a plain array of parts, [] for the empty partition."""
-    return list(lam)
-
-
-def partition_from_json(data: list[int]) -> Partition:
-    lam = tuple(data)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not weakly decreasing with positive parts")
-    return lam
 
 
 def partition_to_str(lam: Partition) -> str:

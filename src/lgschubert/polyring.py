@@ -38,23 +38,85 @@ def _merge_desc(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class EPoly:
-    """Sparse integer polynomial in the graded generators e_1, e_2, ...
+def add_into(out: dict, items, k: int = 1) -> None:
+    """Add k times each (monomial, coefficient) of ``items`` into the term map
+    ``out`` in place, dropping monomials whose coefficient cancels to zero."""
+    for mono, c in items:
+        v = out.get(mono, 0) + k * c
+        if v:
+            out[mono] = v
+        else:
+            out.pop(mono, None)
 
-    ``m`` is the truncation level (e_i = 0 for i > m); ``m = None`` means no
-    truncation.  ``terms`` maps e-monomials to nonzero integers and is never
-    mutated after construction.
-    """
+
+def mul_into(out: dict, a: dict, b: dict, k: int) -> None:
+    """Add k * a * b into ``out`` in place, for term maps of e-monomials with
+    nonzero coefficients and k != 0; ``a`` is the outer loop."""
+    for ma, ca in a.items():
+        ca *= k
+        for mb, cb in b.items():
+            key = _merge_desc(ma, mb)
+            v = out.get(key, 0) + ca * cb
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+
+
+class _SparsePoly:
+    """Arithmetic shared by the two models: a variable count ``m`` and a map
+    ``terms`` from monomials to nonzero integers, never mutated after
+    construction.  Subclasses supply the monomial product in ``__mul__``."""
 
     __slots__ = ("m", "terms")
 
-    def __init__(self, m: int | None, terms: dict[tuple[int, ...], int]):
+    def __init__(self, m, terms: dict[tuple[int, ...], int]):
         self.m = m
         self.terms = terms
 
-    @staticmethod
-    def zero(m: int | None) -> "EPoly":
-        return EPoly(m, {})
+    @classmethod
+    def zero(cls, m):
+        return cls(m, {})
+
+    def _check(self, other) -> None:
+        if self.m != other.m:
+            raise ValueError(f"variable count mismatch: {self.m} vs {other.m}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        add_into(out, other.terms.items())
+        return type(self)(self.m, out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        add_into(out, other.terms.items(), -1)
+        return type(self)(self.m, out)
+
+    def __neg__(self):
+        return type(self)(self.m, {mono: -c for mono, c in self.terms.items()})
+
+    def scale(self, k: int):
+        if k == 0:
+            return self.zero(self.m)
+        return type(self)(self.m, {mono: k * c for mono, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.m == other.m and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class EPoly(_SparsePoly):
+    """Sparse integer polynomial in the graded generators e_1, e_2, ...
+
+    ``m`` is the truncation level (e_i = 0 for i > m); ``m = None`` means no
+    truncation.
+    """
+
+    __slots__ = ()
 
     @staticmethod
     def one(m: int | None) -> "EPoly":
@@ -71,40 +133,6 @@ class EPoly:
             return EPoly.zero(m)
         return EPoly(m, {(i,): 1})
 
-    def _check(self, other: "EPoly") -> None:
-        if self.m != other.m:
-            raise ValueError(f"variable count mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other: "EPoly") -> "EPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, 0) + c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        return EPoly(self.m, out)
-
-    def __sub__(self, other: "EPoly") -> "EPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, 0) - c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        return EPoly(self.m, out)
-
-    def __neg__(self) -> "EPoly":
-        return EPoly(self.m, {mono: -c for mono, c in self.terms.items()})
-
-    def scale(self, k: int) -> "EPoly":
-        if k == 0:
-            return EPoly.zero(self.m)
-        return EPoly(self.m, {mono: k * c for mono, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
@@ -113,14 +141,7 @@ class EPoly:
         if len(a) > len(b):
             a, b = b, a
         out: dict[tuple[int, ...], int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                key = _merge_desc(ma, mb)
-                v = out.get(key, 0) + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+        mul_into(out, a, b, 1)
         return EPoly(self.m, out)
 
     __rmul__ = __mul__
@@ -130,12 +151,6 @@ class EPoly:
         if self.m is not None and self.m <= m:
             return EPoly(m, dict(self.terms))
         return EPoly(m, {mono: c for mono, c in self.terms.items() if not mono or mono[0] <= m})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EPoly) and self.m == other.m and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -147,23 +162,11 @@ class EPoly:
             bits.append(f"{c}*{name}")
         return "EPoly(" + " + ".join(bits) + ")"
 
-    def to_dict(self) -> dict[str, int]:
-        """Debug dump: monomial string -> coefficient."""
-        return {",".join(map(str, mono)): c for mono, c in self.terms.items()}
 
-
-class XPoly:
+class XPoly(_SparsePoly):
     """Sparse integer polynomial in x_1, ..., x_m, keyed by exponent tuples."""
 
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: dict[tuple[int, ...], int]):
-        self.m = m
-        self.terms = terms
-
-    @staticmethod
-    def zero(m: int) -> "XPoly":
-        return XPoly(m, {})
+    __slots__ = ()
 
     @staticmethod
     def one(m: int) -> "XPoly":
@@ -183,40 +186,6 @@ class XPoly:
         if coeff == 0:
             return XPoly.zero(len(exponents))
         return XPoly(len(exponents), {tuple(exponents): coeff})
-
-    def _check(self, other: "XPoly") -> None:
-        if self.m != other.m:
-            raise ValueError(f"variable count mismatch: {self.m} vs {other.m}")
-
-    def __add__(self, other: "XPoly") -> "XPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, 0) + c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        return XPoly(self.m, out)
-
-    def __sub__(self, other: "XPoly") -> "XPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, 0) - c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        return XPoly(self.m, out)
-
-    def __neg__(self) -> "XPoly":
-        return XPoly(self.m, {mono: -c for mono, c in self.terms.items()})
-
-    def scale(self, k: int) -> "XPoly":
-        if k == 0:
-            return XPoly.zero(self.m)
-        return XPoly(self.m, {mono: k * c for mono, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -238,12 +207,6 @@ class XPoly:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XPoly) and self.m == other.m and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "XPoly(0)"
@@ -253,9 +216,6 @@ class XPoly:
             name = "*".join(f"x{i + 1}^{e}" for i, e in enumerate(mono) if e) or "1"
             bits.append(f"{c}*{name}")
         return "XPoly(" + " + ".join(bits) + ")"
-
-    def to_dict(self) -> dict[str, int]:
-        return {",".join(map(str, mono)): c for mono, c in self.terms.items()}
 
 
 def negate_first(f: XPoly) -> XPoly:
@@ -308,13 +268,7 @@ def ddiff1prime(f: XPoly) -> XPoly:
         else:
             lo, d, s = a, b - a, c
         top = lo + d - 1
-        for t in range(d):
-            key = (lo + t, top - t) + rest
-            v = out.get(key, 0) + s
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+        add_into(out, (((lo + t, top - t) + rest, s) for t in range(d)))
     return XPoly(f.m, out)
 
 
@@ -350,10 +304,10 @@ def epoly_to_xpoly(p: EPoly, total_vars: int | None = None, shift: int = 0) -> X
     if gens > XPANSION_VAR_LIMIT:
         raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {gens}")
     total = total_vars if total_vars is not None else gens + shift
-    acc = XPoly.zero(total)
+    out: dict[tuple[int, ...], int] = {}
     for mono, c in p.terms.items():
         term = XPoly.one(total)
         for i in mono:
             term = term * elementary_xpoly(i, gens, total, shift)
-        acc = acc + term.scale(c)
-    return acc
+        add_into(out, term.terms.items(), c)
+    return XPoly(total, out)

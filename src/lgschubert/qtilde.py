@@ -20,9 +20,10 @@ from .partitions import (
     grow_strips,
     is_partition,
     is_strict,
+    pfaffian_terms,
     straighten,
 )
-from .polyring import EPoly, XPoly, _merge_desc, elementary_xpoly, epoly_to_xpoly
+from .polyring import EPoly, XPoly, add_into, elementary_xpoly, epoly_to_xpoly, mul_into
 
 
 class VerificationError(Exception):
@@ -39,25 +40,19 @@ def _pair_mono(p: int, q: int) -> tuple[int, ...]:
 @cache
 def _pair_universal(i: int, j: int) -> EPoly:
     """Untruncated two-index basis element, i >= j >= 0:
-    e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}."""
-    terms: dict[tuple[int, ...], int] = {}
-    terms[_pair_mono(i, j)] = 1
-    sign = -1
+    e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}.  The monomials are
+    pairwise distinct, so nothing cancels."""
+    terms = {_pair_mono(i, j): 1}
     for k in range(1, j + 1):
-        mono = _pair_mono(i + k, j - k)
-        v = terms.get(mono, 0) + 2 * sign
-        if v:
-            terms[mono] = v
-        else:
-            del terms[mono]
-        sign = -sign
+        terms[_pair_mono(i + k, j - k)] = -2 if k % 2 else 2
     return EPoly(None, terms)
 
 
 @cache
-def _universal(lam: Partition) -> EPoly:
+def universal(lam: Partition) -> EPoly:
     """Untruncated basis element for a partition, via the Pfaffian expansion
-    along the last column (memoized by partition)."""
+    along the last column (memoized by partition).  The result is shared by
+    every caller and must not be mutated."""
     ell = len(lam)
     if ell == 0:
         return EPoly.one(None)
@@ -65,23 +60,9 @@ def _universal(lam: Partition) -> EPoly:
         return EPoly(None, {(lam[0],): 1})
     if ell == 2:
         return _pair_universal(lam[0], lam[1])
-    seq = lam if ell % 2 == 0 else lam + (0,)
-    r = len(seq)
-    last = seq[-1]
     acc: dict[tuple[int, ...], int] = {}
-    sign = 1
-    for j in range(r - 1):
-        pair = _pair_universal(seq[j], last).terms
-        rest = _universal(seq[:j] + seq[j + 1 : r - 1]).terms
-        for mp, cp in pair.items():
-            for mr, cr in rest.items():
-                key = _merge_desc(mp, mr)
-                v = acc.get(key, 0) + sign * cp * cr
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
-        sign = -sign
+    for sign, a, b, rest in pfaffian_terms(lam):
+        mul_into(acc, _pair_universal(a, b).terms, universal(rest).terms, sign)
     return EPoly(None, acc)
 
 
@@ -105,7 +86,7 @@ def qtilde(nu, m: int) -> EPoly:
     sign, lam = straighten(nu)
     if sign == 0:
         return EPoly.zero(m)
-    p = _universal(lam).truncate(m)
+    p = universal(lam).truncate(m)
     return p if sign == 1 else -p
 
 
@@ -129,20 +110,14 @@ def expand_in_basis(f: EPoly) -> dict[Partition, int]:
         cap = min(f.m, w) if f.m is not None else w
         truncated = cap < w
         for lam in reversed(enumerate_partitions(w, cap)):
-            c = residual.pop(lam, 0)
+            c = residual.get(lam)
             if not c:
                 continue
-            qterms = _universal(lam).terms
-            if qterms.get(lam, 0) != 1:
+            q = universal(lam)
+            if q.terms.get(lam, 0) != 1:
                 raise VerificationError(f"non-unit pivot for {lam}")
-            for mono, qc in qterms.items():
-                if mono == lam or (truncated and mono[0] > cap):
-                    continue
-                v = residual.get(mono, 0) - c * qc
-                if v:
-                    residual[mono] = v
-                else:
-                    residual.pop(mono, None)
+            # the unit pivot cancels residual[lam] along with the rest
+            add_into(residual, (q.truncate(cap) if truncated else q).terms.items(), -c)
             coeffs[lam] = c
         if residual:
             raise VerificationError(f"nonzero residual at weight {w}: {residual}")
@@ -150,8 +125,11 @@ def expand_in_basis(f: EPoly) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=None)
-def _stable_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    return expand_in_basis(_universal(lam) * _universal(mu))
+def stable_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """Memoized basis expansion of the untruncated product of two basis
+    elements.  The result is shared by every caller and must not be
+    mutated; ``structure_constants`` validates its input and copies."""
+    return expand_in_basis(universal(lam) * universal(mu))
 
 
 def structure_constants(lam: Partition, mu: Partition) -> dict[Partition, int]:
@@ -162,7 +140,7 @@ def structure_constants(lam: Partition, mu: Partition) -> dict[Partition, int]:
     for p in (lam, mu):
         if not is_partition(p):
             raise ValueError(f"{p} is not a partition")
-    return dict(_stable_expansion(lam, mu))
+    return dict(stable_expansion(lam, mu))
 
 
 def pieri_strict(lam: Partition, k: int) -> dict[Partition, int]:
@@ -181,7 +159,7 @@ def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The structure constant e(lam, mu; nu) rescaled by
     2**(len(lam) + len(mu) - len(nu)); exact divisibility is asserted."""
     lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    e = _stable_expansion(lam, mu).get(nu, 0)
+    e = stable_expansion(lam, mu).get(nu, 0)
     if e == 0:
         return 0
     t = len(lam) + len(mu) - len(nu)
@@ -196,7 +174,7 @@ def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
 def qtilde_x(lam: Partition, gens: int, total: int, shift: int = 0) -> XPoly:
     """X-variable expansion of the basis element built from e_1..e_gens,
     placed on variables x_{shift+1}..x_{shift+gens} among total variables."""
-    return epoly_to_xpoly(_universal(lam).truncate(gens), total_vars=total, shift=shift)
+    return epoly_to_xpoly(universal(lam).truncate(gens), total_vars=total, shift=shift)
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:
@@ -269,16 +247,3 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
                     failures.append({"check": "e", "lam": lam, "i": i, "m": m})
     return failures
 
-
-def expansion_to_json(exp: dict[Partition, int]) -> dict[str, int]:
-    """Serialize a basis expansion as {'3,1': c, ...}; '' keys the empty
-    partition."""
-    return {",".join(map(str, lam)): c for lam, c in sorted(exp.items(), reverse=True)}
-
-
-def expansion_from_json(data: dict[str, int]) -> dict[Partition, int]:
-    out = {}
-    for key, c in data.items():
-        lam = tuple(int(x) for x in key.split(",")) if key else ()
-        out[lam] = c
-    return out

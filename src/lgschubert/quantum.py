@@ -27,18 +27,14 @@ from .partitions import (
     grow_strips,
     in_d,
     is_strict,
+    pfaffian_terms,
     prepend,
     rho,
     shrink_strips,
     star,
 )
-from .qtilde import (
-    VerificationError,
-    _stable_expansion,
-    _universal,
-    expand_in_basis,
-    f_constant,
-)
+from .polyring import add_into
+from .qtilde import VerificationError, expand_in_basis, f_constant, stable_expansion, universal
 
 QuantumClass = dict  # map (Partition, d) -> int
 
@@ -66,7 +62,7 @@ def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     the theory and raises."""
     lam, mu = _require_dn(lam, n), _require_dn(mu, n)
     out: QuantumClass = {}
-    for key, c in _stable_expansion(lam, mu).items():
+    for key, c in stable_expansion(lam, mu).items():
         if key and key[0] > n + 1:
             continue
         d, rest = _strip_top_parts(key, n + 1)
@@ -85,7 +81,7 @@ def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     (route A)."""
     lam, mu = _require_dn(lam, n), _require_dn(mu, n)
     m = n + 1
-    prod = _universal(lam).truncate(m) * _universal(mu).truncate(m)
+    prod = universal(lam).truncate(m) * universal(mu).truncate(m)
     out: QuantumClass = {}
     for key, c in expand_in_basis(prod).items():
         d, rest = _strip_top_parts(key, m)
@@ -107,33 +103,19 @@ def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
     out: QuantumClass = {}
-
-    def add(key, v):
-        w = out.get(key, 0) + v
-        if w:
-            out[key] = w
-        else:
-            del out[key]
-
     for (lam, d), c in x.items():
-        for strip in grow_strips(lam, k, cap=n):
-            if is_strict(strip.shape):
-                add((strip.shape, d), c << strip.off_first_column)
-        for nu, comps in shrink_strips(lam, n + 1 - k):
-            add((nu, d + 1), c << (comps - 1))
+        add_into(out, (((s.shape, d), c << s.off_first_column)
+                       for s in grow_strips(lam, k, cap=n) if is_strict(s.shape)))
+        add_into(out, (((nu, d + 1), c << (comps - 1))
+                       for nu, comps in shrink_strips(lam, n + 1 - k)))
     return out
 
 
 def _special_mul(x: dict, y: dict) -> dict:
     out: dict = {}
     for (ia, qa), ca in x.items():
-        for (ib, qb), cb in y.items():
-            key = (tuple(sorted(ia + ib, reverse=True)), qa + qb)
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+        add_into(out, (((tuple(sorted(ia + ib, reverse=True)), qa + qb), cb)
+                       for (ib, qb), cb in y.items()), ca)
     return out
 
 
@@ -142,17 +124,13 @@ def _two_row_special(i: int, j: int, n: int) -> dict:
     sigma_1..sigma_n and q, from the quantum two-condition Giambelli
     rearrangement (i > j > 0)."""
     terms: dict = {((i, j), 0): 1}
-    for k in range(1, n - i + 1):
-        t = j - k
-        if t < 0:
-            break
-        idx = (i + k, t) if t else (i + k,)
-        terms[(idx, 0)] = terms.get((idx, 0), 0) + 2 * (-1) ** k
+    for k in range(1, min(n - i, j) + 1):
+        idx = (i + k, j - k) if j - k else (i + k,)
+        terms[(idx, 0)] = 2 * (-1) ** k
     s = i + j - n - 1
     if s >= 0:
-        idx = (s,) if s else ()
-        terms[(idx, 1)] = terms.get((idx, 1), 0) + (-1) ** (n + 1 - i)
-    return {key: c for key, c in terms.items() if c}
+        terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -169,23 +147,10 @@ def giambelli_special(mu: Partition, n: int) -> dict:
         return {((mu[0],), 0): 1}
     if ell == 2:
         return _two_row_special(mu[0], mu[1], n)
-    r = 2 * ((ell + 1) // 2)
-    seq = mu + (0,) * (r - ell)
     acc: dict = {}
-    sign = 1
-    for j in range(r - 1):
-        if seq[r - 1]:
-            pair = _two_row_special(seq[j], seq[r - 1], n)
-        else:
-            pair = {((seq[j],), 0): 1}
-        rest = tuple(x for x in seq[:j] + seq[j + 1 : r - 1] if x)
-        for key, c in _special_mul(pair, giambelli_special(rest, n)).items():
-            v = acc.get(key, 0) + sign * c
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-        sign = -sign
+    for sign, a, b, rest in pfaffian_terms(mu):
+        pair = _two_row_special(a, b, n) if b else {((a,), 0): 1}
+        add_into(acc, _special_mul(pair, giambelli_special(rest, n)).items(), sign)
     return acc
 
 
@@ -197,13 +162,7 @@ def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
         cls: QuantumClass = {(lam, 0): 1}
         for k in indices:  # stored descending; fold order is fixed
             cls = quantum_pieri(cls, k, n)
-        for (nu, d), v in cls.items():
-            key = (nu, d + qp)
-            w = out.get(key, 0) + c * v
-            if w:
-                out[key] = w
-            else:
-                del out[key]
+        add_into(out, (((nu, d + qp), v) for (nu, d), v in cls.items()), c)
     return out
 
 
@@ -222,22 +181,12 @@ def relation_check(i: int, n: int) -> bool:
     sigma_i^2 + 2 sum_k (-1)^k sigma_{i+k} sigma_{i-k} = +-sigma_{2i-n-1} q."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}")
-    acc: QuantumClass = {}
-
-    def add_class(cls, scale):
-        for key, c in cls.items():
-            v = acc.get(key, 0) + scale * c
-            if v:
-                acc[key] = v
-            else:
-                del acc[key]
-
-    add_class(qprod_constants((i,), (i,), n), 1)
+    acc: QuantumClass = qprod_constants((i,), (i,), n)
     for k in range(1, n - i + 1):
         if i - k < 0:
             break
         hi = qprod_constants((i + k,), (i - k,), n) if i - k else {((i + k,), 0): 1}
-        add_class(hi, 2 * (-1) ** k)
+        add_into(acc, hi.items(), 2 * (-1) ** k)
     s = 2 * i - n - 1
     expected: QuantumClass = {}
     if s >= 0:
@@ -314,7 +263,7 @@ def qlr_check(lam: Partition, mu: Partition, n: int) -> bool:
     if len(mu) not in (2, 3):
         raise ValueError("second factor must have two or three rows")
     w0 = sum(lam) + sum(mu)
-    sc = _stable_expansion(lam, mu)
+    sc = stable_expansion(lam, mu)
     expected: QuantumClass = {}
     for nu in _dn_of_weight(w0, n):
         c = sc.get(nu, 0)
@@ -364,11 +313,11 @@ def fform_check(lam: Partition, mu: Partition, n: int) -> bool:
             if actual.get((nu, d), 0) != f_constant(nu, mu_star, prepend(n + 1, e, lam)):
                 return False
     if ell_mu == 2:
-        base = _stable_expansion(lam, mu)
+        base = stable_expansion(lam, mu)
         w1 = sum(lam) + sum(mu) - (n + 1)
         for nu in _dn_of_weight(w1, n):
             lhs = base.get(prepend(n + 1, 1, nu), 0)
-            rhs = _stable_expansion(nu, mu_star).get(prepend(n + 1, 1, lam), 0)
+            rhs = stable_expansion(nu, mu_star).get(prepend(n + 1, 1, lam), 0)
             t = len(lam) - len(nu)
             if lhs * (1 << max(0, -t)) != rhs * (1 << max(0, t)):
                 return False

@@ -12,9 +12,13 @@ import random
 
 from . import classical, quantum
 from .partitions import all_strict_upto, dual, enumerate_partitions
+from .polyring import EPoly
 from .qtilde import (
     VerificationError,
     expand_in_basis,
+    f_constant,
+    pieri_strict,
+    universal,
     verify_extension_formula,
     verify_qtilde_properties,
 )
@@ -274,14 +278,11 @@ def suite_pieri_oracle(wmax: int = 10, kmax: int = 6) -> list[dict]:
     """Combinatorial Pieri rule against the polynomial product, for every
     strict partition of weight <= wmax and 0 <= k <= kmax."""
     failures = []
-    from .qtilde import _universal, pieri_strict
-    from .polyring import EPoly
-
     for w in range(wmax + 1):
         for lam in enumerate_partitions(w, w, strict=True):
             for k in range(kmax + 1):
                 lhs = pieri_strict(lam, k)
-                rhs = expand_in_basis(_universal(lam) * EPoly.gen(k, None))
+                rhs = expand_in_basis(universal(lam) * EPoly.gen(k, None))
                 if lhs != rhs:
                     failures.append({"suite": "pieri-oracle", "lam": lam, "k": k})
     return failures
@@ -291,8 +292,6 @@ def suite_stembridge(total_max: int = 12) -> list[dict]:
     """Rescaled constants of strict pairs are nonnegative integers on every
     strict expansion index."""
     failures = []
-    from .qtilde import f_constant
-
     strict = [
         lam
         for w in range(total_max + 1)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .partitions import Partition, is_partition, is_strict, straighten
+from .partitions import Partition, is_partition, is_strict, pfaffian_terms, straighten
 from .polyring import XPoly, ddiff0, ddiff1prime
 from .qtilde import qtilde_x
 
@@ -91,15 +91,9 @@ def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:
     if not (is_partition(lam) and is_strict(lam) and ell >= 3):
         raise ValueError(f"{lam} must be strict of length >= 3")
     _check_m(m)
-    r = 2 * ((ell + 1) // 2)
-    seq = lam + (0,) * (r - ell)
     acc = XPoly.zero(m)
-    sign = 1
-    for j in range(r - 1):
-        rest = tuple(x for x in seq[:j] + seq[j + 1 : r - 1] if x)
-        term = _c_prime_pair(seq[j], seq[r - 1], m) * c_prime(rest, m)
-        acc = acc + term.scale(sign)
-        sign = -sign
+    for sign, a, b, rest in pfaffian_terms(lam):
+        acc = acc + (_c_prime_pair(a, b, m) * c_prime(rest, m)).scale(sign)
     return not acc
 
 
@@ -112,12 +106,8 @@ def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
         raise ValueError(f"{lam} must be strict of even length >= 4")
     _check_m(m)
     acc = XPoly.zero(m)
-    sign = 1
-    for j in range(ell - 1):
-        rest = lam[:j] + lam[j + 1 : ell - 1]
-        term = c_double_prime((lam[j], lam[ell - 1]), m) * c_double_prime(rest, m)
-        acc = acc + term.scale(sign)
-        sign = -sign
+    for sign, a, b, rest in pfaffian_terms(lam):
+        acc = acc + (c_double_prime((a, b), m) * c_double_prime(rest, m)).scale(sign)
     return not acc
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from lgschubert import suites
 from lgschubert.partitions import all_strict_upto, in_d
-from lgschubert.qtilde import _stable_expansion, structure_constants
+from lgschubert.qtilde import stable_expansion, structure_constants
 from lgschubert.quantum import qprod_constants, qprod_pieri, qprod_quotient
 
 
@@ -57,7 +57,7 @@ def test_criterion_05_divisibility_and_positivity():
         classes = all_strict_upto(n)
         for lam in classes:
             for mu in classes:
-                for key, c in _stable_expansion(lam, mu).items():
+                for key, c in stable_expansion(lam, mu).items():
                     if key and key[0] > n + 1:
                         continue
                     d = 0

@@ -3,8 +3,6 @@ import pytest
 from lgschubert.classical import (
     class_product,
     classical_product,
-    cohclass_from_json,
-    cohclass_to_json,
     giambelli_check,
     integral,
     poincare_pairing,
@@ -129,9 +127,3 @@ def test_structure_constants_of_strict_triples_match_ring():
             cp = classical_product(lam, mu, n)
             for nu, c in cp.items():
                 assert sc[nu] == c
-
-
-def test_json_round_trip():
-    x = {(3, 1): 2, (): 7}
-    data = cohclass_to_json(x, 3)
-    assert cohclass_from_json(data) == (x, 3)

@@ -62,6 +62,13 @@ class TestProduct:
         assert code == 2
         assert "error" in err
 
+    def test_rank_below_one_is_usage_error(self, capsys):
+        for n in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "product", "--n", n, "--lambda", "", "--mu", "")
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
     def test_malformed_partition(self, capsys):
         code, _, err = run(
             capsys, "product", "--ring", "quantum", "--n", "2",
@@ -160,6 +167,26 @@ class TestTable:
         assert main(["table", "--n", "2", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert len(data["entries"]) == 16
+
+    def test_wrong_shape_cache_record_ignored(self, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        bad = cache_dir / "table-n2-constants.jsonl"
+        bad.write_text('{"format": 1, "n": 2, "engine": "constants"}\n[1,2]\n')
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
+        out = tmp_path / "t.json"
+        assert main(["table", "--n", "2", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert len(data["entries"]) == 16
+
+    def test_rank_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "table", "--n", "0")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not cache_dir.exists()
 
     def test_tsv_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))

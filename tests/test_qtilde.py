@@ -5,15 +5,13 @@ import pytest
 from lgschubert.partitions import enumerate_partitions
 from lgschubert.polyring import EPoly, epoly_to_xpoly, is_symmetric
 from lgschubert.qtilde import (
-    _universal,
     expand_in_basis,
-    expansion_from_json,
-    expansion_to_json,
     f_constant,
     pieri_strict,
     qtilde,
     qtilde_pair,
     structure_constants,
+    universal,
     verify_extension_formula,
     verify_qtilde_properties,
 )
@@ -132,10 +130,6 @@ class TestExpandInBasis:
             back = back + qtilde(lam, 3).scale(c)
         assert back == f
 
-    def test_json_round_trip(self):
-        exp = {(3, 1): 2, (): -1, (2, 2): 5}
-        assert expansion_from_json(expansion_to_json(exp)) == exp
-
 
 class TestStructureConstants:
     def test_basic(self):
@@ -209,7 +203,7 @@ class TestPieri:
         for w in range(9):
             for lam in enumerate_partitions(w, w, strict=True):
                 for k in range(6):
-                    rhs = expand_in_basis(_universal(lam) * EPoly.gen(k, None))
+                    rhs = expand_in_basis(universal(lam) * EPoly.gen(k, None))
                     assert pieri_strict(lam, k) == rhs
 
     def test_rejects_non_strict(self):
