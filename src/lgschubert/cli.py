@@ -134,9 +134,23 @@ def _cache_path(n: int, engine: str) -> Path:
     return cache_dir() / f"table-n{n}-{engine}.jsonl"
 
 
+def _valid_record(lam, mu, product: dict, n: int, weight: dict) -> bool:
+    """A cached product the engines could have computed: every index in D_n
+    (the keys of ``weight``, which maps each to its size), 0 <= d <= len(mu),
+    |lam| + |mu| = |nu| + d(n+1), and positive integer coefficients."""
+    if lam not in weight or mu not in weight:
+        return False
+    w = weight[lam] + weight[mu]
+    for (nu, d), c in product.items():
+        if not (weight.get(nu) == w - d * (n + 1) and 0 <= d <= len(mu)
+                and type(c) is int and c > 0):
+            return False
+    return True
+
+
 def load_cache(n: int, engine: str) -> dict:
-    """Read the cache file; a header mismatch or a record of the wrong shape
-    means it is ignored whole."""
+    """Read the cache file; a header mismatch, or a record of the wrong shape
+    or that fails ``_valid_record``, means it is ignored whole."""
     path = _cache_path(n, engine)
     if not path.exists():
         return {}
@@ -145,11 +159,15 @@ def load_cache(n: int, engine: str) -> dict:
         header = json.loads(lines[0])
         if header.get("format") != CACHE_FORMAT or header.get("n") != n or header.get("engine") != engine:
             return {}
+        weight = {nu: sum(nu) for nu in all_strict_upto(n)}
         out = {}
         for line in lines[1:]:
             rec = json.loads(line)
-            key = (partition_from_str(rec["lambda"]), partition_from_str(rec["mu"]))
-            out[key] = quantum_from_json(rec["product"])
+            lam, mu = partition_from_str(rec["lambda"]), partition_from_str(rec["mu"])
+            product = quantum_from_json(rec["product"])
+            if not _valid_record(lam, mu, product, n, weight):
+                return {}
+            out[(lam, mu)] = product
         return out
     except (ValueError, KeyError, IndexError, TypeError, AttributeError):
         return {}
@@ -248,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
-    p.add_argument("--engine", choices=tuple(ENGINES), default="constants")
+    p.add_argument("--engine", choices=tuple(ENGINES), default="pieri")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_product)
 

@@ -6,7 +6,9 @@ brought to normal form, with sign, by ``straighten``.
 
 Diagrams use matrix convention: box (r, c) sits in row r, column c, occupying
 the unit square [c-1, c] x [r-1, r].  Two boxes of a skew diagram are
-connected when they share an edge or a vertex.
+connected when they share an edge or a vertex.  The skew diagrams counted
+here are horizontal strips, whose components are runs of touching rows read
+off the interlacing inequalities, with no flood-fill over boxes.
 """
 
 from __future__ import annotations
@@ -105,36 +107,21 @@ class Strip(NamedTuple):
     off_first_column: int
 
 
-def _skew_boxes(outer: Partition, inner: Partition) -> list[tuple[int, int]]:
-    boxes = []
-    for r, o in enumerate(outer, start=1):
-        i = inner[r - 1] if r <= len(inner) else 0
-        boxes.extend((r, c) for c in range(i + 1, o + 1))
-    return boxes
-
-
-def _component_counts(boxes: list[tuple[int, int]]) -> tuple[int, int]:
-    """Flood-fill component count and the count of components off column 1."""
-    todo = set(boxes)
-    comps = off = 0
-    while todo:
-        comps += 1
-        seed = todo.pop()
-        touches_col1 = seed[1] == 1
-        stack = [seed]
-        while stack:
-            r, c = stack.pop()
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    b = (r + dr, c + dc)
-                    if b in todo:
-                        todo.remove(b)
-                        stack.append(b)
-                        if b[1] == 1:
-                            touches_col1 = True
-        if not touches_col1:
-            off += 1
-    return comps, off
+def _strip_counts(outer: Partition, inner: Partition) -> tuple[int, int]:
+    """Components of the horizontal strip outer/inner, and how many of them
+    miss column 1.  Row r holds columns inner_r + 1 .. outer_r, and
+    interlacing gives outer_{r+1} <= inner_r, so two nonempty rows touch
+    exactly when they are adjacent and outer_{r+1} = inner_r; a component
+    meets column 1 only through a row whose inner part is 0."""
+    inner = inner + (0,) * (len(outer) - len(inner))
+    comps = col1 = 0
+    for r, (o, i) in enumerate(zip(outer, inner)):
+        if o > i:
+            if r == 0 or o != inner[r - 1] or outer[r - 1] == inner[r - 1]:
+                comps += 1
+            if i == 0:
+                col1 = 1
+    return comps, comps - col1
 
 
 def grow_strips(lam: Partition, k: int, cap: int | None = None) -> list[Strip]:
@@ -154,7 +141,7 @@ def grow_strips(lam: Partition, k: int, cap: int | None = None) -> list[Strip]:
         if i == rows:
             if remaining == 0:
                 shape = tuple(x for x in mu if x > 0)
-                comps, off = _component_counts(_skew_boxes(shape, lam))
+                comps, off = _strip_counts(shape, lam)
                 out.append(Strip(shape, comps, off))
             return
         lo = lam[i] if i < len(lam) else 0
@@ -187,7 +174,7 @@ def shrink_strips(lam: Partition, k: int) -> list[tuple[Partition, int]]:
             if remaining == 0:
                 shape = tuple(x for x in nu if x > 0)
                 if is_strict(shape):
-                    comps, _ = _component_counts(_skew_boxes(lam, shape))
+                    comps, _ = _strip_counts(lam, shape)
                     out.append((shape, comps))
             return
         lo = lam[i + 1] if i + 1 < ell else 0

@@ -12,7 +12,8 @@ A quantum class is a finite map (strict partition with parts <= n, q-degree)
   and q via the two-condition and Pfaffian Giambelli expressions, then fold
   the quantum Pieri rule over the other factor.
 
-Route C is the default; A and B exist for cross-validation.
+Route B is the default of ``lgschubert product``; A and C cross-validate
+it, and C serves ``gw`` and ``table``.
 """
 
 from __future__ import annotations
@@ -93,21 +94,28 @@ def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     return out
 
 
-def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
-    """Multiply a quantum class by the special class of degree k, 0 <= k <= n.
+@lru_cache(maxsize=None)
+def pieri_row(lam: Partition, k: int, n: int) -> tuple:
+    """Terms ((nu, q-step), e) of sigma_k * sigma_lam, each worth 2**e.
 
-    Classical part: horizontal-strip extensions inside the Schubert range,
-    weighted by 2 to the number of strip components off the first column.
-    Quantum part: strict sub-partitions a horizontal strip of size n + 1 - k
-    below, weighted by 2 to (components - 1), in one q-degree higher."""
+    Classical part (step 0): strict horizontal-strip extensions inside the
+    Schubert range, e counting the strip components off the first column.
+    Quantum part (step 1): strict sub-partitions a horizontal strip of size
+    n + 1 - k below, e being components - 1.  The row is shared by every
+    caller and must not be mutated."""
+    return tuple(((s.shape, 0), s.off_first_column)
+                 for s in grow_strips(lam, k, cap=n) if is_strict(s.shape)) + tuple(
+        ((nu, 1), comps - 1) for nu, comps in shrink_strips(lam, n + 1 - k))
+
+
+def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
+    """Multiply a quantum class by the special class of degree k, 0 <= k <= n,
+    one memoised ``pieri_row`` per term."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got {k}")
     out: QuantumClass = {}
     for (lam, d), c in x.items():
-        add_into(out, (((s.shape, d), c << s.off_first_column)
-                       for s in grow_strips(lam, k, cap=n) if is_strict(s.shape)))
-        add_into(out, (((nu, d + 1), c << (comps - 1))
-                       for nu, comps in shrink_strips(lam, n + 1 - k)))
+        add_into(out, (((nu, d + s), c << e) for (nu, s), e in pieri_row(lam, k, n)))
     return out
 
 
@@ -157,6 +165,8 @@ def giambelli_special(mu: Partition, n: int) -> dict:
 def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     """Quantum product via Giambelli and the quantum Pieri rule (route B)."""
     lam, mu = _require_dn(lam, n), _require_dn(mu, n)
+    if len(mu) > len(lam):  # the product commutes: expand the shorter factor
+        lam, mu = mu, lam
     out: QuantumClass = {}
     for (indices, qp), c in giambelli_special(mu, n).items():
         cls: QuantumClass = {(lam, 0): 1}

@@ -1,9 +1,10 @@
 """Exhaustive verification sweeps shared by the CLI and the acceptance tests.
 
 Every suite returns a list of failure records (dicts with a witness); an
-empty list means the sweep passed.  Sweeps cover all ranks or variable
-counts up to the given bound, matching the exhaustive ranges the engine is
-expected to satisfy at desk scale.
+empty list means the sweep passed, and a sweep that checked no case returns
+one record saying so.  Sweeps cover all ranks or variable counts up to the
+given bound, matching the exhaustive ranges the engine is expected to
+satisfy at desk scale.
 """
 
 from __future__ import annotations
@@ -31,10 +32,35 @@ from .symplectic import (
 )
 
 DEFAULT_SAMPLE_SEED = 20030503
+NO_CASES = "no cases checked"
+
+
+def _sweep(suite: str, cases, check) -> list[dict]:
+    """Failure records of ``check(**case)`` over ``cases``, dicts of named
+    witnesses: one per case that fails or raises VerificationError, or a
+    single record when no case was checked, so an empty sweep never passes."""
+    failures, checked = [], 0
+    for case in cases:
+        checked += 1
+        try:
+            if not check(**case):
+                failures.append({"suite": suite, **case})
+        except VerificationError as exc:
+            failures.append({"suite": suite, **case, "error": str(exc)})
+    return failures if checked else [{"suite": suite, "error": NO_CASES}]
+
+
+def _strict_cases(lo: int, m: int, key: str, keep=lambda lam: True):
+    """Cases {"lam": lam, key: mm} for lam in D_mm, lo <= mm <= m."""
+    return ({"lam": lam, key: mm} for mm in range(lo, m + 1) for lam in all_strict_upto(mm)
+            if keep(lam))
 
 
 def suite_qtilde_properties(m: int, wmax: int = 10) -> list[dict]:
-    """Defining properties of the basis for every variable count up to m."""
+    """Defining properties of the basis for every variable count up to m;
+    with wmax >= 0 each count checks at least the empty partition."""
+    if wmax < 0:
+        return [{"suite": "qtilde-properties", "error": NO_CASES}]
     failures = []
     for mm in range(1, m + 1):
         failures.extend(verify_qtilde_properties(mm, wmax))
@@ -43,95 +69,57 @@ def suite_qtilde_properties(m: int, wmax: int = 10) -> list[dict]:
 
 def suite_extension(m: int, wmax: int | None = None) -> list[dict]:
     """One-variable peeling identity over all partitions with parts <= m."""
-    failures = []
-    for mm in range(1, m + 1):
-        bound = wmax if wmax is not None else 2 * mm
-        for w in range(bound + 1):
-            for lam in enumerate_partitions(w, mm):
-                if not verify_extension_formula(lam, mm):
-                    failures.append({"suite": "extension", "lam": lam, "m": mm})
-    return failures
+    return _sweep("extension", (
+        {"lam": lam, "m": mm}
+        for mm in range(1, m + 1)
+        for w in range((wmax if wmax is not None else 2 * mm) + 1)
+        for lam in enumerate_partitions(w, mm)), verify_extension_formula)
 
 
 def suite_pfaffian_prime(m: int) -> list[dict]:
-    failures = []
-    for mm in range(3, m + 1):
-        for lam in all_strict_upto(mm):
-            if len(lam) >= 3 and not verify_pfaffian_identity_prime(lam, mm):
-                failures.append({"suite": "pfaffian-prime", "lam": lam, "m": mm})
-    return failures
+    return _sweep("pfaffian-prime", _strict_cases(3, m, "m", lambda lam: len(lam) >= 3),
+                  verify_pfaffian_identity_prime)
 
 
 def suite_pfaffian_double_prime(m: int) -> list[dict]:
-    failures = []
-    for mm in range(4, m + 1):
-        for lam in all_strict_upto(mm):
-            if len(lam) >= 4 and len(lam) % 2 == 0:
-                if not verify_pfaffian_identity_double_prime(lam, mm):
-                    failures.append({"suite": "pfaffian-double-prime", "lam": lam, "m": mm})
-    return failures
+    return _sweep("pfaffian-double-prime",
+                  _strict_cases(4, m, "m", lambda lam: len(lam) >= 4 and len(lam) % 2 == 0),
+                  verify_pfaffian_identity_double_prime)
 
 
 def suite_lem2(m: int) -> list[dict]:
-    failures = []
-    for mm in range(2, m + 1):
-        for lam in all_strict_upto(mm):
-            if lam and len(lam) % 2 == 0:
-                if not verify_lem2(lam, mm):
-                    failures.append({"suite": "lem2", "lam": lam, "m": mm})
-    return failures
+    return _sweep("lem2", _strict_cases(2, m, "m", lambda lam: lam and len(lam) % 2 == 0),
+                  verify_lem2)
 
 
 def suite_cprime_expansion(m: int) -> list[dict]:
-    failures = []
-    for mm in range(1, m + 1):
-        for lam in all_strict_upto(mm):
-            if lam and not verify_cprime_expansion(lam, mm):
-                failures.append({"suite": "cprime-expansion", "lam": lam, "m": mm})
-    return failures
+    return _sweep("cprime-expansion", _strict_cases(1, m, "m", bool), verify_cprime_expansion)
 
 
 def suite_dawson(pmax: int = 12) -> list[dict]:
-    failures = []
-    for p in range(pmax + 1):
-        for q in range(-p - 2, p + 3):
-            if not dawson(p, q):
-                failures.append({"suite": "dawson", "p": p, "q": q})
-    return failures
+    return _sweep("dawson", ({"p": p, "q": q} for p in range(pmax + 1)
+                             for q in range(-p - 2, p + 3)), dawson)
 
 
 def suite_giambelli_classical(n: int) -> list[dict]:
-    failures = []
-    for nn in range(3, n + 1):
-        for lam in all_strict_upto(nn):
-            if len(lam) >= 3 and not classical.giambelli_check(lam, nn):
-                failures.append({"suite": "giambelli-classical", "lam": lam, "n": nn})
-    return failures
+    return _sweep("giambelli-classical", _strict_cases(3, n, "n", lambda lam: len(lam) >= 3),
+                  classical.giambelli_check)
 
 
 def suite_duality(n: int) -> list[dict]:
     """Poincare pairing is the complement indicator in top degree."""
-    failures = []
-    for nn in range(1, n + 1):
-        dim = nn * (nn + 1) // 2
-        classes = all_strict_upto(nn)
-        for lam in classes:
-            for mu in classes:
-                if sum(lam) + sum(mu) != dim:
-                    continue
-                want = 1 if mu == dual(lam, nn) else 0
-                if classical.poincare_pairing(lam, mu, nn) != want:
-                    failures.append({"suite": "duality", "lam": lam, "mu": mu, "n": nn})
-    return failures
+    return _sweep("duality", (
+        {"lam": lam, "mu": mu, "n": nn}
+        for nn in range(1, n + 1)
+        for lam in all_strict_upto(nn)
+        for mu in all_strict_upto(nn)
+        if sum(lam) + sum(mu) == nn * (nn + 1) // 2),
+        lambda lam, mu, n: classical.poincare_pairing(lam, mu, n) == int(mu == dual(lam, n)))
 
 
 def suite_relations(n: int) -> list[dict]:
-    failures = []
-    for nn in range(1, n + 1):
-        for i in range(1, nn + 1):
-            if not quantum.relation_check(i, nn):
-                failures.append({"suite": "relations", "i": i, "n": nn})
-    return failures
+    return _sweep("relations", ({"i": i, "n": nn} for nn in range(1, n + 1)
+                                for i in range(1, nn + 1)), quantum.relation_check)
 
 
 def _engine_pairs(n: int, sample: int | None, seed: int):
@@ -147,172 +135,103 @@ def suite_engines_agree(
 ) -> list[dict]:
     """The three multiplication engines agree; exhaustive through rank 4,
     sampled pairs (default 200 per rank) beyond."""
-    failures = []
+    return _sweep("engines-agree", (
+        {"lam": lam, "mu": mu, "n": nn}
+        for nn in range(1, n + 1)
+        for lam, mu in _engine_pairs(
+            nn, (sample if sample is not None else 200) if nn > 4 else None, seed + nn)),
+        lambda lam, mu, n: (quantum.qprod_constants(lam, mu, n) == quantum.qprod_quotient(lam, mu, n)
+                            == quantum.qprod_pieri(lam, mu, n)))
+
+
+def _admissible_triples(n: int):
+    """Cases (lam, mu, nu, d) of D_nn whose weights fit a degree-d invariant."""
     for nn in range(1, n + 1):
-        per_rank = (sample if sample is not None else 200) if nn > 4 else None
-        for lam, mu in _engine_pairs(nn, per_rank, seed + nn):
-            try:
-                c = quantum.qprod_constants(lam, mu, nn)
-                a = quantum.qprod_quotient(lam, mu, nn)
-                b = quantum.qprod_pieri(lam, mu, nn)
-            except VerificationError as exc:
-                failures.append({"suite": "engines-agree", "lam": lam, "mu": mu, "n": nn, "error": str(exc)})
-                continue
-            if not (a == b == c):
-                failures.append({"suite": "engines-agree", "lam": lam, "mu": mu, "n": nn})
-    return failures
-
-
-def _admissible_degree(lam, mu, nu, n: int) -> int | None:
-    excess = sum(lam) + sum(mu) + sum(nu) - n * (n + 1) // 2
-    if excess < 0 or excess % (n + 1):
-        return None
-    return excess // (n + 1)
+        classes = all_strict_upto(nn)
+        for lam in classes:
+            for mu in classes:
+                for nu in classes:
+                    excess = sum(lam) + sum(mu) + sum(nu) - nn * (nn + 1) // 2
+                    if excess >= 0 and excess % (nn + 1) == 0:
+                        yield {"lam": lam, "mu": mu, "nu": nu, "d": excess // (nn + 1), "n": nn}
 
 
 def suite_eightfold(n: int) -> list[dict]:
     """Power-of-two symmetry of the invariants, plus vanishing beyond the
     length of the first index."""
-    failures = []
-    for nn in range(1, n + 1):
-        classes = all_strict_upto(nn)
-        for lam in classes:
-            for mu in classes:
-                for nu in classes:
-                    d = _admissible_degree(lam, mu, nu, nn)
-                    if d is None:
-                        continue
-                    if not quantum.eightfold_check(lam, mu, nu, d, nn):
-                        failures.append(
-                            {"suite": "eightfold", "lam": lam, "mu": mu, "nu": nu, "d": d, "n": nn}
-                        )
-    return failures
+    return _sweep("eightfold", _admissible_triples(n), quantum.eightfold_check)
 
 
 def suite_vanishing(n: int) -> list[dict]:
     """Every nonzero invariant sits inside the two inequality windows."""
-    failures = []
-    for nn in range(1, n + 1):
+    return _sweep("vanishing", _admissible_triples(n), lambda lam, mu, nu, d, n: (
+        not quantum.gw(lam, mu, nu, d, n) or quantum.vanishing_bounds(lam, mu, nu, d, n)))
+
+
+def _pairs_by_mu(lo: int, n: int, keep):
+    """Cases (lam, mu) of D_nn, lo <= nn <= n, mu filtered by keep, mu outer."""
+    for nn in range(lo, n + 1):
         classes = all_strict_upto(nn)
-        for lam in classes:
-            for mu in classes:
-                for nu in classes:
-                    d = _admissible_degree(lam, mu, nu, nn)
-                    if d is None:
-                        continue
-                    if quantum.gw(lam, mu, nu, d, nn) and not quantum.vanishing_bounds(
-                        lam, mu, nu, d, nn
-                    ):
-                        failures.append(
-                            {"suite": "vanishing", "lam": lam, "mu": mu, "nu": nu, "d": d, "n": nn}
-                        )
-    return failures
+        for mu in classes:
+            if keep(mu):
+                for lam in classes:
+                    yield {"lam": lam, "mu": mu, "n": nn}
 
 
 def suite_qlr(n: int) -> list[dict]:
-    failures = []
-    for nn in range(2, n + 1):
-        classes = all_strict_upto(nn)
-        for mu in classes:
-            if len(mu) not in (2, 3):
-                continue
-            for lam in classes:
-                if not quantum.qlr_check(lam, mu, nn):
-                    failures.append({"suite": "qlr", "lam": lam, "mu": mu, "n": nn})
-    return failures
+    return _sweep("qlr", _pairs_by_mu(2, n, lambda mu: len(mu) in (2, 3)), quantum.qlr_check)
 
 
 def suite_fform(n: int) -> list[dict]:
-    failures = []
-    for nn in range(1, n + 1):
-        classes = all_strict_upto(nn)
-        for mu in classes:
-            if not mu:
-                continue
-            for lam in classes:
-                if not quantum.fform_check(lam, mu, nn):
-                    failures.append({"suite": "fform", "lam": lam, "mu": mu, "n": nn})
-    return failures
+    return _sweep("fform", _pairs_by_mu(1, n, bool), quantum.fform_check)
 
 
 def suite_rho(n: int) -> list[dict]:
-    failures = []
-    for nn in range(1, n + 1):
-        for lam in all_strict_upto(nn):
-            try:
-                quantum.rho_product(lam, nn)
-            except VerificationError as exc:
-                failures.append({"suite": "rho", "lam": lam, "n": nn, "error": str(exc)})
-    return failures
+    return _sweep("rho", _strict_cases(1, n, "n"), quantum.rho_product)
 
 
 def suite_lines(n: int) -> list[dict]:
     """Degree-one invariants against triple intersection numbers one rank up."""
-    failures = []
-    for nn in range(1, n + 1):
-        classes = all_strict_upto(nn)
-        target = nn * (nn + 1) // 2 + nn + 1
-        for lam in classes:
-            for mu in classes:
-                for nu in classes:
-                    if sum(lam) + sum(mu) + sum(nu) != target:
-                        continue
-                    if not quantum.line_count_check(lam, mu, nu, nn):
-                        failures.append(
-                            {"suite": "lines", "lam": lam, "mu": mu, "nu": nu, "n": nn}
-                        )
-    return failures
+    return _sweep("lines", (
+        {"lam": lam, "mu": mu, "nu": nu, "n": nn}
+        for nn in range(1, n + 1)
+        for lam in all_strict_upto(nn)
+        for mu in all_strict_upto(nn)
+        for nu in all_strict_upto(nn)
+        if sum(lam) + sum(mu) + sum(nu) == nn * (nn + 1) // 2 + nn + 1),
+        quantum.line_count_check)
 
 
 def suite_sigma_ij(n: int) -> list[dict]:
-    failures = []
-    for nn in range(1, n + 1):
-        for i in range(1, nn + 1):
-            for j in range(1, i + 1):
-                if i + j >= nn + 1 and not quantum.sigma_ij_product_check(i, j, nn):
-                    failures.append({"suite": "sigma-ij", "i": i, "j": j, "n": nn})
-    return failures
+    return _sweep("sigma-ij", ({"i": i, "j": j, "n": nn}
+                               for nn in range(1, n + 1)
+                               for i in range(1, nn + 1)
+                               for j in range(1, i + 1) if i + j >= nn + 1),
+                  quantum.sigma_ij_product_check)
 
 
 def suite_pieri_oracle(wmax: int = 10, kmax: int = 6) -> list[dict]:
     """Combinatorial Pieri rule against the polynomial product, for every
     strict partition of weight <= wmax and 0 <= k <= kmax."""
-    failures = []
-    for w in range(wmax + 1):
-        for lam in enumerate_partitions(w, w, strict=True):
-            for k in range(kmax + 1):
-                lhs = pieri_strict(lam, k)
-                rhs = expand_in_basis(universal(lam) * EPoly.gen(k, None))
-                if lhs != rhs:
-                    failures.append({"suite": "pieri-oracle", "lam": lam, "k": k})
-    return failures
+    return _sweep("pieri-oracle", (
+        {"lam": lam, "k": k}
+        for w in range(wmax + 1)
+        for lam in enumerate_partitions(w, w, strict=True)
+        for k in range(kmax + 1)),
+        lambda lam, k: pieri_strict(lam, k) == expand_in_basis(universal(lam) * EPoly.gen(k, None)))
 
 
 def suite_stembridge(total_max: int = 12) -> list[dict]:
     """Rescaled constants of strict pairs are nonnegative integers on every
     strict expansion index."""
-    failures = []
-    strict = [
-        lam
-        for w in range(total_max + 1)
-        for lam in enumerate_partitions(w, w, strict=True)
-    ]
-    for lam in strict:
-        for mu in strict:
-            w = sum(lam) + sum(mu)
-            if w > total_max:
-                continue
-            for nu in enumerate_partitions(w, w, strict=True):
-                try:
-                    f = f_constant(lam, mu, nu)
-                except VerificationError as exc:
-                    failures.append(
-                        {"suite": "stembridge", "lam": lam, "mu": mu, "nu": nu, "error": str(exc)}
-                    )
-                    continue
-                if f < 0:
-                    failures.append({"suite": "stembridge", "lam": lam, "mu": mu, "nu": nu, "f": f})
-    return failures
+    strict = [lam for w in range(total_max + 1) for lam in enumerate_partitions(w, w, strict=True)]
+    return _sweep("stembridge", (
+        {"lam": lam, "mu": mu, "nu": nu}
+        for lam in strict
+        for mu in strict
+        if sum(lam) + sum(mu) <= total_max
+        for nu in enumerate_partitions(sum(lam) + sum(mu), sum(lam) + sum(mu), strict=True)),
+        lambda lam, mu, nu: f_constant(lam, mu, nu) >= 0)
 
 
 SUITES = {

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lgschubert.cli import main
+from lgschubert.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -53,6 +53,13 @@ class TestProduct:
             )
             assert code == 0
             assert out.strip() == "s[2]"
+
+    def test_default_engine_is_pieri(self, capsys):
+        argv = ("product", "--n", "4", "--lambda", "4,2", "--mu", "3,2,1")
+        outs = {run(capsys, *argv, *extra)[1] for extra in
+                ((), ("--engine", "pieri"), ("--engine", "constants"))}
+        assert len(outs) == 1
+        assert build_parser().parse_args(argv).engine == "pieri"
 
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(
@@ -114,6 +121,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "engines-agree", "--n", "2")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+    def test_suite_with_no_cases_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "pfaffian-double-prime", "--m", "3")
+        assert code == 1
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["failures"] == [
+            {"suite": "pfaffian-double-prime", "error": "no cases checked"}
+        ]
+        code, out, _ = run(capsys, "verify", "pfaffian-double-prime", "--m", "4")
+        assert code == 0
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -178,6 +196,33 @@ class TestTable:
         assert main(["table", "--n", "2", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert len(data["entries"]) == 16
+
+    @pytest.mark.parametrize("lam, mu, product", [
+        ("1", "1", '{"9,9|0": 7}'),  # index outside D_2
+        ("1", "1", '{"2,1|0": 1}'),  # |lam| + |mu| != |nu| + d(n+1)
+        ("2,1", "", '{"|1": 1}'),  # d > len(mu), weight identity holds
+        ("1", "1", '{"2|0": -2}'),  # negative coefficient
+        ("1", "1", '{"2|0": 0}'),  # zero coefficient
+        ("1", "1", '{"2|0": 2.5}'),  # not an integer
+        ("1", "3", '{"3,1|0": 1}'),  # mu outside D_2
+    ])
+    def test_poisoned_cache_record_ignored(self, tmp_path, monkeypatch, capsys, lam, mu, product):
+        """One bad record voids the whole file: the plausible but wrong
+        record beside it (s[2] * 1 = 5 s[2]) must not be served either."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
+        code, clean, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert code == 0
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "table-n2-constants.jsonl").write_text(
+            '{"format": 1, "n": 2, "engine": "constants"}\n'
+            '{"lambda": "2", "mu": "", "product": {"2|0": 5}}\n'
+            f'{{"lambda": "{lam}", "mu": "{mu}", "product": {product}}}\n'
+        )
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
+        code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert code == 0
+        assert out == clean
 
     def test_rank_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys):
         cache_dir = tmp_path / "cache"

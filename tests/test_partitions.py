@@ -188,6 +188,21 @@ class TestShrinkStrips:
                     assert (nu in below) == (lam in above)
 
 
+    def test_components_against_oracle(self):
+        """Each (nu, components) equals what the union-find oracle counts on
+        the extension of nu by the same strip, and every strict nu below lam
+        is listed."""
+        for lam in all_strict_upto(5):
+            for k in range(sum(lam) + 1):
+                want = sorted(
+                    ((nu, s.components)
+                     for nu in enumerate_partitions(sum(lam) - k, sum(lam) - k, strict=True)
+                     for s in oracle_strips(nu, k, lam[0] if lam else None)
+                     if s.shape == lam),
+                    reverse=True)
+                assert shrink_strips(lam, k) == want
+
+
 class TestEnumerate:
     def test_examples(self):
         assert enumerate_partitions(4, 4, strict=True) == [(4,), (3, 1)]

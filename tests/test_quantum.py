@@ -79,6 +79,14 @@ class TestQuantumPieri:
         with pytest.raises(ValueError):
             quantum_pieri({((1,), 0): 1}, 3, 2)
 
+    def test_mutating_a_result_leaves_the_memo_clean(self):
+        x = {((3, 1), 0): 1}
+        first = quantum_pieri(x, 2, 3)
+        want = dict(first)
+        first[((3, 1), 0)] = 99
+        first.pop(((2,), 1))
+        assert quantum_pieri(x, 2, 3) == want
+
 
 class TestGiambelliSpecial:
     def test_examples(self):
@@ -102,7 +110,35 @@ class TestGiambelliSpecial:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_evaluates_to_class_on_unit(self, n):
         for mu in all_strict_upto(n):
+            assert fold_giambelli_of_mu((), mu, n) == {(mu, 0): 1}
             assert qprod_pieri((), mu, n) == {(mu, 0): 1}
+
+
+def fold_giambelli_of_mu(lam, mu, n):
+    """sigma_lam * sigma_mu by folding the Pieri rule over Giambelli of mu,
+    even when mu is the longer factor."""
+    out = {}
+    for (idxs, qp), c in giambelli_special(mu, n).items():
+        cls = {(lam, 0): 1}
+        for k in idxs:
+            cls = quantum_pieri(cls, k, n)
+        for (nu, d), v in cls.items():
+            key = (nu, d + qp)
+            out[key] = out.get(key, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+class TestRouteBShorterFactor:
+    def test_longer_mu_folded_either_way(self):
+        classes = all_strict_upto(4)
+        pairs = [(lam, mu) for lam in classes for mu in classes if len(mu) > len(lam)]
+        assert pairs
+        for lam, mu in pairs:
+            assert qprod_pieri(lam, mu, 4) == fold_giambelli_of_mu(lam, mu, 4)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_staircase_square(self, n):
+        assert qprod_pieri(rho(n), rho(n), n) == {((), n): 1}
 
 
 class TestEngineAgreement:
