@@ -15,10 +15,10 @@ from .partitions import (
 from .polyring import EPoly, XPoly, ddiff0, ddiff1prime, epoly_to_xpoly, is_symmetric
 from .qtilde import (
     VerificationError,
+    basis,
     expand_in_basis,
     f_constant,
     pieri_strict,
-    qtilde_pair,
     structure_constants,
 )
 from .classical import classical_product, giambelli_check, integral, reduce_to_lg, triple_number

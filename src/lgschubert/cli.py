@@ -3,22 +3,26 @@ suites, and multiplication-table generation with a persistent cache.
 
 Partitions on the command line are comma-separated parts; "" and "0" both
 denote the empty partition.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 3 internal error (any other exception, reported on stderr).
+The table cache header carries ``code_fingerprint()``, so a cache written by
+other code is never served.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import quantum
 from .classical import classical_product
 from .partitions import all_strict_upto, partition_from_str, partition_to_str
 from .quantum import quantum_from_json, quantum_to_json
-from .suites import SUITES
+from .suites import DEFAULT_SAMPLE_SEED, SUITES
 
 CACHE_FORMAT = 1
 ENGINES = {
@@ -26,17 +30,6 @@ ENGINES = {
     "quotient": quantum.qprod_quotient,
     "pieri": quantum.qprod_pieri,
 }
-
-
-class UsageError(Exception):
-    pass
-
-
-def _parse_partition(text: str):
-    try:
-        return partition_from_str(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _format_classical(coeffs) -> str:
@@ -69,8 +62,8 @@ def _format_quantum(cls) -> str:
 
 
 def cmd_product(args) -> int:
-    lam = _parse_partition(args.lam)
-    mu = _parse_partition(args.mu)
+    lam = partition_from_str(args.lam)
+    mu = partition_from_str(args.mu)
     if args.ring == "classical":
         coeffs = classical_product(lam, mu, args.n)
         if args.json:
@@ -88,7 +81,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    lam, mu, nu = (_parse_partition(t) for t in (args.lam, args.mu, args.nu))
+    lam, mu, nu = (partition_from_str(t) for t in (args.lam, args.mu, args.nu))
     value = quantum.gw(lam, mu, nu, args.d, args.n)
     permitted = quantum.vanishing_bounds(lam, mu, nu, args.d, args.n)
     if args.json:
@@ -130,6 +123,15 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "lgschubert"
 
 
+@cache
+def code_fingerprint() -> str:
+    """Short sha256 of the package's Python sources, read on first use."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def _cache_path(n: int, engine: str) -> Path:
     return cache_dir() / f"table-n{n}-{engine}.jsonl"
 
@@ -149,15 +151,16 @@ def _valid_record(lam, mu, product: dict, n: int, weight: dict) -> bool:
 
 
 def load_cache(n: int, engine: str) -> dict:
-    """Read the cache file; a header mismatch, or a record of the wrong shape
-    or that fails ``_valid_record``, means it is ignored whole."""
+    """Read the cache file; a header mismatch (format, n, engine or code
+    fingerprint), or a record of the wrong shape or that fails
+    ``_valid_record``, means it is ignored whole."""
     path = _cache_path(n, engine)
     if not path.exists():
         return {}
     try:
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        if header.get("format") != CACHE_FORMAT or header.get("n") != n or header.get("engine") != engine:
+        if header != _cache_header(n, engine):
             return {}
         weight = {nu: sum(nu) for nu in all_strict_upto(n)}
         out = {}
@@ -173,11 +176,15 @@ def load_cache(n: int, engine: str) -> dict:
         return {}
 
 
+def _cache_header(n: int, engine: str) -> dict:
+    return {"format": CACHE_FORMAT, "n": n, "engine": engine, "code": code_fingerprint()}
+
+
 def save_cache(n: int, engine: str, table: dict) -> None:
     """Rewrite the cache file atomically, records sorted for stable diffs."""
     path = _cache_path(n, engine)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps({"format": CACHE_FORMAT, "n": n, "engine": engine})]
+    lines = [json.dumps(_cache_header(n, engine))]
     for lam, mu in sorted(table, key=_record_order):
         lines.append(
             json.dumps(
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wmax", type=int, default=None)
     p.add_argument("--pmax", type=int, default=12)
     p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="full quantum multiplication table for D_n x D_n")
@@ -303,18 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        from .suites import DEFAULT_SAMPLE_SEED
-
-        args.seed = DEFAULT_SAMPLE_SEED
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -146,12 +146,6 @@ class EPoly(_SparsePoly):
 
     __rmul__ = __mul__
 
-    def truncate(self, m: int) -> "EPoly":
-        """Image under e_i -> 0 for i > m."""
-        if self.m is not None and self.m <= m:
-            return EPoly(m, dict(self.terms))
-        return EPoly(m, {mono: c for mono, c in self.terms.items() if not mono or mono[0] <= m})
-
     def __repr__(self) -> str:
         if not self.terms:
             return "EPoly(0)"

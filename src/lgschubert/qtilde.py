@@ -1,5 +1,6 @@
 """The Schur-Q-style basis of the ring of symmetric functions in elementary
-generators: pair polynomials, the Pfaffian recursion, expansion in the basis,
+generators: the memoized basis(lam, m) (pair formula and Pfaffian
+recursion, truncated to m variables by filtering), expansion in the basis,
 stable structure constants, the power-of-two Pieri rule, and verifiers for
 the defining properties of the family.
 
@@ -30,49 +31,29 @@ class VerificationError(Exception):
     """An identity the engine relies on failed on a concrete witness."""
 
 
-def _pair_mono(p: int, q: int) -> tuple[int, ...]:
-    # p >= q >= 0
-    if q == 0:
-        return (p,) if p else ()
-    return (p, q)
-
-
 @cache
-def _pair_universal(i: int, j: int) -> EPoly:
-    """Untruncated two-index basis element, i >= j >= 0:
-    e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}.  The monomials are
-    pairwise distinct, so nothing cancels."""
-    terms = {_pair_mono(i, j): 1}
-    for k in range(1, j + 1):
-        terms[_pair_mono(i + k, j - k)] = -2 if k % 2 else 2
-    return EPoly(None, terms)
+def basis(lam: Partition, m: int | None) -> EPoly:
+    """Basis element of a partition in m variables, untruncated for m = None.
 
-
-@cache
-def universal(lam: Partition) -> EPoly:
-    """Untruncated basis element for a partition, via the Pfaffian expansion
-    along the last column (memoized by partition).  The result is shared by
-    every caller and must not be mutated."""
-    ell = len(lam)
-    if ell == 0:
-        return EPoly.one(None)
-    if ell == 1:
-        return EPoly(None, {(lam[0],): 1})
-    if ell == 2:
-        return _pair_universal(lam[0], lam[1])
-    acc: dict[tuple[int, ...], int] = {}
-    for sign, a, b, rest in pfaffian_terms(lam):
-        mul_into(acc, _pair_universal(a, b).terms, universal(rest).terms, sign)
-    return EPoly(None, acc)
-
-
-def qtilde_pair(i: int, j: int, m: int) -> EPoly:
-    """Two-index basis element in m variables; requires i >= j >= 0."""
-    if j < 0 or i < j:
-        raise ValueError(f"need i >= j >= 0, got ({i}, {j})")
-    if m < 1:
-        raise ValueError("m must be positive")
-    return _pair_universal(i, j).truncate(m)
+    Memoized per (lam, m); the result is shared by every caller and must not
+    be mutated.  Untruncated, at most two parts (i, j) give
+    e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}, whose monomials are
+    pairwise distinct, and longer partitions the Pfaffian expansion along the
+    last column.  Truncation e_i -> 0 for i > m is a ring homomorphism, so the
+    truncated element drops the monomials of the untruncated one whose top
+    part exceeds m.
+    """
+    if m is not None:
+        return EPoly(m, {mono: c for mono, c in basis(lam, None).terms.items()
+                         if not mono or mono[0] <= m})
+    if len(lam) > 2:
+        acc: dict[tuple[int, ...], int] = {}
+        for sign, a, b, rest in pfaffian_terms(lam):
+            mul_into(acc, basis((a, b) if b else (a,), None).terms, basis(rest, None).terms, sign)
+        return EPoly(None, acc)
+    i, j = lam + (0,) * (2 - len(lam))
+    return EPoly(None, {tuple(p for p in (i + k, j - k) if p): 2 * (-1) ** k if k else 1
+                        for k in range(j + 1)})
 
 
 def qtilde(nu, m: int) -> EPoly:
@@ -86,7 +67,7 @@ def qtilde(nu, m: int) -> EPoly:
     sign, lam = straighten(nu)
     if sign == 0:
         return EPoly.zero(m)
-    p = universal(lam).truncate(m)
+    p = basis(lam, m)
     return p if sign == 1 else -p
 
 
@@ -107,17 +88,15 @@ def expand_in_basis(f: EPoly) -> dict[Partition, int]:
         if w == 0:
             coeffs[()] = residual[()]
             continue
-        cap = min(f.m, w) if f.m is not None else w
-        truncated = cap < w
-        for lam in reversed(enumerate_partitions(w, cap)):
+        for lam in reversed(enumerate_partitions(w, min(f.m, w) if f.m is not None else w)):
             c = residual.get(lam)
             if not c:
                 continue
-            q = universal(lam)
+            q = basis(lam, f.m)
             if q.terms.get(lam, 0) != 1:
                 raise VerificationError(f"non-unit pivot for {lam}")
             # the unit pivot cancels residual[lam] along with the rest
-            add_into(residual, (q.truncate(cap) if truncated else q).terms.items(), -c)
+            add_into(residual, q.terms.items(), -c)
             coeffs[lam] = c
         if residual:
             raise VerificationError(f"nonzero residual at weight {w}: {residual}")
@@ -129,7 +108,7 @@ def stable_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Memoized basis expansion of the untruncated product of two basis
     elements.  The result is shared by every caller and must not be
     mutated; ``structure_constants`` validates its input and copies."""
-    return expand_in_basis(universal(lam) * universal(mu))
+    return expand_in_basis(basis(lam, None) * basis(mu, None))
 
 
 def structure_constants(lam: Partition, mu: Partition) -> dict[Partition, int]:
@@ -174,7 +153,7 @@ def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
 def qtilde_x(lam: Partition, gens: int, total: int, shift: int = 0) -> XPoly:
     """X-variable expansion of the basis element built from e_1..e_gens,
     placed on variables x_{shift+1}..x_{shift+gens} among total variables."""
-    return epoly_to_xpoly(universal(lam).truncate(gens), total_vars=total, shift=shift)
+    return epoly_to_xpoly(basis(lam, gens), total_vars=total, shift=shift)
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:
@@ -228,7 +207,7 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
                 failures.append({"check": "b", "lam": lam, "m": m})
     if m <= 8:
         for i in range(1, min(m, wmax // 2) + 1):
-            got = epoly_to_xpoly(qtilde_pair(i, i, m))
+            got = epoly_to_xpoly(basis((i, i), m))
             if got != _elementary_of_squares(i, m):
                 failures.append({"check": "c", "i": i, "m": m})
     for w in range(max(0, wmax - m) + 1):
@@ -242,7 +221,7 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
             for lam in enumerate_partitions(w, m):
                 merged = tuple(sorted(lam + (i, i), reverse=True))
                 lhs = qtilde(merged, m)
-                rhs = qtilde_pair(i, i, m) * qtilde(lam, m)
+                rhs = basis((i, i), m) * qtilde(lam, m)
                 if lhs != rhs:
                     failures.append({"check": "e", "lam": lam, "i": i, "m": m})
     return failures

@@ -3,17 +3,21 @@
 A quantum class is a finite map (strict partition with parts <= n, q-degree)
 -> integer.  Three independent multiplication engines are provided:
 
-* qprod_constants (route C): read the stable structure constants of the
-  symmetric-function basis at indices ((n+1)^d, nu) and divide by 2^d.
-* qprod_quotient (route A): multiply in n + 1 variables, expand in the basis
-  there, strip parts equal to n + 1 into q-powers (each worth q/2), and kill
-  indices outside the Schubert range.
+* qprod_constants (route C): expand the untruncated product of the two
+  basis elements (the stable structure constants).
+* qprod_quotient (route A): truncate both basis elements to n + 1 variables,
+  multiply, and expand in the basis there.
 * qprod_pieri (route B): expand one factor symbolically into special classes
   and q via the two-condition and Pfaffian Giambelli expressions, then fold
   the quantum Pieri rule over the other factor.
 
-Route B is the default of ``lgschubert product``; A and C cross-validate
-it, and C serves ``gw`` and ``table``.
+Routes C and A share one read-out, ``_read_quantum``: the index
+((n+1)^d, nu) with nu in D_n gives q^d sigma_nu / 2^d, and every other index
+is dropped.  They still cross-check each other and route B in
+``engines-agree``: C forms the product untruncated, A forms it after
+truncation, and B shares neither step.  Route B is the default of
+``lgschubert product``; A and C cross-validate it, and C serves ``gw`` and
+``table``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .partitions import (
     star,
 )
 from .polyring import add_into
-from .qtilde import VerificationError, expand_in_basis, f_constant, stable_expansion, universal
+from .qtilde import VerificationError, basis, expand_in_basis, f_constant, stable_expansion
 
 QuantumClass = dict  # map (Partition, d) -> int
 
@@ -47,26 +51,19 @@ def _require_dn(lam: Partition, n: int) -> Partition:
     return lam
 
 
-def _strip_top_parts(key: Partition, top: int) -> tuple[int, Partition]:
-    d = 0
-    while d < len(key) and key[d] == top:
-        d += 1
-    return d, key[d:]
-
-
-def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
-    """Quantum product via stable structure constants (route C).
-
-    Every expansion index of the form ((n+1)^d, nu) with nu strict and parts
-    <= n contributes its coefficient divided by 2^d in q-degree d.  The
-    coefficient must be a positive multiple of 2^d; anything else falsifies
-    the theory and raises."""
-    lam, mu = _require_dn(lam, n), _require_dn(mu, n)
+def _read_quantum(expansion: dict[Partition, int], n: int) -> QuantumClass:
+    """Quantum product read off a basis expansion: each index ((n+1)^d, nu)
+    with nu in D_n contributes its coefficient divided by 2^d in q-degree d,
+    and every other index is dropped.  The coefficient must be a nonnegative
+    multiple of 2^d; anything else falsifies the theory and raises."""
     out: QuantumClass = {}
-    for key, c in stable_expansion(lam, mu).items():
+    for key, c in expansion.items():
         if key and key[0] > n + 1:
             continue
-        d, rest = _strip_top_parts(key, n + 1)
+        d = 0
+        while d < len(key) and key[d] == n + 1:
+            d += 1
+        rest = key[d:]
         if not in_d(rest, n):
             continue
         if c < 0 or c % (1 << d):
@@ -77,21 +74,16 @@ def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     return out
 
 
+def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
+    """Quantum product read off the stable structure constants (route C)."""
+    return _read_quantum(stable_expansion(_require_dn(lam, n), _require_dn(mu, n)), n)
+
+
 def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
-    """Quantum product via the quotient presentation in n + 1 variables
-    (route A)."""
+    """Quantum product read off the expansion of the product in n + 1
+    variables (route A)."""
     lam, mu = _require_dn(lam, n), _require_dn(mu, n)
-    m = n + 1
-    prod = universal(lam).truncate(m) * universal(mu).truncate(m)
-    out: QuantumClass = {}
-    for key, c in expand_in_basis(prod).items():
-        d, rest = _strip_top_parts(key, m)
-        if not in_d(rest, n):
-            continue
-        if c % (1 << d):
-            raise VerificationError(f"coefficient {c} at {key} not divisible by 2^{d}")
-        out[(rest, d)] = c >> d
-    return out
+    return _read_quantum(expand_in_basis(basis(lam, n + 1) * basis(mu, n + 1)), n)
 
 
 @lru_cache(maxsize=None)

@@ -16,10 +16,10 @@ from .partitions import all_strict_upto, dual, enumerate_partitions
 from .polyring import EPoly
 from .qtilde import (
     VerificationError,
+    basis,
     expand_in_basis,
     f_constant,
     pieri_strict,
-    universal,
     verify_extension_formula,
     verify_qtilde_properties,
 )
@@ -218,7 +218,7 @@ def suite_pieri_oracle(wmax: int = 10, kmax: int = 6) -> list[dict]:
         for w in range(wmax + 1)
         for lam in enumerate_partitions(w, w, strict=True)
         for k in range(kmax + 1)),
-        lambda lam, k: pieri_strict(lam, k) == expand_in_basis(universal(lam) * EPoly.gen(k, None)))
+        lambda lam, k: pieri_strict(lam, k) == expand_in_basis(basis(lam, None) * EPoly.gen(k, None)))
 
 
 def suite_stembridge(total_max: int = 12) -> list[dict]:
@@ -235,7 +235,8 @@ def suite_stembridge(total_max: int = 12) -> list[dict]:
 
 
 SUITES = {
-    "qtilde-properties": lambda args: suite_qtilde_properties(args.m, args.wmax or 10),
+    "qtilde-properties": lambda args: suite_qtilde_properties(
+        args.m, 10 if args.wmax is None else args.wmax),
     "extension": lambda args: suite_extension(args.m, args.wmax),
     "pfaffian-prime": lambda args: suite_pfaffian_prime(args.m),
     "pfaffian-double-prime": lambda args: suite_pfaffian_double_prime(args.m),
@@ -253,6 +254,6 @@ SUITES = {
     "rho": lambda args: suite_rho(args.n),
     "lines": lambda args: suite_lines(args.n),
     "sigma-ij": lambda args: suite_sigma_ij(args.n),
-    "pieri-oracle": lambda args: suite_pieri_oracle(args.wmax or 10),
-    "stembridge": lambda args: suite_stembridge(args.wmax or 12),
+    "pieri-oracle": lambda args: suite_pieri_oracle(10 if args.wmax is None else args.wmax),
+    "stembridge": lambda args: suite_stembridge(12 if args.wmax is None else args.wmax),
 }

@@ -2,13 +2,21 @@ import json
 
 import pytest
 
-from lgschubert.cli import build_parser, main
+from lgschubert import cli, suites
+from lgschubert.cli import build_parser, code_fingerprint, main
+from lgschubert.qtilde import VerificationError
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cache_header(**fields) -> str:
+    """Header line of an n = 2 constants cache written by the current code."""
+    return json.dumps({"format": 1, "n": 2, "engine": "constants", "code": code_fingerprint(),
+                       **fields}) + "\n"
 
 
 class TestProduct:
@@ -84,6 +92,18 @@ class TestProduct:
         assert code == 2
         assert "error" in err
 
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        """An exception other than ValueError is neither a verification
+        failure (1) nor a usage error (2)."""
+        def broken(lam, mu, n):
+            raise VerificationError("engine bug")
+
+        monkeypatch.setitem(cli.ENGINES, "pieri", broken)
+        code, out, err = run(capsys, "product", "--n", "2", "--lambda", "1", "--mu", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: VerificationError: engine bug\n"
+
 
 class TestGW:
     def test_cubic_through_three_points(self, capsys):
@@ -133,6 +153,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "pfaffian-double-prime", "--m", "4")
         assert code == 0
 
+    @pytest.mark.parametrize("suite, runner", [
+        ("pieri-oracle", "suite_pieri_oracle"),
+        ("stembridge", "suite_stembridge"),
+        ("qtilde-properties", "suite_qtilde_properties"),
+    ])
+    def test_wmax_zero_is_a_bound(self, capsys, monkeypatch, suite, runner):
+        """--wmax 0 reaches the suite as 0, not as the default bound."""
+        calls = []
+        monkeypatch.setattr(suites, runner, lambda *args: calls.append(args) or [])
+        code, out, _ = run(capsys, "verify", suite, "--wmax", "0")
+        assert code == 0
+        assert calls[0][-1] == 0
+        assert json.loads(out)["params"]["wmax"] == 0
+
+    def test_seed_defaults_to_sample_seed(self):
+        args = build_parser().parse_args(["verify", "engines-agree"])
+        assert args.seed == suites.DEFAULT_SAMPLE_SEED
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "nope")
@@ -149,7 +187,7 @@ class TestTable:
         cache_file = tmp_path / "cache" / "table-n2-constants.jsonl"
         assert cache_file.exists()
         header = json.loads(cache_file.read_text().splitlines()[0])
-        assert header == {"format": 1, "n": 2, "engine": "constants"}
+        assert header == {"format": 1, "n": 2, "engine": "constants", "code": code_fingerprint()}
         # warm-cache rerun and multi-worker rerun are byte-identical
         assert main(["table", "--n", "2", "--out", str(out2)]) == 0
         assert main(["table", "--n", "2", "--workers", "8", "--out", str(out8)]) == 0
@@ -179,7 +217,7 @@ class TestTable:
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         bad = cache_dir / "table-n2-constants.jsonl"
-        bad.write_text('{"format": 99, "n": 2, "engine": "constants"}\n')
+        bad.write_text(cache_header(format=99))
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
         out = tmp_path / "t.json"
         assert main(["table", "--n", "2", "--out", str(out)]) == 0
@@ -190,7 +228,7 @@ class TestTable:
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         bad = cache_dir / "table-n2-constants.jsonl"
-        bad.write_text('{"format": 1, "n": 2, "engine": "constants"}\n[1,2]\n')
+        bad.write_text(cache_header() + "[1,2]\n")
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
         out = tmp_path / "t.json"
         assert main(["table", "--n", "2", "--out", str(out)]) == 0
@@ -215,7 +253,7 @@ class TestTable:
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         (cache_dir / "table-n2-constants.jsonl").write_text(
-            '{"format": 1, "n": 2, "engine": "constants"}\n'
+            cache_header() +
             '{"lambda": "2", "mu": "", "product": {"2|0": 5}}\n'
             f'{{"lambda": "{lam}", "mu": "{mu}", "product": {product}}}\n'
         )
@@ -223,6 +261,30 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert code == 0
         assert out == clean
+
+    @pytest.mark.parametrize("header", [
+        cache_header(code="0" * 16),  # written by other code
+        '{"format": 1, "n": 2, "engine": "constants"}\n',  # no fingerprint
+    ])
+    def test_cache_from_other_code_ignored(self, tmp_path, monkeypatch, capsys, header):
+        """A record that passes every validity check but is wrong (s[2] * 1
+        = 5 s[2]) is served only under the current code fingerprint."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
+        code, clean, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert code == 0
+        record = '{"lambda": "2", "mu": "", "product": {"2|0": 5}}\n'
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        cache_file = cache_dir / "table-n2-constants.jsonl"
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
+        cache_file.write_text(header + record)
+        code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert code == 0
+        assert out == clean
+        # the fingerprint alone decides: under the current one the record is served
+        cache_file.write_text(cache_header() + record)
+        code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert "2\t\t2|0=5\n" in out
 
     def test_rank_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys):
         cache_dir = tmp_path / "cache"

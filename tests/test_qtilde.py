@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from lgschubert.partitions import enumerate_partitions
+from lgschubert.partitions import enumerate_partitions, pfaffian_terms
 from lgschubert.polyring import EPoly, epoly_to_xpoly, is_symmetric
 from lgschubert.qtilde import (
+    basis,
     expand_in_basis,
     f_constant,
     pieri_strict,
     qtilde,
-    qtilde_pair,
     structure_constants,
-    universal,
     verify_extension_formula,
     verify_qtilde_properties,
 )
@@ -28,14 +27,29 @@ def E(m, **monos):
 
 class TestPairs:
     def test_examples(self):
-        assert qtilde_pair(1, 1, 2) == E(2, e11=1, e2=-2)
-        assert qtilde_pair(2, 1, 2) == E(2, e21=1)
-        assert qtilde_pair(3, 0, 3) == E(3, e3=1)
-        assert qtilde_pair(0, 0, 3) == EPoly.one(3)
+        assert qtilde((1, 1), 2) == E(2, e11=1, e2=-2)
+        assert qtilde((2, 1), 2) == E(2, e21=1)
+        assert qtilde((3, 0), 3) == E(3, e3=1)
+        assert qtilde((0, 0), 3) == EPoly.one(3)
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            qtilde_pair(1, 2, 3)
+
+class TestBasis:
+    def test_truncation_filters_the_untruncated_element(self):
+        """basis(lam, m) is basis(lam, None) less the monomials whose top
+        part exceeds m, and truncating inside the Pfaffian recursion gives
+        the same element (truncation is a ring homomorphism)."""
+        for w in range(9):
+            for lam in enumerate_partitions(w, w):
+                full = basis(lam, None)
+                for m in range(1, 7):
+                    kept = {mono: c for mono, c in full.terms.items() if not mono or mono[0] <= m}
+                    assert basis(lam, m) == EPoly(m, kept)
+                    if len(lam) > 2:
+                        acc = EPoly.zero(m)
+                        for sign, a, b, rest in pfaffian_terms(lam):
+                            pair = basis((a, b) if b else (a,), m)
+                            acc = acc + (pair * basis(rest, m)).scale(sign)
+                        assert basis(lam, m) == acc
 
 
 class TestQtilde:
@@ -203,7 +217,7 @@ class TestPieri:
         for w in range(9):
             for lam in enumerate_partitions(w, w, strict=True):
                 for k in range(6):
-                    rhs = expand_in_basis(universal(lam) * EPoly.gen(k, None))
+                    rhs = expand_in_basis(basis(lam, None) * EPoly.gen(k, None))
                     assert pieri_strict(lam, k) == rhs
 
     def test_rejects_non_strict(self):
@@ -265,4 +279,4 @@ def test_nonstrict_keys_factor_through_pairs():
         ((3, 3, 2, 1), 3, (2, 1)),
     ]:
         m = sum(lam)
-        assert qtilde(lam, m) == qtilde_pair(i, i, m) * qtilde(rest, m)
+        assert qtilde(lam, m) == qtilde((i, i), m) * qtilde(rest, m)

@@ -4,7 +4,9 @@ import pytest
 
 from lgschubert.classical import classical_product
 from lgschubert.partitions import all_strict_upto, dual, rho, star
+from lgschubert.qtilde import VerificationError
 from lgschubert.quantum import (
+    _read_quantum,
     eightfold_check,
     fform_check,
     giambelli_special,
@@ -42,6 +44,19 @@ class TestRouteA:
         assert qprod_quotient((2,), (2,), 2) == {((1,), 1): 1}
         assert qprod_quotient((2, 1), (2,), 2) == {((2,), 1): 1}
         assert qprod_quotient((1,), (1,), 2) == {((2,), 0): 2}
+
+
+class TestReadQuantum:
+    def test_top_parts_become_q(self):
+        """At n = 2, (3, 1) is q sigma_1 / 2 and (3, 3) is q^2 / 4; (4,),
+        (2, 2) and (3, 2, 2) index no Schubert class and are dropped."""
+        expansion = {(2,): 1, (3, 1): 2, (3, 3): 4, (4,): 7, (2, 2): 5, (3, 2, 2): 3}
+        assert _read_quantum(expansion, 2) == {((2,), 0): 1, ((1,), 1): 1, ((), 2): 1}
+
+    @pytest.mark.parametrize("expansion", [{(3,): -2}, {(3, 1): 1}, {(3, 3): 2}])
+    def test_rejects_negative_or_indivisible(self, expansion):
+        with pytest.raises(VerificationError):
+            _read_quantum(expansion, 2)
 
 
 class TestRouteB:
