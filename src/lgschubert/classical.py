@@ -65,8 +65,8 @@ def giambelli_check(lam: Partition, n: int) -> bool:
     if not in_d(lam, n) or len(lam) < 3:
         raise ValueError(f"{lam} must be in D_{n} with length >= 3")
     acc: CohClass = {}
-    for sign, a, b, rest in pfaffian_terms(lam):
-        add_into(acc, classical_product((a, b) if b else (a,), rest, n).items(), sign)
+    for sign, pair, rest in pfaffian_terms(lam):
+        add_into(acc, classical_product(pair, rest, n).items(), sign)
     return acc == {lam: 1}
 
 

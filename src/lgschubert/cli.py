@@ -3,7 +3,8 @@ suites, and multiplication-table generation with a persistent cache.
 
 Partitions on the command line are comma-separated parts; "" and "0" both
 denote the empty partition.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 internal error (any other exception, reported on stderr).
+2 usage error (an OSError, such as an unwritable ``--out``, included), 3
+internal error (any other exception, reported on stderr).
 The table cache header carries ``code_fingerprint()``, so a cache written by
 other code is never served.
 """
@@ -25,6 +26,7 @@ from .quantum import quantum_from_json, quantum_to_json
 from .suites import DEFAULT_SAMPLE_SEED, SUITES
 
 CACHE_FORMAT = 1
+TABLE_ENGINE = "constants"  # the engine behind ``table`` and its cache
 ENGINES = {
     "constants": quantum.qprod_constants,
     "quotient": quantum.qprod_quotient,
@@ -150,17 +152,17 @@ def _valid_record(lam, mu, product: dict, n: int, weight: dict) -> bool:
     return True
 
 
-def load_cache(n: int, engine: str) -> dict:
+def load_cache(n: int) -> dict:
     """Read the cache file; a header mismatch (format, n, engine or code
     fingerprint), or a record of the wrong shape or that fails
     ``_valid_record``, means it is ignored whole."""
-    path = _cache_path(n, engine)
+    path = _cache_path(n, TABLE_ENGINE)
     if not path.exists():
         return {}
     try:
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        if header != _cache_header(n, engine):
+        if header != _cache_header(n):
             return {}
         weight = {nu: sum(nu) for nu in all_strict_upto(n)}
         out = {}
@@ -176,15 +178,18 @@ def load_cache(n: int, engine: str) -> dict:
         return {}
 
 
-def _cache_header(n: int, engine: str) -> dict:
-    return {"format": CACHE_FORMAT, "n": n, "engine": engine, "code": code_fingerprint()}
+def _cache_header(n: int) -> dict:
+    return {"format": CACHE_FORMAT, "n": n, "engine": TABLE_ENGINE, "code": code_fingerprint()}
 
 
 def save_cache(n: int, engine: str, table: dict) -> None:
-    """Rewrite the cache file atomically, records sorted for stable diffs."""
+    """Rewrite the cache file atomically, records sorted for stable diffs.
+    ``engine`` is always TABLE_ENGINE; it stays a parameter, as in
+    ``_cache_path``, because the benchmark's trace counters (bench/child.py)
+    read the (n, engine, table) arguments of this call."""
     path = _cache_path(n, engine)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(_cache_header(n, engine))]
+    lines = [json.dumps(_cache_header(n))]
     for lam, mu in sorted(table, key=_record_order):
         lines.append(
             json.dumps(
@@ -207,14 +212,13 @@ def _record_order(key):
 
 
 def cmd_table(args) -> int:
-    engine = "constants"
     classes = all_strict_upto(args.n)
-    table = load_cache(args.n, engine)
+    table = load_cache(args.n)
     pending = [(lam, mu) for lam in classes for mu in classes if (lam, mu) not in table]
     for lam, mu in pending:
         table[(lam, mu)] = quantum.qprod_constants(lam, mu, args.n)
     if pending:
-        save_cache(args.n, engine, table)
+        save_cache(args.n, TABLE_ENGINE, table)
 
     entries = []
     for lam, mu in sorted(((l, m) for l in classes for m in classes), key=_record_order):
@@ -227,7 +231,7 @@ def cmd_table(args) -> int:
                 "format": CACHE_FORMAT,
                 "ring": "quantum",
                 "n": args.n,
-                "engine": engine,
+                "engine": TABLE_ENGINE,
                 "entries": [
                     {"lambda": partition_to_str(l), "mu": partition_to_str(m), "product": p}
                     for l, m, p in entries
@@ -312,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

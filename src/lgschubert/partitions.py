@@ -86,17 +86,18 @@ def prepend(a: int, d: int, nu: Partition) -> Partition:
     return (a,) * d + tuple(nu)
 
 
-def pfaffian_terms(lam: Partition) -> Iterator[tuple[int, int, int, Partition]]:
-    """Terms (sign, a, b, rest) of the Pfaffian expansion along the last
+def pfaffian_terms(lam: Partition) -> Iterator[tuple[int, Partition, Partition]]:
+    """Terms (sign, pair, rest) of the Pfaffian expansion along the last
     column, for nonempty lam.  lam is padded with a zero part to even length
-    r; term j < r - 1 pairs part a = lam_j with the last part b (0 for the
-    padding), rest is lam without both (a partition), and the sign
-    alternates starting at +1."""
+    r; term j < r - 1 pairs part a = lam_j with the last part b, giving the
+    partition pair (a, b), or (a) when b is the padding; rest is lam without
+    both (a partition), and the sign alternates starting at +1."""
     seq = lam + (0,) if len(lam) % 2 else lam
     r = len(seq)
     b = seq[-1]
     for j in range(r - 1):
-        yield (-1 if j % 2 else 1), seq[j], b, seq[:j] + seq[j + 1 : r - 1]
+        a = seq[j]
+        yield (-1 if j % 2 else 1), ((a, b) if b else (a,)), seq[:j] + seq[j + 1 : r - 1]
 
 
 class Strip(NamedTuple):

@@ -13,29 +13,17 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from operator import add
 
 XPANSION_VAR_LIMIT = 8
 
 
-def _merge_desc(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Merge two weakly decreasing tuples into one."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] >= b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _e_mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _x_mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
 
 
 def add_into(out: dict, items, k: int = 1) -> None:
@@ -49,13 +37,14 @@ def add_into(out: dict, items, k: int = 1) -> None:
             out.pop(mono, None)
 
 
-def mul_into(out: dict, a: dict, b: dict, k: int) -> None:
-    """Add k * a * b into ``out`` in place, for term maps of e-monomials with
-    nonzero coefficients and k != 0; ``a`` is the outer loop."""
+def mul_into(out: dict, a: dict, b: dict, k: int, mono_mul=_e_mono_mul) -> None:
+    """Add k * a * b into ``out`` in place, for term maps with nonzero
+    coefficients and k != 0, multiplying monomials with ``mono_mul`` (the
+    e-monomial product by default); ``a`` is the outer loop."""
     for ma, ca in a.items():
         ca *= k
         for mb, cb in b.items():
-            key = _merge_desc(ma, mb)
+            key = mono_mul(ma, mb)
             v = out.get(key, 0) + ca * cb
             if v:
                 out[key] = v
@@ -66,7 +55,8 @@ def mul_into(out: dict, a: dict, b: dict, k: int) -> None:
 class _SparsePoly:
     """Arithmetic shared by the two models: a variable count ``m`` and a map
     ``terms`` from monomials to nonzero integers, never mutated after
-    construction.  Subclasses supply the monomial product in ``__mul__``."""
+    construction.  Each subclass's ``__mul__`` passes its monomial product
+    to ``_mul``."""
 
     __slots__ = ("m", "terms")
 
@@ -102,6 +92,17 @@ class _SparsePoly:
             return self.zero(self.m)
         return type(self)(self.m, {mono: k * c for mono, c in self.terms.items()})
 
+    def _mul(self, other, mono_mul):
+        if isinstance(other, int):
+            return self.scale(other)
+        self._check(other)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        out: dict[tuple[int, ...], int] = {}
+        mul_into(out, a, b, 1, mono_mul)
+        return type(self)(self.m, out)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self.m == other.m and self.terms == other.terms
 
@@ -134,15 +135,7 @@ class EPoly(_SparsePoly):
         return EPoly(m, {(i,): 1})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        mul_into(out, a, b, 1)
-        return EPoly(self.m, out)
+        return self._mul(other, _e_mono_mul)
 
     __rmul__ = __mul__
 
@@ -166,38 +159,8 @@ class XPoly(_SparsePoly):
     def one(m: int) -> "XPoly":
         return XPoly(m, {(0,) * m: 1})
 
-    @staticmethod
-    def variable(i: int, m: int) -> "XPoly":
-        """The variable x_i (1-indexed)."""
-        if not 1 <= i <= m:
-            raise ValueError(f"variable index {i} out of range for m={m}")
-        e = [0] * m
-        e[i - 1] = 1
-        return XPoly(m, {tuple(e): 1})
-
-    @staticmethod
-    def monomial(exponents: tuple[int, ...], coeff: int = 1) -> "XPoly":
-        if coeff == 0:
-            return XPoly.zero(len(exponents))
-        return XPoly(len(exponents), {tuple(exponents): coeff})
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                key = tuple(p + q for p, q in zip(ma, mb))
-                v = out.get(key, 0) + ca * cb
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        return XPoly(self.m, out)
+        return self._mul(other, _x_mono_mul)
 
     __rmul__ = __mul__
 

@@ -48,8 +48,8 @@ def basis(lam: Partition, m: int | None) -> EPoly:
                          if not mono or mono[0] <= m})
     if len(lam) > 2:
         acc: dict[tuple[int, ...], int] = {}
-        for sign, a, b, rest in pfaffian_terms(lam):
-            mul_into(acc, basis((a, b) if b else (a,), None).terms, basis(rest, None).terms, sign)
+        for sign, pair, rest in pfaffian_terms(lam):
+            mul_into(acc, basis(pair, None).terms, basis(rest, None).terms, sign)
         return EPoly(None, acc)
     i, j = lam + (0,) * (2 - len(lam))
     return EPoly(None, {tuple(p for p in (i + k, j - k) if p): 2 * (-1) ** k if k else 1

@@ -38,7 +38,7 @@ from .partitions import (
     shrink_strips,
     star,
 )
-from .polyring import add_into
+from .polyring import add_into, mul_into
 from .qtilde import VerificationError, basis, expand_in_basis, f_constant, stable_expansion
 
 QuantumClass = dict  # map (Partition, d) -> int
@@ -111,46 +111,34 @@ def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
     return out
 
 
-def _special_mul(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for (ia, qa), ca in x.items():
-        add_into(out, (((tuple(sorted(ia + ib, reverse=True)), qa + qb), cb)
-                       for (ib, qb), cb in y.items()), ca)
-    return out
-
-
-def _two_row_special(i: int, j: int, n: int) -> dict:
-    """Symbolic expression of a two-condition class in the special classes
-    sigma_1..sigma_n and q, from the quantum two-condition Giambelli
-    rearrangement (i > j > 0)."""
-    terms: dict = {((i, j), 0): 1}
-    for k in range(1, min(n - i, j) + 1):
-        idx = (i + k, j - k) if j - k else (i + k,)
-        terms[(idx, 0)] = 2 * (-1) ** k
-    s = i + j - n - 1
-    if s >= 0:
-        terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
-    return terms
+def _special_mono_mul(x: tuple, y: tuple) -> tuple:
+    return tuple(sorted(x[0] + y[0], reverse=True)), x[1] + y[1]
 
 
 @lru_cache(maxsize=None)
 def giambelli_special(mu: Partition, n: int) -> dict:
     """Polynomial in the special classes and q whose quantum evaluation is
-    the Schubert class of mu: rows are special classes, two-row classes come
-    from the quantum two-condition formula, longer ones from the Pfaffian
-    recursion with all products expanded symbolically."""
+    the Schubert class of mu, keyed by (special indices, q-power).  Rows are
+    special classes; a two-row class sigma_{i,j} is the basis element of
+    (i, j) in n variables plus the q-term (-1)^(n+1-i) q sigma_{i+j-n-1}
+    when i + j > n (the quantum two-condition Giambelli formula); longer
+    classes come from the Pfaffian expansion over the expressions of their
+    pairs, with all products expanded symbolically.  The result is shared by
+    every caller and must not be mutated."""
     mu = _require_dn(tuple(mu), n)
-    ell = len(mu)
-    if ell == 0:
-        return {((), 0): 1}
-    if ell == 1:
-        return {((mu[0],), 0): 1}
-    if ell == 2:
-        return _two_row_special(mu[0], mu[1], n)
+    if len(mu) <= 1:
+        return {(mu, 0): 1}
+    if len(mu) == 2:
+        i, j = mu
+        terms = {(mono, 0): c for mono, c in basis(mu, n).terms.items()}
+        s = i + j - n - 1
+        if s >= 0:
+            terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
+        return terms
     acc: dict = {}
-    for sign, a, b, rest in pfaffian_terms(mu):
-        pair = _two_row_special(a, b, n) if b else {((a,), 0): 1}
-        add_into(acc, _special_mul(pair, giambelli_special(rest, n)).items(), sign)
+    for sign, pair, rest in pfaffian_terms(mu):
+        mul_into(acc, giambelli_special(pair, n), giambelli_special(rest, n), sign,
+                 _special_mono_mul)
     return acc
 
 

@@ -48,11 +48,6 @@ def c_double_prime(lam: Partition, m: int) -> XPoly:
     return ddiff0(ddiff1prime(ddiff0(qtilde_x(lam, m, m))))
 
 
-def _c_prime_pair(a: int, b: int, m: int) -> XPoly:
-    # two-index value; (a, 0) is identified with (a)
-    return c_prime((a, b) if b else (a,), m)
-
-
 def comb0(n: int, k: int) -> int:
     """Binomial coefficient, zero outside 0 <= k <= n."""
     if k < 0 or n < 0 or k > n:
@@ -92,8 +87,8 @@ def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:
         raise ValueError(f"{lam} must be strict of length >= 3")
     _check_m(m)
     acc = XPoly.zero(m)
-    for sign, a, b, rest in pfaffian_terms(lam):
-        acc = acc + (_c_prime_pair(a, b, m) * c_prime(rest, m)).scale(sign)
+    for sign, pair, rest in pfaffian_terms(lam):
+        acc = acc + (c_prime(pair, m) * c_prime(rest, m)).scale(sign)
     return not acc
 
 
@@ -106,8 +101,8 @@ def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
         raise ValueError(f"{lam} must be strict of even length >= 4")
     _check_m(m)
     acc = XPoly.zero(m)
-    for sign, a, b, rest in pfaffian_terms(lam):
-        acc = acc + (c_double_prime((a, b), m) * c_double_prime(rest, m)).scale(sign)
+    for sign, pair, rest in pfaffian_terms(lam):
+        acc = acc + (c_double_prime(pair, m) * c_double_prime(rest, m)).scale(sign)
     return not acc
 
 

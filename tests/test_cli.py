@@ -295,6 +295,15 @@ class TestTable:
         assert capsys.readouterr().out == ""
         assert not cache_dir.exists()
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))
+        out = tmp_path / "missing" / "t.json"
+        code, stdout, err = run(capsys, "table", "--n", "2", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.exists()
+
     def test_tsv_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "table.tsv"

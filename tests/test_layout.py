@@ -1,5 +1,6 @@
 """Module boundaries of the package: no module reaches into a sibling's
-private names, and each submodule is importable under its own name."""
+private names, each submodule is importable under its own name, and each
+polynomial model defines its own multiplication."""
 
 import ast
 import importlib
@@ -43,3 +44,12 @@ def test_submodules_are_modules():
     import lgschubert.qtilde as qtilde_module
 
     assert isinstance(qtilde_module, types.ModuleType)
+
+
+def test_each_polynomial_model_defines_its_own_mul():
+    # the benchmark tracer wraps vars(cls)["__mul__"] to time each model apart
+    from lgschubert.polyring import EPoly, XPoly
+
+    e_mul, x_mul = vars(EPoly).get("__mul__"), vars(XPoly).get("__mul__")
+    assert callable(e_mul) and callable(x_mul)
+    assert e_mul is not x_mul

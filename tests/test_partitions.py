@@ -13,6 +13,7 @@ from lgschubert.partitions import (
     is_strict,
     partition_from_str,
     partition_to_str,
+    pfaffian_terms,
     prepend,
     rho,
     shrink_strips,
@@ -93,6 +94,23 @@ class TestPrepend:
     def test_rejects_oversized_tail(self):
         with pytest.raises(ValueError):
             prepend(2, 1, (3,))
+
+
+class TestPfaffianTerms:
+    def test_odd_length_pairs_with_the_padding(self):
+        assert list(pfaffian_terms((5,))) == [(1, (5,), ())]
+        assert list(pfaffian_terms((3, 2, 1))) == [
+            (1, (3,), (2, 1)),
+            (-1, (2,), (3, 1)),
+            (1, (1,), (3, 2)),
+        ]
+
+    def test_even_length_pairs_with_the_last_part(self):
+        assert list(pfaffian_terms((4, 3, 2, 1))) == [
+            (1, (4, 1), (3, 2)),
+            (-1, (3, 1), (4, 2)),
+            (1, (2, 1), (4, 3)),
+        ]
 
 
 def oracle_strips(lam, k, cap):

@@ -51,11 +51,36 @@ class TestEPolyArithmetic:
         with pytest.raises(ValueError):
             EPoly.gen(1, 2) * EPoly.gen(1, 3)
 
+    def test_cancelled_cross_terms_are_not_stored(self):
+        # (e2 + e1)(e2 - e1) = e2^2 - e1^2: the two e2 e1 terms cancel
+        e1, e2 = EPoly.gen(1, 3), EPoly.gen(2, 3)
+        assert ((e2 + e1) * (e2 - e1)).terms == {(2, 2): 1, (1, 1): -1}
+
     @given(epolys(), epolys(), epolys())
     def test_ring_laws(self, a, b, c):
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
+
+
+class TestXPolyArithmetic:
+    def test_cancelled_cross_terms_are_not_stored(self):
+        # (x1 + x2)(x1 - x2) = x1^2 - x2^2: the two x1 x2 terms cancel
+        p = (xmono(1) + xmono(0, 1)) * (xmono(1) - xmono(0, 1))
+        assert p.terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+
+    def test_var_count_mismatch(self):
+        with pytest.raises(ValueError):
+            xmono(1, m=2) * xmono(1, m=3)
+
+    @given(xpolys(max_terms=4), xpolys(max_terms=4), xpolys(max_terms=4))
+    @settings(max_examples=60)
+    def test_ring_laws(self, a, b, c):
+        assert a * b == b * a
+        assert (a + b) * c == a * c + b * c
+        assert (a * b) * c == a * (b * c)
+        assert a * XPoly.one(M) == a
+        assert 0 not in (a * b).terms.values()
 
 
 class TestExpansion:

@@ -46,9 +46,8 @@ class TestBasis:
                     assert basis(lam, m) == EPoly(m, kept)
                     if len(lam) > 2:
                         acc = EPoly.zero(m)
-                        for sign, a, b, rest in pfaffian_terms(lam):
-                            pair = basis((a, b) if b else (a,), m)
-                            acc = acc + (pair * basis(rest, m)).scale(sign)
+                        for sign, pair, rest in pfaffian_terms(lam):
+                            acc = acc + (basis(pair, m) * basis(rest, m)).scale(sign)
                         assert basis(lam, m) == acc
 
 
