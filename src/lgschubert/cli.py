@@ -212,6 +212,11 @@ def _record_order(key):
 
 
 def cmd_table(args) -> int:
+    out_path = Path(args.out) if args.out else None
+    if out_path:
+        # fail on an unwritable path before computing; append mode keeps an
+        # existing file intact until the table replaces it
+        out_path.open("a").close()
     classes = all_strict_upto(args.n)
     table = load_cache(args.n)
     pending = [(lam, mu) for lam in classes for mu in classes if (lam, mu) not in table]
@@ -224,7 +229,6 @@ def cmd_table(args) -> int:
     for lam, mu in sorted(((l, m) for l in classes for m in classes), key=_record_order):
         entries.append((lam, mu, quantum_to_json(table[(lam, mu)])))
 
-    out_path = Path(args.out) if args.out else None
     if args.format == "json":
         payload = json.dumps(
             {
@@ -265,7 +269,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it
+    (parsing leaves no state in it).  Built lazily, not at import, so that
+    importing the package stays cheap and each ``func`` default is the
+    ``cmd_*`` binding current at the first ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="lgschubert",
         description="Exact Schubert calculus on the Lagrangian Grassmannian LG(n, 2n).",
@@ -312,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

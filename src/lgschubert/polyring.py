@@ -248,12 +248,31 @@ def elementary_xpoly(i: int, gens: int, total: int, shift: int = 0) -> XPoly:
     return XPoly(total, terms)
 
 
+def _horner(terms: dict, gens: int, total: int, shift: int) -> dict:
+    """x-terms of the e-polynomial ``terms`` by a Horner scheme:
+    c_0 + sum_i e_i * p_i, where p_i holds the terms led by generator i with
+    that i removed and is expanded the same way, so monomials with a common
+    leading part share one multiplication by it."""
+    out: dict[tuple[int, ...], int] = {}
+    led: dict[int, dict] = {}
+    for mono, c in terms.items():
+        if mono:
+            led.setdefault(mono[0], {})[mono[1:]] = c
+        else:
+            out[(0,) * total] = c
+    for i, tail in led.items():
+        mul_into(out, elementary_xpoly(i, gens, total, shift).terms,
+                 _horner(tail, gens, total, shift), 1, _x_mono_mul)
+    return out
+
+
 def epoly_to_xpoly(p: EPoly, total_vars: int | None = None, shift: int = 0) -> XPoly:
     """Expand an EPoly into x-variables, substituting each e_i by the
     elementary symmetric polynomial in x_{shift+1}, ..., x_{shift+m}.
 
     Guarded to m <= 8 expansion variables; the result is symmetric in the
-    substituted block.
+    substituted block.  The expansion is a Horner scheme over the leading
+    generator of each e-monomial.
     """
     if p.m is None:
         raise ValueError("expansion requires a finite variable count")
@@ -261,10 +280,4 @@ def epoly_to_xpoly(p: EPoly, total_vars: int | None = None, shift: int = 0) -> X
     if gens > XPANSION_VAR_LIMIT:
         raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {gens}")
     total = total_vars if total_vars is not None else gens + shift
-    out: dict[tuple[int, ...], int] = {}
-    for mono, c in p.terms.items():
-        term = XPoly.one(total)
-        for i in mono:
-            term = term * elementary_xpoly(i, gens, total, shift)
-        add_into(out, term.terms.items(), c)
-    return XPoly(total, out)
+    return XPoly(total, _horner(p.terms, gens, total, shift))

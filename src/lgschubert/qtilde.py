@@ -169,16 +169,17 @@ def verify_extension_formula(lam: Partition, m: int) -> bool:
         raise ValueError("guarded to m <= 6")
     lhs = qtilde_x(lam, m, m)
     ell = len(lam)
-    rhs = XPoly.zero(m)
+    rhs: dict[tuple[int, ...], int] = {}
     for bits in range(1 << ell):
         mu = tuple(lam[i] - ((bits >> i) & 1) for i in range(ell))
         sign, mu_hat = straighten(mu)
         if sign == 0:
             continue
+        # the element lives on x_2..x_m, so its x_1-exponent 0 becomes k
         k = sum(lam) - sum(mu)
-        x1k = XPoly(m, {(k,) + (0,) * (m - 1): sign})
-        rhs = rhs + x1k * qtilde_x(mu_hat, m - 1, m, 1)
-    return lhs == rhs
+        shifted = qtilde_x(mu_hat, m - 1, m, 1).terms
+        add_into(rhs, (((k,) + e[1:], c) for e, c in shifted.items()), sign)
+    return lhs.terms == rhs
 
 
 def _elementary_of_squares(i: int, m: int) -> XPoly:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import comb
 
 from .partitions import Partition, is_partition, is_strict, pfaffian_terms, straighten
-from .polyring import XPoly, ddiff0, ddiff1prime
+from .polyring import XPoly, add_into, ddiff0, ddiff1prime
 from .qtilde import qtilde_x
 
 VAR_LIMIT = 6
@@ -64,7 +64,7 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
         raise ValueError(f"{lam} must be a nonempty strict partition")
     _check_m(m)
     ell = len(lam)
-    rhs = XPoly.zero(m)
+    rhs: dict[tuple[int, ...], int] = {}
     for bits in range(1 << ell):
         k = bin(bits).count("1")
         if k % 2 == 0:
@@ -73,9 +73,10 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
         sign, mu_hat = straighten(mu)
         if sign == 0:
             continue
-        x1 = XPoly(m, {(k - 1,) + (0,) * (m - 1): sign})
-        rhs = rhs + x1 * qtilde_x(mu_hat, m - 1, m, 1)
-    return c_prime(lam, m) == rhs
+        # the element lives on x_2..x_m, so its x_1-exponent 0 becomes k - 1
+        shifted = qtilde_x(mu_hat, m - 1, m, 1).terms
+        add_into(rhs, (((k - 1,) + e[1:], c) for e, c in shifted.items()), sign)
+    return c_prime(lam, m).terms == rhs
 
 
 def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:

@@ -133,7 +133,7 @@ def test_criterion_14_stembridge_integrality():
 
 @pytest.mark.skipif(
     not os.environ.get("LGSCHUBERT_SLOW"),
-    reason="optional m = 6 tier; set LGSCHUBERT_SLOW=1 to run (~1 min)",
+    reason="optional m = 6 tier; set LGSCHUBERT_SLOW=1 to run (~10 s)",
 )
 def test_criterion_10_optional_m6_tier():
     t0 = time.time()

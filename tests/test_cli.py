@@ -105,6 +105,32 @@ class TestProduct:
         assert err == "internal error: VerificationError: engine bug\n"
 
 
+class TestParser:
+    def test_main_calls_share_one_parser(self, capsys):
+        build_parser.cache_clear()
+        for _ in range(2):
+            code, out, _ = run(capsys, "product", "--n", "2", "--lambda", "1", "--mu", "1")
+            assert (code, out) == (0, "2*s[2]\n")
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_parse_error_leaves_no_state(self, capsys, monkeypatch):
+        """Options given before a parse error do not reach the next call."""
+        used = []
+        for name, engine in list(cli.ENGINES.items()):
+            def spy(lam, mu, n, name=name, engine=engine):
+                used.append(name)
+                return engine(lam, mu, n)
+
+            monkeypatch.setitem(cli.ENGINES, name, spy)
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "product", "--engine", "quotient", "--json", "--lambda", "1",
+                "--mu", "1", "--n", "0")
+        assert exc.value.code == 2
+        code, out, _ = run(capsys, "product", "--n", "2", "--lambda", "1", "--mu", "1")
+        assert (code, out, used) == (0, "2*s[2]\n", ["pieri"])
+
+
 class TestGW:
     def test_cubic_through_three_points(self, capsys):
         code, out, _ = run(
@@ -303,6 +329,8 @@ class TestTable:
         assert stdout == ""
         assert err.startswith("error: ") and str(out) in err
         assert not out.exists()
+        # the path is checked before any cell is computed or cached
+        assert list((tmp_path / "cache").glob("table-*")) == []
 
     def test_tsv_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))

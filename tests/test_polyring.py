@@ -116,6 +116,28 @@ class TestExpansion:
     def test_expansion_is_symmetric(self, a):
         assert is_symmetric(epoly_to_xpoly(a))
 
+    @pytest.mark.parametrize("gens,total,shift", [(1, 1, 0), (3, 3, 0), (2, 3, 1), (2, 5, 1),
+                                                  (3, 5, 2)])
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_matches_per_monomial_products(self, gens, total, shift, data):
+        """The expansion equals the sum over e-monomials of products of
+        elementary_xpoly factors, one factor per part.  Beside the drawn terms
+        every case holds the empty monomial, a repeated part and a hand-built
+        term led by e_{gens+1}, which expands to zero."""
+        terms = dict(data.draw(epolys(m=gens, max_terms=6)).terms)
+        terms.setdefault((), 3)
+        terms.setdefault((gens, gens), -1)
+        terms[(gens + 1, 1)] = data.draw(st.sampled_from((-2, 1)))
+        p = EPoly(gens, terms)
+        expected = XPoly.zero(total)
+        for mono, c in p.terms.items():
+            term = XPoly.one(total)
+            for i in mono:
+                term = term * elementary_xpoly(i, gens, total, shift)
+            expected = expected + term.scale(c)
+        assert epoly_to_xpoly(p, total_vars=total, shift=shift) == expected
+
 
 class TestDividedDifferences:
     def test_ddiff0_examples(self):

@@ -1,7 +1,8 @@
 import pytest
 
+from lgschubert import qtilde, suites, symplectic
 from lgschubert.partitions import all_strict_upto
-from lgschubert.polyring import XPoly, ddiff0, ddiff1prime, negate_first, swap_vars
+from lgschubert.polyring import XPoly, add_into, ddiff0, ddiff1prime, negate_first, swap_vars
 from lgschubert.qtilde import qtilde_x
 from lgschubert.symplectic import (
     c_double_prime,
@@ -111,6 +112,38 @@ class TestIdentityVerifiers:
     def test_var_limit_guard(self):
         with pytest.raises(ValueError):
             c_prime((1,), 7)
+
+
+class TestPeelingChecksCanFail:
+    """The peeling checks compare raw term maps; one wrong term in one
+    shifted basis element must make them, and their suites, fail."""
+
+    @pytest.fixture
+    def perturbed(self, monkeypatch):
+        real = qtilde.qtilde_x
+
+        def fake(lam, gens, total, shift=0):
+            f = real(lam, gens, total, shift)
+            if shift != 1 or lam != (2,):
+                return f
+            terms = dict(f.terms)
+            add_into(terms, [((0, 1) + (0,) * (total - 2), 1)])
+            return XPoly(total, terms)
+
+        monkeypatch.setattr(qtilde, "qtilde_x", fake)
+        monkeypatch.setattr(symplectic, "qtilde_x", fake)
+
+    @pytest.mark.parametrize("verify,suite,name", [
+        (qtilde.verify_extension_formula, suites.suite_extension, "extension"),
+        (verify_cprime_expansion, suites.suite_cprime_expansion, "cprime-expansion"),
+    ])
+    def test_one_wrong_term_fails(self, request, verify, suite, name):
+        # (2, 1) peels to distinct elements, (2,) among them, so the wrong
+        # term cannot cancel
+        assert verify((2, 1), 3) and suite(2) == []
+        request.getfixturevalue("perturbed")
+        assert not verify((2, 1), 3)
+        assert {"suite": name, "lam": (2, 1), "m": 2} in suite(2)
 
 
 class TestDawson:
