@@ -1,8 +1,10 @@
 """The Schur-Q-style basis of the ring of symmetric functions in elementary
 generators: the memoized basis(lam, m) (pair formula and Pfaffian
-recursion, truncated to m variables by filtering), expansion in the basis,
-stable structure constants, the power-of-two Pieri rule, and verifiers for
-the defining properties of the family.
+recursion, truncated to m variables by filtering), its memoized
+x-variable expansion qtilde_x, expansion in the basis, stable structure
+constants, the power-of-two Pieri rule, and the checks of the defining
+properties of the family.  The peeling identities of the x-expansion are
+checked in ``symplectic``.
 
 A basis element qtilde(lam) is attached to every partition lam; for strict
 lam these map onto Schubert classes of the Lagrangian Grassmannian.  The
@@ -154,32 +156,6 @@ def qtilde_x(lam: Partition, gens: int, total: int, shift: int = 0) -> XPoly:
     """X-variable expansion of the basis element built from e_1..e_gens,
     placed on variables x_{shift+1}..x_{shift+gens} among total variables."""
     return epoly_to_xpoly(basis(lam, gens), total_vars=total, shift=shift)
-
-
-def verify_extension_formula(lam: Partition, m: int) -> bool:
-    """Check the one-variable peeling identity: the basis element on
-    x_1..x_m equals sum_k x_1^k times the sum of basis elements on
-    x_2..x_m over index sequences obtained by decrementing parts of lam
-    by at most one, with |lam| - |mu| = k.  Non-partition sequences enter
-    through signed straightening."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
-    if m > 6:
-        raise ValueError("guarded to m <= 6")
-    lhs = qtilde_x(lam, m, m)
-    ell = len(lam)
-    rhs: dict[tuple[int, ...], int] = {}
-    for bits in range(1 << ell):
-        mu = tuple(lam[i] - ((bits >> i) & 1) for i in range(ell))
-        sign, mu_hat = straighten(mu)
-        if sign == 0:
-            continue
-        # the element lives on x_2..x_m, so its x_1-exponent 0 becomes k
-        k = sum(lam) - sum(mu)
-        shifted = qtilde_x(mu_hat, m - 1, m, 1).terms
-        add_into(rhs, (((k,) + e[1:], c) for e, c in shifted.items()), sign)
-    return lhs.terms == rhs
 
 
 def _elementary_of_squares(i: int, m: int) -> XPoly:

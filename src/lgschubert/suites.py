@@ -20,12 +20,13 @@ from .qtilde import (
     expand_in_basis,
     f_constant,
     pieri_strict,
-    verify_extension_formula,
     verify_qtilde_properties,
 )
 from .symplectic import (
+    check_var_limit,
     dawson,
     verify_cprime_expansion,
+    verify_extension_formula,
     verify_lem2,
     verify_pfaffian_identity_double_prime,
     verify_pfaffian_identity_prime,
@@ -69,6 +70,7 @@ def suite_qtilde_properties(m: int, wmax: int = 10) -> list[dict]:
 
 def suite_extension(m: int, wmax: int | None = None) -> list[dict]:
     """One-variable peeling identity over all partitions with parts <= m."""
+    check_var_limit(m)
     return _sweep("extension", (
         {"lam": lam, "m": mm}
         for mm in range(1, m + 1)
@@ -77,22 +79,26 @@ def suite_extension(m: int, wmax: int | None = None) -> list[dict]:
 
 
 def suite_pfaffian_prime(m: int) -> list[dict]:
+    check_var_limit(m)
     return _sweep("pfaffian-prime", _strict_cases(3, m, "m", lambda lam: len(lam) >= 3),
                   verify_pfaffian_identity_prime)
 
 
 def suite_pfaffian_double_prime(m: int) -> list[dict]:
+    check_var_limit(m)
     return _sweep("pfaffian-double-prime",
                   _strict_cases(4, m, "m", lambda lam: len(lam) >= 4 and len(lam) % 2 == 0),
                   verify_pfaffian_identity_double_prime)
 
 
 def suite_lem2(m: int) -> list[dict]:
+    check_var_limit(m)
     return _sweep("lem2", _strict_cases(2, m, "m", lambda lam: lam and len(lam) % 2 == 0),
                   verify_lem2)
 
 
 def suite_cprime_expansion(m: int) -> list[dict]:
+    check_var_limit(m)
     return _sweep("cprime-expansion", _strict_cases(1, m, "m", bool), verify_cprime_expansion)
 
 

@@ -1,12 +1,17 @@
-"""Divided-difference images of the basis elements and the Pfaffian
-identities they satisfy.
+"""Identities of the x-expansions of the basis elements: the peeling checks
+and the divided-difference images with their Pfaffian identities.
 
-c_prime applies the sign-change divided difference to the x-expansion of a
-basis element; c_double_prime follows with the swap divided difference and
-the sign-change one again.  Both families satisfy alternating Pfaffian-style
-relations, verified here as exact polynomial identities in a fixed small
-number of variables (each m gives an independent check, since the identities
-are polynomial in x_1..x_m for every m).
+The three peeling checks (the one-variable extension formula, the c_prime
+expansion and Lemma 2 for c_double_prime) build their right-hand sides with
+one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, straighten,
+and add the basis element on the remaining variables times a monomial in
+the peeled ones.  c_prime applies the sign-change divided difference to the
+x-expansion of a basis element; c_double_prime follows with the swap
+divided difference and the sign-change one again.  Both families satisfy
+alternating Pfaffian-style relations.  Every check is an exact term-map
+equality in a fixed small number m <= VAR_LIMIT of variables (each m gives
+an independent check, since the identities are polynomial in x_1..x_m for
+every m).
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .qtilde import qtilde_x
 VAR_LIMIT = 6
 
 
-def _check_m(m: int) -> None:
+def check_var_limit(m: int) -> None:
+    """Reject variable counts above VAR_LIMIT, the bound of every check here."""
     if m > VAR_LIMIT:
         raise ValueError(f"guarded to m <= {VAR_LIMIT}, got {m}")
 
@@ -34,7 +40,7 @@ def c_prime(lam: Partition, m: int) -> XPoly:
     lam = tuple(lam)
     if len(lam) < 1:
         raise ValueError("need a nonempty partition")
-    _check_m(m)
+    check_var_limit(m)
     return ddiff0(qtilde_x(lam, m, m))
 
 
@@ -44,7 +50,7 @@ def c_double_prime(lam: Partition, m: int) -> XPoly:
     lam = tuple(lam)
     if len(lam) < 2:
         raise ValueError("need at least two parts")
-    _check_m(m)
+    check_var_limit(m)
     return ddiff0(ddiff1prime(ddiff0(qtilde_x(lam, m, m))))
 
 
@@ -55,6 +61,45 @@ def comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, twos: int,
+               m: int, k: int = 1) -> None:
+    """Add into the term map ``out``, for every sequence lam - delta with
+    delta in {0,1,2}^len(lam) holding exactly ``ones`` ones and ``twos``
+    twos, k * sign * x^prefix times the basis element of the straightened
+    sequence on x_{s+1}..x_m, s = len(prefix); sequences of sign 0 drop."""
+    s, ell = len(prefix), len(lam)
+    for two in itertools.combinations(range(ell), twos):
+        base = list(lam)
+        for i in two:
+            base[i] -= 2
+        rest = [i for i in range(ell) if i not in two]
+        for one in itertools.combinations(rest, ones):
+            nu = base.copy()
+            for i in one:
+                nu[i] -= 1
+            sign, nu_hat = straighten(nu)
+            if sign:
+                # the element lives on x_{s+1}..x_m: its exponents 0 on
+                # x_1..x_s become the prefix
+                terms = qtilde_x(nu_hat, m - s, m, s).terms
+                add_into(out, ((prefix + e[s:], c) for e, c in terms.items()), k * sign)
+
+
+def verify_extension_formula(lam: Partition, m: int) -> bool:
+    """Check the one-variable peeling identity: the basis element on
+    x_1..x_m equals sum_k x_1^k times the sum of basis elements on
+    x_2..x_m over index sequences obtained by decrementing k parts of lam
+    by one.  Non-partition sequences enter through signed straightening."""
+    lam = tuple(lam)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
+    check_var_limit(m)
+    rhs: dict[tuple[int, ...], int] = {}
+    for k in range(len(lam) + 1):
+        _peel_into(rhs, (k,), lam, k, 0, m)
+    return qtilde_x(lam, m, m).terms == rhs
+
+
 def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     """Check the odd-depth peeling formula for c_prime of a strict partition:
     sum over odd-size subsets S of rows, of x_1^(|S|-1) times the basis
@@ -62,35 +107,30 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     lam = tuple(lam)
     if not (is_partition(lam) and is_strict(lam) and lam):
         raise ValueError(f"{lam} must be a nonempty strict partition")
-    _check_m(m)
-    ell = len(lam)
+    check_var_limit(m)
     rhs: dict[tuple[int, ...], int] = {}
-    for bits in range(1 << ell):
-        k = bin(bits).count("1")
-        if k % 2 == 0:
-            continue
-        mu = tuple(lam[i] - ((bits >> i) & 1) for i in range(ell))
-        sign, mu_hat = straighten(mu)
-        if sign == 0:
-            continue
-        # the element lives on x_2..x_m, so its x_1-exponent 0 becomes k - 1
-        shifted = qtilde_x(mu_hat, m - 1, m, 1).terms
-        add_into(rhs, (((k - 1,) + e[1:], c) for e, c in shifted.items()), sign)
+    for k in range(1, len(lam) + 1, 2):
+        _peel_into(rhs, (k - 1,), lam, k, 0, m)
     return c_prime(lam, m).terms == rhs
+
+
+def _pfaffian_vanishes(c, lam: Partition, m: int) -> bool:
+    """The alternating sum of c(pair) * c(rest) over the last-column terms
+    of lam is zero."""
+    acc: dict[tuple[int, ...], int] = {}
+    for sign, pair, rest in pfaffian_terms(lam):
+        add_into(acc, (c(pair, m) * c(rest, m)).terms.items(), sign)
+    return not acc
 
 
 def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:
     """Alternating sum of products of c_prime values over last-column pair
     removals vanishes, for strict lam of length >= 3."""
     lam = tuple(lam)
-    ell = len(lam)
-    if not (is_partition(lam) and is_strict(lam) and ell >= 3):
+    if not (is_partition(lam) and is_strict(lam) and len(lam) >= 3):
         raise ValueError(f"{lam} must be strict of length >= 3")
-    _check_m(m)
-    acc = XPoly.zero(m)
-    for sign, pair, rest in pfaffian_terms(lam):
-        acc = acc + (c_prime(pair, m) * c_prime(rest, m)).scale(sign)
-    return not acc
+    check_var_limit(m)
+    return _pfaffian_vanishes(c_prime, lam, m)
 
 
 def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
@@ -100,68 +140,31 @@ def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
     ell = len(lam)
     if not (is_partition(lam) and is_strict(lam) and ell >= 4 and ell % 2 == 0):
         raise ValueError(f"{lam} must be strict of even length >= 4")
-    _check_m(m)
-    acc = XPoly.zero(m)
-    for sign, pair, rest in pfaffian_terms(lam):
-        acc = acc + (c_double_prime(pair, m) * c_double_prime(rest, m)).scale(sign)
-    return not acc
-
-
-def _monomial_sym2(r: int, s: int, m: int) -> XPoly:
-    """Monomial symmetric polynomial in x_1, x_2 alone, inside m variables."""
-    zeros = (0,) * (m - 2)
-    if r == s:
-        return XPoly(m, {(r, s) + zeros: 1})
-    return XPoly(m, {(r, s) + zeros: 1, (s, r) + zeros: 1})
-
-
-def _decrement_patterns(lam: Partition, a: int, b: int):
-    """Index sequences lam - delta with delta in {0,1,2}^len(lam), exactly a
-    ones and b twos among the deltas."""
-    ell = len(lam)
-    if a + b > ell:
-        return
-    for ones in itertools.combinations(range(ell), a):
-        rest = [i for i in range(ell) if i not in ones]
-        for twos in itertools.combinations(rest, b):
-            delta = [0] * ell
-            for i in ones:
-                delta[i] = 1
-            for i in twos:
-                delta[i] = 2
-            yield tuple(lam[i] - delta[i] for i in range(ell))
+    check_var_limit(m)
+    return _pfaffian_vanishes(c_double_prime, lam, m)
 
 
 def verify_lem2(lam: Partition, m: int) -> bool:
     """Check the closed expansion of c_double_prime for strict lam of even
-    length: a sum of two-variable monomial symmetric polynomials times
-    binomially weighted basis elements on x_3..x_m, indexed by sequences
-    obtained by decrementing parts of lam by 0, 1, or 2."""
+    length: a sum of two-variable monomial symmetric polynomials
+    x_1^r x_2^s + x_1^s x_2^r (one term when r = s) times binomially
+    weighted basis elements on x_3..x_m, indexed by sequences obtained by
+    decrementing parts of lam by 0, 1, or 2."""
     lam = tuple(lam)
     ell = len(lam)
     if not (is_partition(lam) and is_strict(lam) and ell >= 2 and ell % 2 == 0):
         raise ValueError(f"{lam} must be strict of even positive length")
-    _check_m(m)
-    rhs = XPoly.zero(m)
+    check_var_limit(m)
+    rhs: dict[tuple[int, ...], int] = {}
     for r in range(0, ell, 2):
         for s in range(0, r + 1, 2):
-            inner = XPoly.zero(m)
             for b in range(0, (r + s + 3) // 2 + 1):
                 a = r + s + 3 - 2 * b
-                if a < 0:
-                    continue
                 co = comb0(a - 1, s + 1 - b)
-                if co == 0:
-                    continue
-                block = XPoly.zero(m)
-                for nu in _decrement_patterns(lam, a, b):
-                    sign, nu_hat = straighten(nu)
-                    if sign == 0:
-                        continue
-                    block = block + qtilde_x(nu_hat, m - 2, m, 2).scale(sign)
-                inner = inner + block.scale(co)
-            rhs = rhs + _monomial_sym2(r, s, m) * inner
-    return c_double_prime(lam, m) == rhs
+                if co:
+                    for prefix in {(r, s), (s, r)}:
+                        _peel_into(rhs, prefix, lam, a, b, m, co)
+    return c_double_prime(lam, m).terms == rhs
 
 
 def dawson(p: int, q: int) -> bool:

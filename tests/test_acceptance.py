@@ -84,7 +84,9 @@ def test_criterion_07_vanishing_bounds():
 def test_criterion_08_staircase_products():
     t0 = time.time()
     assert suites.suite_rho(5) == []
-    report(8, "staircase products sigma_lam * sigma_rho = sigma_(lam'*) q^len, n <= 5", time.time() - t0)
+    assert suites.suite_sigma_ij(8) == []
+    report(8, "staircase products sigma_lam * sigma_rho = sigma_(lam'*) q^len, n <= 5; "
+              "special products sigma_i * sigma_j with i + j > n, n <= 8", time.time() - t0)
 
 
 def test_criterion_09_line_counts():

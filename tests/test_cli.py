@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lgschubert import cli, suites
+from lgschubert import cli, qtilde, suites, symplectic
 from lgschubert.cli import build_parser, code_fingerprint, main
 from lgschubert.qtilde import VerificationError
 
@@ -192,6 +192,20 @@ class TestVerify:
         assert code == 0
         assert calls[0][-1] == 0
         assert json.loads(out)["params"]["wmax"] == 0
+
+    @pytest.mark.parametrize("suite", [
+        "extension", "cprime-expansion", "lem2", "pfaffian-prime", "pfaffian-double-prime",
+    ])
+    def test_var_limit_checked_before_the_sweep(self, capsys, suite):
+        # the c_prime memos would otherwise serve the Pfaffian cases
+        # without a qtilde_x call
+        for memo in (qtilde.qtilde_x, symplectic.c_prime, symplectic.c_double_prime):
+            memo.cache_clear()
+        code, out, err = run(capsys, "verify", suite, "--m", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: guarded to m <= 6, got 7\n"
+        assert qtilde.qtilde_x.cache_info().currsize == 0
 
     def test_seed_defaults_to_sample_seed(self):
         args = build_parser().parse_args(["verify", "engines-agree"])

@@ -1,15 +1,18 @@
 """Module boundaries of the package: no module reaches into a sibling's
 private names, each submodule is importable under its own name, and each
-polynomial model defines its own multiplication."""
+polynomial model defines its own multiplication.  The README names every
+verification suite."""
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 import lgschubert
+from lgschubert import suites
 
 PACKAGE_DIR = Path(lgschubert.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -53,3 +56,9 @@ def test_each_polynomial_model_defines_its_own_mul():
     e_mul, x_mul = vars(EPoly).get("__mul__"), vars(XPoly).get("__mul__")
     assert callable(e_mul) and callable(x_mul)
     assert e_mul is not x_mul
+
+
+def test_readme_lists_every_suite():
+    readme = (PACKAGE_DIR.parents[1] / "README.md").read_text()
+    listed = re.search(r"Available suites: (.*?)\.\s+Bounds flags", readme, re.S).group(1)
+    assert re.findall(r"`([^`]+)`", listed) == sorted(suites.SUITES)

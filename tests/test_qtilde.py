@@ -11,9 +11,9 @@ from lgschubert.qtilde import (
     pieri_strict,
     qtilde,
     structure_constants,
-    verify_extension_formula,
     verify_qtilde_properties,
 )
+from lgschubert.symplectic import verify_extension_formula
 
 
 def E(m, **monos):

@@ -1,16 +1,28 @@
+import itertools
+
 import pytest
 
-from lgschubert import qtilde, suites, symplectic
+from lgschubert import suites, symplectic
 from lgschubert.partitions import all_strict_upto
-from lgschubert.polyring import XPoly, add_into, ddiff0, ddiff1prime, negate_first, swap_vars
-from lgschubert.qtilde import qtilde_x
+from lgschubert.polyring import (
+    XPoly,
+    add_into,
+    ddiff0,
+    ddiff1prime,
+    epoly_to_xpoly,
+    negate_first,
+    swap_vars,
+)
+from lgschubert.qtilde import qtilde, qtilde_x
 from lgschubert.symplectic import (
+    _peel_into,
     c_double_prime,
     c_prime,
     comb0,
     dawson,
     em_recursion_final,
     verify_cprime_expansion,
+    verify_extension_formula,
     verify_lem2,
     verify_pfaffian_identity_double_prime,
     verify_pfaffian_identity_prime,
@@ -114,36 +126,85 @@ class TestIdentityVerifiers:
             c_prime((1,), 7)
 
 
+class TestPeelKernel:
+    """_peel_into against a brute-force sum over every decrement vector."""
+
+    @staticmethod
+    def brute(prefix, lam, ones, twos, m, k):
+        s = len(prefix)
+        mono = XPoly(m, {prefix + (0,) * (m - s): 1})
+        acc = XPoly.zero(m)
+        for delta in itertools.product((0, 1, 2), repeat=len(lam)):
+            if delta.count(1) == ones and delta.count(2) == twos:
+                nu = [p - d for p, d in zip(lam, delta)]
+                acc = acc + mono * epoly_to_xpoly(qtilde(nu, m - s), m, s).scale(k)
+        return acc.terms
+
+    @pytest.mark.parametrize("lam", [
+        (), (1,), (3,), (2, 1), (1, 1), (2, 2), (3, 1, 1), (4, 2, 1), (2, 2, 1, 1), (4, 3, 2, 1),
+    ])
+    @pytest.mark.parametrize("prefix,m,k", [((2,), 4, 1), ((1, 3), 4, -3)])
+    def test_matches_brute_force(self, lam, prefix, m, k):
+        for ones in range(len(lam) + 2):
+            for twos in range(len(lam) + 2 - ones):
+                out: dict = {}
+                _peel_into(out, prefix, lam, ones, twos, m, k)
+                assert out == self.brute(prefix, lam, ones, twos, m, k), (ones, twos)
+
+
 class TestPeelingChecksCanFail:
     """The peeling checks compare raw term maps; one wrong term in one
-    shifted basis element must make them, and their suites, fail."""
+    shifted basis element must make them, and their suites, fail, and so
+    must one wrong term in one c_prime or c_double_prime value for the
+    Pfaffian identities."""
 
-    @pytest.fixture
-    def perturbed(self, monkeypatch):
-        real = qtilde.qtilde_x
+    @staticmethod
+    def perturb(monkeypatch, name, lam, shift=None):
+        """Add x_{shift+1} (the constant 1 when no such variable is left) to
+        the value of symplectic.<name> at lam, at one shift or at any."""
+        real = getattr(symplectic, name)
 
-        def fake(lam, gens, total, shift=0):
-            f = real(lam, gens, total, shift)
-            if shift != 1 or lam != (2,):
+        def fake(nu, m, *rest):
+            f = real(nu, m, *rest)
+            if nu != lam or (shift is not None and rest[1:] != (shift,)):
                 return f
+            total = f.m
             terms = dict(f.terms)
-            add_into(terms, [((0, 1) + (0,) * (total - 2), 1)])
+            add_into(terms, [(tuple(int(i == shift) for i in range(total)), 1)])
             return XPoly(total, terms)
 
-        monkeypatch.setattr(qtilde, "qtilde_x", fake)
-        monkeypatch.setattr(symplectic, "qtilde_x", fake)
+        monkeypatch.setattr(symplectic, name, fake)
 
     @pytest.mark.parametrize("verify,suite,name", [
-        (qtilde.verify_extension_formula, suites.suite_extension, "extension"),
+        (verify_extension_formula, suites.suite_extension, "extension"),
         (verify_cprime_expansion, suites.suite_cprime_expansion, "cprime-expansion"),
     ])
-    def test_one_wrong_term_fails(self, request, verify, suite, name):
+    def test_one_wrong_term_fails(self, monkeypatch, verify, suite, name):
         # (2, 1) peels to distinct elements, (2,) among them, so the wrong
         # term cannot cancel
         assert verify((2, 1), 3) and suite(2) == []
-        request.getfixturevalue("perturbed")
+        self.perturb(monkeypatch, "qtilde_x", (2,), shift=1)
         assert not verify((2, 1), 3)
         assert {"suite": name, "lam": (2, 1), "m": 2} in suite(2)
+
+    def test_lem2_wrong_shift_two_term_fails(self, monkeypatch):
+        # (2, 1) peels to the empty partition alone, on x_3..x_m
+        assert verify_lem2((2, 1), 3) and suites.suite_lem2(3) == []
+        self.perturb(monkeypatch, "qtilde_x", (), shift=2)
+        assert not verify_lem2((2, 1), 3)
+        assert {"suite": "lem2", "lam": (2, 1), "m": 3} in suites.suite_lem2(3)
+
+    @pytest.mark.parametrize("verify,name,lam,pair", [
+        (verify_pfaffian_identity_prime, "c_prime", (3, 2, 1), (3,)),
+        (verify_pfaffian_identity_double_prime, "c_double_prime", (4, 3, 2, 1), (4, 1)),
+    ])
+    def test_pfaffian_wrong_term_fails(self, monkeypatch, verify, name, lam, pair):
+        # the wrong constant term adds the nonzero value at the rest of the
+        # pair's term, and no other term changes
+        m = len(lam)
+        assert verify(lam, m)
+        self.perturb(monkeypatch, name, pair)
+        assert not verify(lam, m)
 
 
 class TestDawson:
