@@ -259,7 +259,8 @@ def cmd_table(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """Argument type for ranks and variable counts, which must be >= 1."""
+    """Argument type for ranks, variable counts and sample sizes, which
+    must be >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_positive_int, default=5)
     p.add_argument("--wmax", type=int, default=None)
     p.add_argument("--pmax", type=int, default=12)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED)
     p.set_defaults(func=cmd_verify)
 

@@ -6,7 +6,10 @@ ordinary integer polynomial in x_1, ..., x_m.  Coefficients are Python ints,
 so arithmetic is exact at any size.
 
 E-monomials are weakly decreasing tuples of generator indices (the empty
-tuple is 1); x-monomials are exponent tuples of fixed length m.
+tuple is 1); x-monomials are exponent tuples of fixed length m.  Inside the
+x-expansion of an EPoly only, an x-monomial is packed into one int, its
+exponents in fixed-width bit fields, so that multiplying monomials is
+adding ints.
 """
 
 from __future__ import annotations
@@ -248,21 +251,30 @@ def elementary_xpoly(i: int, gens: int, total: int, shift: int = 0) -> XPoly:
     return XPoly(total, terms)
 
 
-def _horner(terms: dict, gens: int, total: int, shift: int) -> dict:
-    """x-terms of the e-polynomial ``terms`` by a Horner scheme:
+@cache
+def _packed_elementary(i: int, gens: int, shift: int, width: int) -> dict[int, int]:
+    """e_i(x_{shift+1}, ..., x_{shift+gens}) with packed x-monomials: the
+    exponent of x_{j+1} sits in bits j*width .. (j+1)*width - 1 of an int."""
+    return {sum(1 << (pos * width) for pos in combo): 1
+            for combo in itertools.combinations(range(shift, shift + gens), i)}
+
+
+def _horner(terms: dict, gens: int, shift: int, width: int) -> dict[int, int]:
+    """Packed x-terms of the e-polynomial ``terms`` by a Horner scheme:
     c_0 + sum_i e_i * p_i, where p_i holds the terms led by generator i with
     that i removed and is expanded the same way, so monomials with a common
-    leading part share one multiplication by it."""
-    out: dict[tuple[int, ...], int] = {}
+    leading part share one multiplication by it.  Packed monomials multiply
+    by integer addition."""
+    out: dict[int, int] = {}
     led: dict[int, dict] = {}
     for mono, c in terms.items():
         if mono:
             led.setdefault(mono[0], {})[mono[1:]] = c
         else:
-            out[(0,) * total] = c
+            out[0] = c
     for i, tail in led.items():
-        mul_into(out, elementary_xpoly(i, gens, total, shift).terms,
-                 _horner(tail, gens, total, shift), 1, _x_mono_mul)
+        mul_into(out, _packed_elementary(i, gens, shift, width),
+                 _horner(tail, gens, shift, width), 1, add)
     return out
 
 
@@ -272,7 +284,11 @@ def epoly_to_xpoly(p: EPoly, total_vars: int | None = None, shift: int = 0) -> X
 
     Guarded to m <= 8 expansion variables; the result is symmetric in the
     substituted block.  The expansion is a Horner scheme over the leading
-    generator of each e-monomial.
+    generator of each e-monomial, on x-monomials packed into one int each and
+    unpacked to exponent tuples once at the end.  Each e_i is squarefree in
+    the x-variables, so no exponent exceeds the largest number of factors of
+    an e-monomial; the bit field of each exponent is sized to hold that
+    count, and no field can carry into the next.
     """
     if p.m is None:
         raise ValueError("expansion requires a finite variable count")
@@ -280,4 +296,10 @@ def epoly_to_xpoly(p: EPoly, total_vars: int | None = None, shift: int = 0) -> X
     if gens > XPANSION_VAR_LIMIT:
         raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {gens}")
     total = total_vars if total_vars is not None else gens + shift
-    return XPoly(total, _horner(p.terms, gens, total, shift))
+    if shift + gens > total:
+        raise ValueError("shifted variables exceed the total variable count")
+    width = max(map(len, p.terms), default=0).bit_length() or 1
+    mask = (1 << width) - 1
+    offsets = range(0, total * width, width)
+    return XPoly(total, {tuple([key >> s & mask for s in offsets]): c
+                         for key, c in _horner(p.terms, gens, shift, width).items()})

@@ -1,10 +1,11 @@
 """The Schur-Q-style basis of the ring of symmetric functions in elementary
-generators: the memoized basis(lam, m) (pair formula and Pfaffian
-recursion, truncated to m variables by filtering), its memoized
+generators: the memoized basis(lam, m) (pair formula, equal-pair split and
+Pfaffian recursion, truncated to m variables by filtering), its memoized
 x-variable expansion qtilde_x, expansion in the basis, stable structure
-constants, the power-of-two Pieri rule, and the checks of the defining
-properties of the family.  The peeling identities of the x-expansion are
-checked in ``symplectic``.
+constants (memoized once per unordered pair, the ring being commutative),
+the power-of-two Pieri rule, and the checks of the defining properties of
+the family.  The peeling identities of the x-expansion are checked in
+``symplectic``.
 
 A basis element qtilde(lam) is attached to every partition lam; for strict
 lam these map onto Schubert classes of the Lagrangian Grassmannian.  The
@@ -40,8 +41,11 @@ def basis(lam: Partition, m: int | None) -> EPoly:
     Memoized per (lam, m); the result is shared by every caller and must not
     be mutated.  Untruncated, at most two parts (i, j) give
     e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}, whose monomials are
-    pairwise distinct, and longer partitions the Pfaffian expansion along the
-    last column.  Truncation e_i -> 0 for i > m is a ring homomorphism, so the
+    pairwise distinct.  A longer partition with an equal pair (i, i) is the
+    product of basis((i, i)) and the basis element of the rest (the
+    equal-pair property, check (e) of ``verify_qtilde_properties``); a
+    longer strict partition is the Pfaffian expansion along the last
+    column.  Truncation e_i -> 0 for i > m is a ring homomorphism, so the
     truncated element drops the monomials of the untruncated one whose top
     part exceeds m.
     """
@@ -50,6 +54,11 @@ def basis(lam: Partition, m: int | None) -> EPoly:
                          if not mono or mono[0] <= m})
     if len(lam) > 2:
         acc: dict[tuple[int, ...], int] = {}
+        for j in range(len(lam) - 1):
+            if lam[j] == lam[j + 1]:
+                mul_into(acc, basis(lam[j:j + 2], None).terms,
+                         basis(lam[:j] + lam[j + 2:], None).terms, 1)
+                return EPoly(None, acc)
         for sign, pair, rest in pfaffian_terms(lam):
             mul_into(acc, basis(pair, None).terms, basis(rest, None).terms, sign)
         return EPoly(None, acc)
@@ -105,11 +114,19 @@ def expand_in_basis(f: EPoly) -> dict[Partition, int]:
     return coeffs
 
 
-@lru_cache(maxsize=None)
 def stable_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Memoized basis expansion of the untruncated product of two basis
-    elements.  The result is shared by every caller and must not be
+    elements.  EPoly multiplication is commutative, so the pair is put in
+    order before the memo lookup and (lam, mu) and (mu, lam) share one
+    expansion.  The result is shared by every caller and must not be
     mutated; ``structure_constants`` validates its input and copies."""
+    if mu < lam:
+        lam, mu = mu, lam
+    return _ordered_expansion(lam, mu)
+
+
+@cache
+def _ordered_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
     return expand_in_basis(basis(lam, None) * basis(mu, None))
 
 
@@ -170,8 +187,9 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
     round-trips; (c) equal-pair elements expand to elementary symmetric
     polynomials of squared variables (x-expansion leg, m <= 8 only);
     (d) multiplying by the top-degree generator prepends a part m;
-    (e) equal pairs split off multiplicatively.  Returns failure records,
-    empty when every check passes.
+    (e) equal pairs split off multiplicatively, the merged element taken by
+    one Pfaffian step rather than from basis, which splits it.  Returns
+    failure records, empty when every check passes.
     """
     failures: list[dict] = []
     for w in range(1, wmax + 1):
@@ -197,9 +215,13 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
         for w in range(max(0, wmax - 2 * i) + 1):
             for lam in enumerate_partitions(w, m):
                 merged = tuple(sorted(lam + (i, i), reverse=True))
-                lhs = qtilde(merged, m)
+                # one Pfaffian step, so that the check does not restate the
+                # equal-pair split that basis itself takes
+                lhs: dict[tuple[int, ...], int] = {}
+                for sign, pair, rest in pfaffian_terms(merged):
+                    mul_into(lhs, basis(pair, m).terms, basis(rest, m).terms, sign)
                 rhs = basis((i, i), m) * qtilde(lam, m)
-                if lhs != rhs:
+                if lhs != rhs.terms:
                     failures.append({"check": "e", "lam": lam, "i": i, "m": m})
     return failures
 

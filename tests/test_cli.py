@@ -168,6 +168,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_one_is_usage_error(self, capsys, monkeypatch, sample):
+        """A sample of no pairs would leave ranks beyond 4 unchecked and
+        still pass; it is refused before any case runs."""
+        monkeypatch.setattr(suites, "suite_engines_agree", lambda *args: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "engines-agree", "--n", "6", "--sample", sample)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_suite_with_no_cases_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "pfaffian-double-prime", "--m", "3")
         assert code == 1

@@ -1,11 +1,13 @@
 """Module boundaries of the package: no module reaches into a sibling's
-private names, each submodule is importable under its own name, and each
-polynomial model defines its own multiplication.  The README names every
-verification suite."""
+private names, each submodule is importable under its own name (``__main__``
+without running the CLI), and each polynomial model defines its own
+multiplication.  The README names every verification suite."""
 
 import ast
 import importlib
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -47,6 +49,24 @@ def test_submodules_are_modules():
     import lgschubert.qtilde as qtilde_module
 
     assert isinstance(qtilde_module, types.ModuleType)
+
+
+def test_main_module_import_runs_nothing(monkeypatch):
+    from lgschubert import cli
+
+    monkeypatch.setattr(cli, "main", lambda *args: pytest.fail("cli.main ran on import"))
+    monkeypatch.delitem(sys.modules, "lgschubert.__main__", raising=False)
+    importlib.import_module("lgschubert.__main__")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["product", "--n", "3", "--lambda", "3,2,1", "--mu", "3,2,1"], 0, "q^3\n"),
+    (["product", "--n", "2", "--lambda", "1,2", "--mu", "1"], 2, ""),
+])
+def test_python_dash_m_runs_the_cli(argv, code, out):
+    done = subprocess.run([sys.executable, "-m", "lgschubert", *argv], capture_output=True,
+                          text=True, cwd=PACKAGE_DIR.parent)
+    assert (done.returncode, done.stdout) == (code, out)
 
 
 def test_each_polynomial_model_defines_its_own_mul():

@@ -36,6 +36,18 @@ def xpolys(m=3, deg=4, max_terms=5):
     )
 
 
+def per_monomial(p: EPoly, total: int, shift: int) -> XPoly:
+    """Oracle for the x-expansion: the sum over the e-monomials of p of the
+    product of one elementary_xpoly factor per part."""
+    expected = XPoly.zero(total)
+    for mono, c in p.terms.items():
+        term = XPoly.one(total)
+        for i in mono:
+            term = term * elementary_xpoly(i, p.m, total, shift)
+        expected = expected + term.scale(c)
+    return expected
+
+
 class TestEPolyArithmetic:
     def test_basic_identities(self):
         e1, e2 = EPoly.gen(1, 3), EPoly.gen(2, 3)
@@ -130,13 +142,25 @@ class TestExpansion:
         terms.setdefault((gens, gens), -1)
         terms[(gens + 1, 1)] = data.draw(st.sampled_from((-2, 1)))
         p = EPoly(gens, terms)
-        expected = XPoly.zero(total)
-        for mono, c in p.terms.items():
-            term = XPoly.one(total)
-            for i in mono:
-                term = term * elementary_xpoly(i, gens, total, shift)
-            expected = expected + term.scale(c)
-        assert epoly_to_xpoly(p, total_vars=total, shift=shift) == expected
+        assert epoly_to_xpoly(p, total_vars=total, shift=shift) == per_monomial(p, total, shift)
+
+    @pytest.mark.parametrize("terms,total,shift", [
+        ({(1,) * 300: 1}, 2, 0),
+        ({(2,) * 130 + (1,) * 140: -3, (1,) * 3: 2, (): 1}, 3, 1),
+    ])
+    def test_exponents_beyond_one_byte(self, terms, total, shift):
+        """Exponents above 255 (e_1^300 on two variables; e_2^130 e_1^140 on
+        x_2, x_3 of three) come out exact: the packed exponent fields are
+        sized from the largest factor count, so none carries into the
+        next."""
+        p = EPoly(2, terms)
+        got = epoly_to_xpoly(p, total_vars=total, shift=shift)
+        assert max(max(mono) for mono in got.terms) > 255
+        assert got == per_monomial(p, total, shift)
+
+    def test_shifted_block_must_fit(self):
+        with pytest.raises(ValueError):
+            epoly_to_xpoly(EPoly.gen(1, 2), total_vars=2, shift=1)
 
 
 class TestDividedDifferences:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lgschubert.partitions import enumerate_partitions, pfaffian_terms
+from lgschubert import qtilde as qtilde_module
+from lgschubert.partitions import enumerate_partitions, is_strict, pfaffian_terms
 from lgschubert.polyring import EPoly, epoly_to_xpoly, is_symmetric
 from lgschubert.qtilde import (
     basis,
@@ -10,6 +11,7 @@ from lgschubert.qtilde import (
     f_constant,
     pieri_strict,
     qtilde,
+    stable_expansion,
     structure_constants,
     verify_qtilde_properties,
 )
@@ -49,6 +51,32 @@ class TestBasis:
                         for sign, pair, rest in pfaffian_terms(lam):
                             acc = acc + (basis(pair, m) * basis(rest, m)).scale(sign)
                         assert basis(lam, m) == acc
+
+    def test_repeated_parts_match_the_pfaffian_recursion(self):
+        """basis splits an equal pair off a partition with a repeated part;
+        the Pfaffian recursion along the last column, which never splits,
+        gives the same element for every such partition of weight <= 10.
+        Partitions of at most two parts take the pair formula on both
+        sides."""
+        memo = {}
+
+        def pfaffian(lam):
+            if len(lam) <= 2:
+                return basis(lam, None)
+            if lam not in memo:
+                acc = EPoly.zero(None)
+                for sign, pair, rest in pfaffian_terms(lam):
+                    acc = acc + (pfaffian(pair) * pfaffian(rest)).scale(sign)
+                memo[lam] = acc
+            return memo[lam]
+
+        checked = 0
+        for w in range(11):
+            for lam in enumerate_partitions(w, w):
+                if not is_strict(lam):
+                    assert basis(lam, None) == pfaffian(lam), lam
+                    checked += 1
+        assert checked == 96
 
 
 class TestQtilde:
@@ -162,7 +190,9 @@ class TestStructureConstants:
         for _ in range(15):
             lam, mu, nu = rng.choice(pool), rng.choice(pool), rng.choice(pool)
             ab = structure_constants(lam, mu)
-            assert ab == structure_constants(mu, lam)
+            # the memo serves both orders from one expansion: compare with
+            # the product taken in the other order, unmemoised
+            assert ab == expand_in_basis(basis(mu, None) * basis(lam, None))
             # ((lam mu) nu) vs (lam (mu nu)) on a random target key
             targets = set()
             for tau, c in ab.items():
@@ -177,6 +207,19 @@ class TestStructureConstants:
                     for tau, c in structure_constants(mu, nu).items()
                 )
                 assert lhs == rhs
+
+    def test_both_orders_share_one_expansion(self):
+        """stable_expansion gives the same mapping, in the same key order,
+        for (lam, mu) and (mu, lam), each computed from an empty memo; with
+        the memo kept, the second order is served the first one's result."""
+        memo = qtilde_module._ordered_expansion
+        for lam, mu in [((3, 1), (2, 2, 1)), ((4,), (3, 2, 1)), ((1, 1, 1), (2, 1))]:
+            memo.cache_clear()
+            ab = stable_expansion(lam, mu)
+            memo.cache_clear()
+            ba = stable_expansion(mu, lam)
+            assert list(ab.items()) == list(ba.items())
+            assert stable_expansion(lam, mu) is ba
 
     def test_expansion_valid_in_x_model(self):
         """Substitute actual x-variables: the claimed expansion must hold as
@@ -247,6 +290,30 @@ class TestVerifiers:
     @pytest.mark.parametrize("m,wmax", [(2, 6), (3, 8)])
     def test_properties_pass(self, m, wmax):
         assert verify_qtilde_properties(m, wmax) == []
+
+    def test_property_e_catches_a_wrong_split(self, monkeypatch):
+        """Check (e) expands the merged partition by the Pfaffian, not by
+        the equal-pair split inside basis, so a split that adds a stray term
+        to every non-strict element of three or more parts fails it.  The
+        stray monomial moves one unit of lam from the last part to the
+        first: lex-higher than lam, so the unit pivots of check (b) stay."""
+        real = qtilde_module.basis
+
+        def wrong(lam, m):
+            p = real(lam, m)
+            if m is None and len(lam) > 2 and not is_strict(lam):
+                bumped = (lam[0] + 1,) + lam[1:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
+                return p + EPoly(None, {bumped: 1})
+            return p
+
+        real.cache_clear()
+        monkeypatch.setattr(qtilde_module, "basis", wrong)
+        try:
+            failures = verify_qtilde_properties(3, 8)
+        finally:
+            monkeypatch.undo()
+            real.cache_clear()
+        assert {"check": "e", "lam": (2, 1, 1, 1), "i": 1, "m": 3} in failures
 
     def test_property_a_single_case(self):
         assert qtilde((3,), 2) == EPoly.zero(2)
