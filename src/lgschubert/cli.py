@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 from . import quantum
@@ -258,15 +258,16 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """Argument type for ranks, variable counts and sample sizes, which
-    must be >= 1."""
+def _bounded_int(low: int, text: str) -> int:
+    """Argument type, with ``low`` bound by ``partial``, for an integer >= low:
+    1 for ranks, variable counts and sample sizes, 0 for the sweep bounds
+    --wmax and --pmax."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
 
 
@@ -276,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     (parsing leaves no state in it).  Built lazily, not at import, so that
     importing the package stays cheap and each ``func`` default is the
     ``cmd_*`` binding current at the first ``main`` call."""
+    positive, nonnegative = partial(_bounded_int, 1), partial(_bounded_int, 0)
     parser = argparse.ArgumentParser(
         prog="lgschubert",
         description="Exact Schubert calculus on the Lagrangian Grassmannian LG(n, 2n).",
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product", help="expand a product of two Schubert classes")
     p.add_argument("--ring", choices=("classical", "quantum"), default="quantum")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--engine", choices=tuple(ENGINES), default="pieri")
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("gw", help="three-point genus-zero invariant")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
@@ -302,16 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--n", type=_positive_int, default=4)
-    p.add_argument("--m", type=_positive_int, default=5)
-    p.add_argument("--wmax", type=int, default=None)
-    p.add_argument("--pmax", type=int, default=12)
-    p.add_argument("--sample", type=_positive_int, default=None)
+    p.add_argument("--n", type=positive, default=4)
+    p.add_argument("--m", type=positive, default=5)
+    p.add_argument("--wmax", type=nonnegative, default=None)
+    p.add_argument("--pmax", type=nonnegative, default=12)
+    p.add_argument("--sample", type=positive, default=None)
     p.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="full quantum multiplication table for D_n x D_n")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=positive, required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     # accepted for compatibility and ignored: cells are computed in order

@@ -8,7 +8,10 @@ Diagrams use matrix convention: box (r, c) sits in row r, column c, occupying
 the unit square [c-1, c] x [r-1, r].  Two boxes of a skew diagram are
 connected when they share an edge or a vertex.  The skew diagrams counted
 here are horizontal strips, whose components are runs of touching rows read
-off the interlacing inequalities, with no flood-fill over boxes.
+off the interlacing inequalities, with no flood-fill over boxes.  Strips
+added to lam and strips removed from it come from one enumerator of the
+vectors between two interlacing bounds; the two directions differ only in
+the bounds.
 """
 
 from __future__ import annotations
@@ -125,68 +128,51 @@ def _strip_counts(outer: Partition, inner: Partition) -> tuple[int, int]:
     return comps, comps - col1
 
 
+def _interlaced(lo: tuple[int, ...], hi: tuple[int, ...], total: int) -> list[Partition]:
+    """The vectors v with lo <= v <= hi componentwise and sum v = total, in
+    descending lexicographic order, each with a final zero dropped.  Only
+    the last lower bound may be 0, so a zero can only end v.  Each entry
+    ranges over what leaves the rest of the sum within the bounds of the
+    entries after it, so every branch ends in a vector."""
+    rows = len(hi)
+    floor = [sum(lo[i:]) for i in range(rows + 1)]
+    ceil = [sum(hi[i:]) for i in range(rows + 1)]
+
+    def tails(i: int, remaining: int) -> list[Partition]:
+        if i >= rows - 1:  # the last entry, if any, takes what remains
+            return [(remaining,) if remaining else ()]
+        return [(v,) + tail
+                for v in range(min(hi[i], remaining - floor[i + 1]),
+                               max(lo[i], remaining - ceil[i + 1]) - 1, -1)
+                for tail in tails(i + 1, remaining - v)]
+
+    return tails(0, total) if floor[0] <= total <= ceil[0] else []
+
+
 def grow_strips(lam: Partition, k: int, cap: int | None = None) -> list[Strip]:
     """All partitions mu >= lam with |mu| = |lam| + k and mu/lam a horizontal
-    strip (at most one box per column), optionally with mu_1 <= cap.
+    strip (at most one box per column), optionally with mu_1 <= cap, in
+    descending lexicographic order.
 
     Interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... characterizes the
     horizontal-strip extensions; at most one row beyond lam can gain boxes.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rows = len(lam) + 1
-    out: list[Strip] = []
-    mu = [0] * rows
-
-    def descend(i: int, remaining: int) -> None:
-        if i == rows:
-            if remaining == 0:
-                shape = tuple(x for x in mu if x > 0)
-                comps, off = _strip_counts(shape, lam)
-                out.append(Strip(shape, comps, off))
-            return
-        lo = lam[i] if i < len(lam) else 0
-        hi = lo + remaining if i == 0 else min(lam[i - 1], lo + remaining)
-        if i == 0 and cap is not None:
-            hi = min(hi, cap)
-        for v in range(lo, hi + 1):
-            mu[i] = v
-            descend(i + 1, remaining - (v - lo))
-        mu[i] = 0
-
-    descend(0, k)
-    out.sort(key=lambda s: s.shape, reverse=True)
-    return out
+    total = sum(lam) + k
+    return [Strip(mu, *_strip_counts(mu, lam)) for mu in
+            _interlaced(lam + (0,), (total if cap is None else cap,) + lam, total)]
 
 
 def shrink_strips(lam: Partition, k: int) -> list[tuple[Partition, int]]:
     """All strict nu <= lam with |nu| = |lam| - k and lam/nu a horizontal
-    strip, each with the number of connected components of lam/nu."""
+    strip, each with the number of connected components of lam/nu, in
+    descending lexicographic order of nu.  Interlacing lam_1 >= nu_1 >=
+    lam_2 >= nu_2 >= ... >= nu_ell >= 0 characterizes the strips."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    ell = len(lam)
-    out: list[tuple[Partition, int]] = []
-    nu = [0] * ell
-
-    def descend(i: int, remaining: int) -> None:
-        if remaining < 0:
-            return
-        if i == ell:
-            if remaining == 0:
-                shape = tuple(x for x in nu if x > 0)
-                if is_strict(shape):
-                    comps, _ = _strip_counts(lam, shape)
-                    out.append((shape, comps))
-            return
-        lo = lam[i + 1] if i + 1 < ell else 0
-        for v in range(lo, lam[i] + 1):
-            nu[i] = v
-            descend(i + 1, remaining - (lam[i] - v))
-        nu[i] = 0
-
-    descend(0, k)
-    out.sort(key=lambda t: t[0], reverse=True)
-    return out
+    return [(nu, _strip_counts(lam, nu)[0])
+            for nu in _interlaced((lam + (0,))[1:], lam, sum(lam) - k) if is_strict(nu)]
 
 
 @cache

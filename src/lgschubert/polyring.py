@@ -6,10 +6,11 @@ ordinary integer polynomial in x_1, ..., x_m.  Coefficients are Python ints,
 so arithmetic is exact at any size.
 
 E-monomials are weakly decreasing tuples of generator indices (the empty
-tuple is 1); x-monomials are exponent tuples of fixed length m.  Inside the
-x-expansion of an EPoly only, an x-monomial is packed into one int, its
-exponents in fixed-width bit fields, so that multiplying monomials is
-adding ints.
+tuple is 1); x-monomials are exponent tuples of fixed length m.  The
+x-expansion of an EPoly in m variables lies in x_1, ..., x_m; a caller that
+needs it on other variables moves its exponents itself.  Inside that
+expansion only, an x-monomial is packed into one int, its exponents in
+fixed-width bit fields, so that multiplying monomials is adding ints.
 """
 
 from __future__ import annotations
@@ -238,28 +239,26 @@ def is_symmetric(f: XPoly) -> bool:
 
 
 @cache
-def elementary_xpoly(i: int, gens: int, total: int, shift: int = 0) -> XPoly:
-    """e_i(x_{shift+1}, ..., x_{shift+gens}) as an XPoly in total variables."""
-    if shift + gens > total:
-        raise ValueError("shifted variables exceed the total variable count")
+def elementary_xpoly(i: int, m: int) -> XPoly:
+    """e_i(x_1, ..., x_m) as an XPoly in m variables."""
     terms = {}
-    for combo in itertools.combinations(range(shift, shift + gens), i):
-        e = [0] * total
+    for combo in itertools.combinations(range(m), i):
+        e = [0] * m
         for pos in combo:
             e[pos] = 1
         terms[tuple(e)] = 1
-    return XPoly(total, terms)
+    return XPoly(m, terms)
 
 
 @cache
-def _packed_elementary(i: int, gens: int, shift: int, width: int) -> dict[int, int]:
-    """e_i(x_{shift+1}, ..., x_{shift+gens}) with packed x-monomials: the
-    exponent of x_{j+1} sits in bits j*width .. (j+1)*width - 1 of an int."""
+def _packed_elementary(i: int, m: int, width: int) -> dict[int, int]:
+    """e_i(x_1, ..., x_m) with packed x-monomials: the exponent of x_{j+1}
+    sits in bits j*width .. (j+1)*width - 1 of an int."""
     return {sum(1 << (pos * width) for pos in combo): 1
-            for combo in itertools.combinations(range(shift, shift + gens), i)}
+            for combo in itertools.combinations(range(m), i)}
 
 
-def _horner(terms: dict, gens: int, shift: int, width: int) -> dict[int, int]:
+def _horner(terms: dict, m: int, width: int) -> dict[int, int]:
     """Packed x-terms of the e-polynomial ``terms`` by a Horner scheme:
     c_0 + sum_i e_i * p_i, where p_i holds the terms led by generator i with
     that i removed and is expanded the same way, so monomials with a common
@@ -273,17 +272,16 @@ def _horner(terms: dict, gens: int, shift: int, width: int) -> dict[int, int]:
         else:
             out[0] = c
     for i, tail in led.items():
-        mul_into(out, _packed_elementary(i, gens, shift, width),
-                 _horner(tail, gens, shift, width), 1, add)
+        mul_into(out, _packed_elementary(i, m, width), _horner(tail, m, width), 1, add)
     return out
 
 
-def epoly_to_xpoly(p: EPoly, total_vars: int | None = None, shift: int = 0) -> XPoly:
+def epoly_to_xpoly(p: EPoly) -> XPoly:
     """Expand an EPoly into x-variables, substituting each e_i by the
-    elementary symmetric polynomial in x_{shift+1}, ..., x_{shift+m}.
+    elementary symmetric polynomial in x_1, ..., x_m.
 
-    Guarded to m <= 8 expansion variables; the result is symmetric in the
-    substituted block.  The expansion is a Horner scheme over the leading
+    Guarded to m <= 8 expansion variables; the result is symmetric in
+    x_1, ..., x_m.  The expansion is a Horner scheme over the leading
     generator of each e-monomial, on x-monomials packed into one int each and
     unpacked to exponent tuples once at the end.  Each e_i is squarefree in
     the x-variables, so no exponent exceeds the largest number of factors of
@@ -292,14 +290,11 @@ def epoly_to_xpoly(p: EPoly, total_vars: int | None = None, shift: int = 0) -> X
     """
     if p.m is None:
         raise ValueError("expansion requires a finite variable count")
-    gens = p.m
-    if gens > XPANSION_VAR_LIMIT:
-        raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {gens}")
-    total = total_vars if total_vars is not None else gens + shift
-    if shift + gens > total:
-        raise ValueError("shifted variables exceed the total variable count")
+    m = p.m
+    if m > XPANSION_VAR_LIMIT:
+        raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
     width = max(map(len, p.terms), default=0).bit_length() or 1
     mask = (1 << width) - 1
-    offsets = range(0, total * width, width)
-    return XPoly(total, {tuple([key >> s & mask for s in offsets]): c
-                         for key, c in _horner(p.terms, gens, shift, width).items()})
+    offsets = range(0, m * width, width)
+    return XPoly(m, {tuple([key >> s & mask for s in offsets]): c
+                     for key, c in _horner(p.terms, m, width).items()})

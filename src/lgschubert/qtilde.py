@@ -27,7 +27,8 @@ from .partitions import (
     pfaffian_terms,
     straighten,
 )
-from .polyring import EPoly, XPoly, add_into, elementary_xpoly, epoly_to_xpoly, mul_into
+from .polyring import (XPANSION_VAR_LIMIT, EPoly, XPoly, add_into, elementary_xpoly,
+                       epoly_to_xpoly, mul_into)
 
 
 class VerificationError(Exception):
@@ -169,14 +170,14 @@ def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def qtilde_x(lam: Partition, gens: int, total: int, shift: int = 0) -> XPoly:
-    """X-variable expansion of the basis element built from e_1..e_gens,
-    placed on variables x_{shift+1}..x_{shift+gens} among total variables."""
-    return epoly_to_xpoly(basis(lam, gens), total_vars=total, shift=shift)
+def qtilde_x(lam: Partition, m: int) -> XPoly:
+    """X-variable expansion of the basis element in m variables, on
+    x_1..x_m."""
+    return epoly_to_xpoly(basis(lam, m))
 
 
 def _elementary_of_squares(i: int, m: int) -> XPoly:
-    base = elementary_xpoly(i, m, m)
+    base = elementary_xpoly(i, m)
     return XPoly(m, {tuple(2 * e for e in mono): c for mono, c in base.terms.items()})
 
 
@@ -185,7 +186,8 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
 
     (a) vanishing when the top part exceeds m; (b) basis expansion
     round-trips; (c) equal-pair elements expand to elementary symmetric
-    polynomials of squared variables (x-expansion leg, m <= 8 only);
+    polynomials of squared variables (x-expansion leg, for m within the
+    expansion guard XPANSION_VAR_LIMIT only);
     (d) multiplying by the top-degree generator prepends a part m;
     (e) equal pairs split off multiplicatively, the merged element taken by
     one Pfaffian step rather than from basis, which splits it.  Returns
@@ -200,7 +202,7 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
         for lam in enumerate_partitions(w, m):
             if expand_in_basis(qtilde(lam, m)) != {lam: 1}:
                 failures.append({"check": "b", "lam": lam, "m": m})
-    if m <= 8:
+    if m <= XPANSION_VAR_LIMIT:
         for i in range(1, min(m, wmax // 2) + 1):
             got = epoly_to_xpoly(basis((i, i), m))
             if got != _elementary_of_squares(i, m):

@@ -266,20 +266,11 @@ def qlr_check(lam: Partition, mu: Partition, n: int) -> bool:
                 raise VerificationError(f"odd degree-1 coefficient {c}")
             expected[(nu, 1)] = c // 2
     mu_star = star(mu, n)
-    if len(mu) == 2:
-        for nu in _dn_of_weight(w0 - 2 * (n + 1), n):
-            c = f_constant(nu, mu_star, lam)
+    for d in range(2, len(mu) + 1):
+        for nu in _dn_of_weight(w0 - d * (n + 1), n):
+            c = f_constant(nu, mu_star, prepend(n + 1, len(mu) - d, lam))
             if c:
-                expected[(nu, 2)] = c
-    else:
-        for nu in _dn_of_weight(w0 - 2 * (n + 1), n):
-            c = f_constant(nu, mu_star, prepend(n + 1, 1, lam))
-            if c:
-                expected[(nu, 2)] = c
-        for nu in _dn_of_weight(w0 - 3 * (n + 1), n):
-            c = f_constant(nu, mu_star, lam)
-            if c:
-                expected[(nu, 3)] = c
+                expected[(nu, d)] = c
     return expected == qprod_constants(lam, mu, n)
 
 

@@ -41,7 +41,7 @@ def c_prime(lam: Partition, m: int) -> XPoly:
     if len(lam) < 1:
         raise ValueError("need a nonempty partition")
     check_var_limit(m)
-    return ddiff0(qtilde_x(lam, m, m))
+    return ddiff0(qtilde_x(lam, m))
 
 
 @lru_cache(maxsize=None)
@@ -51,7 +51,7 @@ def c_double_prime(lam: Partition, m: int) -> XPoly:
     if len(lam) < 2:
         raise ValueError("need at least two parts")
     check_var_limit(m)
-    return ddiff0(ddiff1prime(ddiff0(qtilde_x(lam, m, m))))
+    return ddiff0(ddiff1prime(ddiff0(qtilde_x(lam, m))))
 
 
 def comb0(n: int, k: int) -> int:
@@ -66,7 +66,8 @@ def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, tw
     """Add into the term map ``out``, for every sequence lam - delta with
     delta in {0,1,2}^len(lam) holding exactly ``ones`` ones and ``twos``
     twos, k * sign * x^prefix times the basis element of the straightened
-    sequence on x_{s+1}..x_m, s = len(prefix); sequences of sign 0 drop."""
+    sequence on x_{s+1}..x_m, s = len(prefix), which is its expansion in
+    m - s variables behind the prefix; sequences of sign 0 drop."""
     s, ell = len(prefix), len(lam)
     for two in itertools.combinations(range(ell), twos):
         base = list(lam)
@@ -79,10 +80,8 @@ def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, tw
                 nu[i] -= 1
             sign, nu_hat = straighten(nu)
             if sign:
-                # the element lives on x_{s+1}..x_m: its exponents 0 on
-                # x_1..x_s become the prefix
-                terms = qtilde_x(nu_hat, m - s, m, s).terms
-                add_into(out, ((prefix + e[s:], c) for e, c in terms.items()), k * sign)
+                terms = qtilde_x(nu_hat, m - s).terms
+                add_into(out, ((prefix + e, c) for e, c in terms.items()), k * sign)
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:
@@ -97,7 +96,7 @@ def verify_extension_formula(lam: Partition, m: int) -> bool:
     rhs: dict[tuple[int, ...], int] = {}
     for k in range(len(lam) + 1):
         _peel_into(rhs, (k,), lam, k, 0, m)
-    return qtilde_x(lam, m, m).terms == rhs
+    return qtilde_x(lam, m).terms == rhs
 
 
 def verify_cprime_expansion(lam: Partition, m: int) -> bool:

@@ -178,6 +178,22 @@ class TestVerify:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("suite, runner, flag", [
+        ("dawson", "suite_dawson", "--pmax"),
+        ("extension", "suite_extension", "--wmax"),
+        ("qtilde-properties", "suite_qtilde_properties", "--wmax"),
+        ("stembridge", "suite_stembridge", "--wmax"),
+        ("pieri-oracle", "suite_pieri_oracle", "--wmax"),
+    ])
+    def test_negative_bound_is_usage_error(self, capsys, monkeypatch, suite, runner, flag):
+        """A negative sweep bound leaves no case to check; it is refused
+        before the suite runs, not reported as a failed verification."""
+        monkeypatch.setattr(suites, runner, lambda *args: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", suite, flag, "-1")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_suite_with_no_cases_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "pfaffian-double-prime", "--m", "3")
         assert code == 1

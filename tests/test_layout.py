@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module reaches into a sibling's
 private names, each submodule is importable under its own name (``__main__``
 without running the CLI), and each polynomial model defines its own
-multiplication.  The README names every verification suite."""
+multiplication.  The README names every verification suite, and every
+function the benchmark reports by name still exists."""
 
 import ast
 import importlib
@@ -82,3 +83,29 @@ def test_readme_lists_every_suite():
     readme = (PACKAGE_DIR.parents[1] / "README.md").read_text()
     listed = re.search(r"Available suites: (.*?)\.\s+Bounds flags", readme, re.S).group(1)
     assert re.findall(r"`([^`]+)`", listed) == sorted(suites.SUITES)
+
+
+def test_benchmark_span_names_resolve():
+    """bench/run.py reports the spans named in LAYER_FUNCTIONS and SELF_ONLY
+    and reads a missing one as 0 calls, so each name must still be a public
+    function of its module, or the own ``__mul__`` of EPoly or XPoly for a
+    ``.mul`` name.  The names are read from the source, not imported."""
+    tree = ast.parse((PACKAGE_DIR.parents[1] / "bench" / "run.py").read_text())
+    names = [name for node in tree.body if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets if isinstance(t, ast.Name)]
+             in (["LAYER_FUNCTIONS"], ["SELF_ONLY"])
+             for name in ast.literal_eval(node.value)]
+    assert names
+    missing = []
+    for name in names:
+        module_name, *path = name.split(".")
+        module = importlib.import_module(f"lgschubert.{module_name}")
+        if path[-1] == "mul":
+            ok = path[0] in ("EPoly", "XPoly") and "__mul__" in vars(getattr(module, path[0]))
+        else:
+            fn = getattr(module, path[0], None)
+            ok = (len(path) == 1 and not path[0].startswith("_") and callable(fn)
+                  and fn.__module__ == module.__name__)
+        if not ok:
+            missing.append(name)
+    assert missing == []

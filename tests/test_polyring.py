@@ -36,14 +36,14 @@ def xpolys(m=3, deg=4, max_terms=5):
     )
 
 
-def per_monomial(p: EPoly, total: int, shift: int) -> XPoly:
+def per_monomial(p: EPoly) -> XPoly:
     """Oracle for the x-expansion: the sum over the e-monomials of p of the
     product of one elementary_xpoly factor per part."""
-    expected = XPoly.zero(total)
+    expected = XPoly.zero(p.m)
     for mono, c in p.terms.items():
-        term = XPoly.one(total)
+        term = XPoly.one(p.m)
         for i in mono:
-            term = term * elementary_xpoly(i, p.m, total, shift)
+            term = term * elementary_xpoly(i, p.m)
         expected = expected + term.scale(c)
     return expected
 
@@ -107,12 +107,6 @@ class TestExpansion:
         p = EPoly(2, {(1, 1): 1, (2,): -2})
         assert epoly_to_xpoly(p) == xmono(2, m=2) + xmono(0, 2, m=2)
 
-    def test_shifted_block(self):
-        # e1 on x2..x3 inside three variables
-        p = EPoly.gen(1, 2)
-        got = epoly_to_xpoly(p, total_vars=3, shift=1)
-        assert got == xmono(0, 1, 0) + xmono(0, 0, 1)
-
     def test_guard(self):
         with pytest.raises(ValueError):
             epoly_to_xpoly(EPoly.gen(1, 9))
@@ -128,11 +122,10 @@ class TestExpansion:
     def test_expansion_is_symmetric(self, a):
         assert is_symmetric(epoly_to_xpoly(a))
 
-    @pytest.mark.parametrize("gens,total,shift", [(1, 1, 0), (3, 3, 0), (2, 3, 1), (2, 5, 1),
-                                                  (3, 5, 2)])
+    @pytest.mark.parametrize("gens", [1, 2, 3])
     @given(data=st.data())
     @settings(max_examples=25)
-    def test_matches_per_monomial_products(self, gens, total, shift, data):
+    def test_matches_per_monomial_products(self, gens, data):
         """The expansion equals the sum over e-monomials of products of
         elementary_xpoly factors, one factor per part.  Beside the drawn terms
         every case holds the empty monomial, a repeated part and a hand-built
@@ -142,25 +135,20 @@ class TestExpansion:
         terms.setdefault((gens, gens), -1)
         terms[(gens + 1, 1)] = data.draw(st.sampled_from((-2, 1)))
         p = EPoly(gens, terms)
-        assert epoly_to_xpoly(p, total_vars=total, shift=shift) == per_monomial(p, total, shift)
+        assert epoly_to_xpoly(p) == per_monomial(p)
 
-    @pytest.mark.parametrize("terms,total,shift", [
-        ({(1,) * 300: 1}, 2, 0),
-        ({(2,) * 130 + (1,) * 140: -3, (1,) * 3: 2, (): 1}, 3, 1),
+    @pytest.mark.parametrize("terms", [
+        {(1,) * 300: 1},
+        {(2,) * 130 + (1,) * 140: -3, (1,) * 3: 2, (): 1},
     ])
-    def test_exponents_beyond_one_byte(self, terms, total, shift):
-        """Exponents above 255 (e_1^300 on two variables; e_2^130 e_1^140 on
-        x_2, x_3 of three) come out exact: the packed exponent fields are
-        sized from the largest factor count, so none carries into the
-        next."""
+    def test_exponents_beyond_one_byte(self, terms):
+        """Exponents above 255 (e_1^300; e_2^130 e_1^140, on two variables)
+        come out exact: the packed exponent fields are sized from the
+        largest factor count, so none carries into the next."""
         p = EPoly(2, terms)
-        got = epoly_to_xpoly(p, total_vars=total, shift=shift)
+        got = epoly_to_xpoly(p)
         assert max(max(mono) for mono in got.terms) > 255
-        assert got == per_monomial(p, total, shift)
-
-    def test_shifted_block_must_fit(self):
-        with pytest.raises(ValueError):
-            epoly_to_xpoly(EPoly.gen(1, 2), total_vars=2, shift=1)
+        assert got == per_monomial(p)
 
 
 class TestDividedDifferences:
@@ -220,6 +208,6 @@ class TestSymmetry:
         assert is_symmetric(xmono(2, m=2) + xmono(0, 2, m=2))
 
     def test_elementary_cached_value(self):
-        e = elementary_xpoly(2, 3, 3)
+        e = elementary_xpoly(2, 3)
         assert len(e.terms) == 3
         assert is_symmetric(e)

@@ -29,11 +29,17 @@ from lgschubert.symplectic import (
 )
 
 
-def tail_qtilde(a: int, gens: int, total: int, shift: int) -> XPoly:
-    """One-row basis element on a shifted variable block; zero for a < 0."""
+def on_tail(f: XPoly, s: int) -> XPoly:
+    """f moved onto x_{s+1}, x_{s+2}, ...: s zero exponents prepended to
+    each monomial."""
+    return XPoly(f.m + s, {(0,) * s + e: c for e, c in f.terms.items()})
+
+
+def tail_qtilde(a: int, m: int, s: int) -> XPoly:
+    """One-row basis element on x_{s+1}..x_m; zero for a < 0."""
     if a < 0:
-        return XPoly.zero(total)
-    return qtilde_x((a,) if a else (), gens, total, shift)
+        return XPoly.zero(m)
+    return on_tail(qtilde_x((a,) if a else (), m - s), s)
 
 
 class TestCPrime:
@@ -43,8 +49,8 @@ class TestCPrime:
         # two-row value matches its closed form on the tail variables
         m = 3
         got = c_prime((2, 1), m)
-        q1 = tail_qtilde(1, m - 1, m, 1)
-        q2 = tail_qtilde(2, m - 1, m, 1)
+        q1 = tail_qtilde(1, m, 1)
+        q2 = tail_qtilde(2, m, 1)
         assert got == q1 * q1 - q2
 
     def test_requires_nonempty(self):
@@ -57,9 +63,9 @@ class TestCPrime:
         for a in range(1, m + 1):
             for b in range(0, a):
                 got = c_prime((a, b) if b else (a,), m)
-                want = tail_qtilde(a - 1, m - 1, m, 1) * tail_qtilde(b, m - 1, m, 1) - tail_qtilde(
-                    a, m - 1, m, 1
-                ) * tail_qtilde(b - 1, m - 1, m, 1)
+                want = tail_qtilde(a - 1, m, 1) * tail_qtilde(b, m, 1) - tail_qtilde(
+                    a, m, 1
+                ) * tail_qtilde(b - 1, m, 1)
                 assert got == want
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -72,7 +78,7 @@ class TestCPrime:
 class TestCDoublePrime:
     def test_examples(self):
         assert c_double_prime((2, 1), 3) == XPoly.one(3)
-        assert c_double_prime((3, 1), 4) == tail_qtilde(1, 2, 4, 2)
+        assert c_double_prime((3, 1), 4) == tail_qtilde(1, 4, 2)
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_two_row_closed_form(self, m):
@@ -80,9 +86,9 @@ class TestCDoublePrime:
         for a in range(2, m + 1):
             for b in range(1, a):
                 got = c_double_prime((a, b), m)
-                want = tail_qtilde(a - 2, m - 2, m, 2) * tail_qtilde(
-                    b - 1, m - 2, m, 2
-                ) - tail_qtilde(a - 1, m - 2, m, 2) * tail_qtilde(b - 2, m - 2, m, 2)
+                want = tail_qtilde(a - 2, m, 2) * tail_qtilde(
+                    b - 1, m, 2
+                ) - tail_qtilde(a - 1, m, 2) * tail_qtilde(b - 2, m, 2)
                 assert got == want
 
     @pytest.mark.parametrize("m", [3, 4])
@@ -137,7 +143,7 @@ class TestPeelKernel:
         for delta in itertools.product((0, 1, 2), repeat=len(lam)):
             if delta.count(1) == ones and delta.count(2) == twos:
                 nu = [p - d for p, d in zip(lam, delta)]
-                acc = acc + mono * epoly_to_xpoly(qtilde(nu, m - s), m, s).scale(k)
+                acc = acc + mono * on_tail(epoly_to_xpoly(qtilde(nu, m - s)), s).scale(k)
         return acc.terms
 
     @pytest.mark.parametrize("lam", [
@@ -154,24 +160,25 @@ class TestPeelKernel:
 
 class TestPeelingChecksCanFail:
     """The peeling checks compare raw term maps; one wrong term in one
-    shifted basis element must make them, and their suites, fail, and so
+    peeled basis element must make them, and their suites, fail, and so
     must one wrong term in one c_prime or c_double_prime value for the
-    Pfaffian identities."""
+    Pfaffian identities.  Both sides of a peeling check read the shared
+    qtilde_x memo, so each perturbed element is one that the left side of
+    the failing check does not read."""
 
     @staticmethod
-    def perturb(monkeypatch, name, lam, shift=None):
-        """Add x_{shift+1} (the constant 1 when no such variable is left) to
-        the value of symplectic.<name> at lam, at one shift or at any."""
+    def perturb(monkeypatch, name, lam):
+        """Add the constant 1 to the value of symplectic.<name> at lam, in
+        every variable count."""
         real = getattr(symplectic, name)
 
-        def fake(nu, m, *rest):
-            f = real(nu, m, *rest)
-            if nu != lam or (shift is not None and rest[1:] != (shift,)):
+        def fake(nu, m):
+            f = real(nu, m)
+            if nu != lam:
                 return f
-            total = f.m
             terms = dict(f.terms)
-            add_into(terms, [(tuple(int(i == shift) for i in range(total)), 1)])
-            return XPoly(total, terms)
+            add_into(terms, [((0,) * m, 1)])
+            return XPoly(m, terms)
 
         monkeypatch.setattr(symplectic, name, fake)
 
@@ -181,16 +188,17 @@ class TestPeelingChecksCanFail:
     ])
     def test_one_wrong_term_fails(self, monkeypatch, verify, suite, name):
         # (2, 1) peels to distinct elements, (2,) among them, so the wrong
-        # term cannot cancel
+        # term cannot cancel; the left side reads (2, 1) alone
         assert verify((2, 1), 3) and suite(2) == []
-        self.perturb(monkeypatch, "qtilde_x", (2,), shift=1)
+        self.perturb(monkeypatch, "qtilde_x", (2,))
         assert not verify((2, 1), 3)
         assert {"suite": name, "lam": (2, 1), "m": 2} in suite(2)
 
     def test_lem2_wrong_shift_two_term_fails(self, monkeypatch):
-        # (2, 1) peels to the empty partition alone, on x_3..x_m
+        # (2, 1) peels to the empty partition alone, on x_3..x_m, which no
+        # left side of lem2 reads
         assert verify_lem2((2, 1), 3) and suites.suite_lem2(3) == []
-        self.perturb(monkeypatch, "qtilde_x", (), shift=2)
+        self.perturb(monkeypatch, "qtilde_x", ())
         assert not verify_lem2((2, 1), 3)
         assert {"suite": "lem2", "lam": (2, 1), "m": 3} in suites.suite_lem2(3)
 
