@@ -8,15 +8,17 @@ so arithmetic is exact at any size.
 E-monomials are weakly decreasing tuples of generator indices (the empty
 tuple is 1); x-monomials are exponent tuples of fixed length m.  The
 x-expansion of an EPoly in m variables lies in x_1, ..., x_m; a caller that
-needs it on other variables moves its exponents itself.  Inside that
-expansion only, an x-monomial is packed into one int, its exponents in
-fixed-width bit fields, so that multiplying monomials is adding ints.
+needs it on other variables moves its exponents itself.  That expansion is
+symmetric, so it is computed on its dominant exponent vectors (weakly
+decreasing ones) in the monomial symmetric basis, and every other
+x-monomial is a permutation of one of them.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
+from math import comb, prod
 from operator import add
 
 XPANSION_VAR_LIMIT = 8
@@ -251,28 +253,54 @@ def elementary_xpoly(i: int, m: int) -> XPoly:
 
 
 @cache
-def _packed_elementary(i: int, m: int, width: int) -> dict[int, int]:
-    """e_i(x_1, ..., x_m) with packed x-monomials: the exponent of x_{j+1}
-    sits in bits j*width .. (j+1)*width - 1 of an int."""
-    return {sum(1 << (pos * width) for pos in combo): 1
-            for combo in itertools.combinations(range(m), i)}
+def _e_times_m(i: int, beta: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """e_i * m_beta in the monomial symmetric basis, for a weakly decreasing
+    exponent vector beta of length m: the pairs (alpha, c) with
+    e_i * m_beta = sum c * m_alpha, empty for i > m.
+
+    Each alpha is beta with one added in i distinct places, and
+    c = prod_v C(mult_v(alpha), a_v), a_v counting the raised parts that land
+    on value v.  A run of equal values in beta has its raised entries at the
+    front, so that alpha stays weakly decreasing; the sum runs over how many
+    entries of each run are raised."""
+    runs = [(v, len(list(g))) for v, g in itertools.groupby(beta)]
+    out = []
+    for raised in itertools.product(*(range(r + 1) for _, r in runs)):
+        if sum(raised) == i:
+            alpha = tuple(itertools.chain.from_iterable(
+                (v + 1,) * t + (v,) * (r - t) for (v, r), t in zip(runs, raised)))
+            out.append((alpha, prod(comb(alpha.count(v + 1), t)
+                                    for (v, _), t in zip(runs, raised))))
+    return tuple(out)
 
 
-def _horner(terms: dict, m: int, width: int) -> dict[int, int]:
-    """Packed x-terms of the e-polynomial ``terms`` by a Horner scheme:
-    c_0 + sum_i e_i * p_i, where p_i holds the terms led by generator i with
-    that i removed and is expanded the same way, so monomials with a common
-    leading part share one multiplication by it.  Packed monomials multiply
-    by integer addition."""
-    out: dict[int, int] = {}
+@cache
+def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct permutations of the weakly decreasing tuple alpha, each
+    once: a distinct leading value, then the orbit of what is left."""
+    if not alpha or alpha[0] == alpha[-1]:
+        return (alpha,)
+    return tuple((v,) + tail for j, v in enumerate(alpha) if not j or v != alpha[j - 1]
+                 for tail in _orbit(alpha[:j] + alpha[j + 1:]))
+
+
+def _horner(terms: dict, m: int) -> dict[tuple[int, ...], int]:
+    """The x-expansion of the e-polynomial ``terms`` in m variables, on its
+    dominant exponent vectors, by a Horner scheme: c_0 + sum_i e_i * p_i,
+    where p_i holds the terms led by generator i with that i removed and is
+    expanded the same way, so monomials with a common leading part share one
+    multiplication by it.  The result maps each dominant alpha to the
+    coefficient of m_alpha, which is the coefficient of x^alpha."""
+    out: dict[tuple[int, ...], int] = {}
     led: dict[int, dict] = {}
     for mono, c in terms.items():
         if mono:
             led.setdefault(mono[0], {})[mono[1:]] = c
         else:
-            out[0] = c
+            out[(0,) * m] = c
     for i, tail in led.items():
-        mul_into(out, _packed_elementary(i, m, width), _horner(tail, m, width), 1, add)
+        for beta, c in _horner(tail, m).items():
+            add_into(out, _e_times_m(i, beta), c)
     return out
 
 
@@ -282,19 +310,16 @@ def epoly_to_xpoly(p: EPoly) -> XPoly:
 
     Guarded to m <= 8 expansion variables; the result is symmetric in
     x_1, ..., x_m.  The expansion is a Horner scheme over the leading
-    generator of each e-monomial, on x-monomials packed into one int each and
-    unpacked to exponent tuples once at the end.  Each e_i is squarefree in
-    the x-variables, so no exponent exceeds the largest number of factors of
-    an e-monomial; the bit field of each exponent is sized to hold that
-    count, and no field can carry into the next.
+    generator of each e-monomial that carries each partial result only on
+    its dominant exponent vectors, multiplying by e_i with the monomial
+    symmetric rule of ``_e_times_m``; the full term map is built once at the
+    end, each dominant vector's coefficient going to its distinct
+    permutations.
     """
     if p.m is None:
         raise ValueError("expansion requires a finite variable count")
     m = p.m
     if m > XPANSION_VAR_LIMIT:
         raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
-    width = max(map(len, p.terms), default=0).bit_length() or 1
-    mask = (1 << width) - 1
-    offsets = range(0, m * width, width)
-    return XPoly(m, {tuple([key >> s & mask for s in offsets]): c
-                     for key, c in _horner(p.terms, m, width).items()})
+    return XPoly(m, {mono: c for alpha, c in _horner(p.terms, m).items()
+                     for mono in _orbit(alpha)})

@@ -4,14 +4,15 @@ and the divided-difference images with their Pfaffian identities.
 The three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
 one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, straighten,
-and add the basis element on the remaining variables times a monomial in
-the peeled ones.  c_prime applies the sign-change divided difference to the
-x-expansion of a basis element; c_double_prime follows with the swap
-divided difference and the sign-change one again.  Both families satisfy
-alternating Pfaffian-style relations.  Every check is an exact term-map
-equality in a fixed small number m <= VAR_LIMIT of variables (each m gives
-an independent check, since the identities are polynomial in x_1..x_m for
-every m).
+and add the basis element on the remaining variables into the slice of the
+monomial in the peeled ones.  Each check splits its left side by the same
+peeled exponents and compares it with those slices.  c_prime applies the
+sign-change divided difference to the x-expansion of a basis element;
+c_double_prime follows with the swap divided difference and the
+sign-change one again.  Both families satisfy alternating Pfaffian-style
+relations.  Every check is an exact term-map equality in a fixed small
+number m <= VAR_LIMIT of variables (each m gives an independent check,
+since the identities are polynomial in x_1..x_m for every m).
 """
 
 from __future__ import annotations
@@ -61,13 +62,16 @@ def comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, twos: int,
+def _peel_into(slices: dict, prefix: tuple[int, ...], lam: Partition, ones: int, twos: int,
                m: int, k: int = 1) -> None:
-    """Add into the term map ``out``, for every sequence lam - delta with
+    """Add into ``slices[prefix]``, for every sequence lam - delta with
     delta in {0,1,2}^len(lam) holding exactly ``ones`` ones and ``twos``
-    twos, k * sign * x^prefix times the basis element of the straightened
-    sequence on x_{s+1}..x_m, s = len(prefix), which is its expansion in
-    m - s variables behind the prefix; sequences of sign 0 drop."""
+    twos, k * sign times the basis element of the straightened sequence in
+    m - s variables, s = len(prefix), its terms unchanged; sequences of sign
+    0 drop.  ``slices`` maps each peeled exponent vector x^prefix on
+    x_1..x_s to a term map on x_{s+1}..x_m, the factor that goes with it,
+    and a slice whose terms cancel stays behind empty."""
+    out = slices.setdefault(prefix, {})
     s, ell = len(prefix), len(lam)
     for two in itertools.combinations(range(ell), twos):
         base = list(lam)
@@ -80,37 +84,49 @@ def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, tw
                 nu[i] -= 1
             sign, nu_hat = straighten(nu)
             if sign:
-                terms = qtilde_x(nu_hat, m - s).terms
-                add_into(out, ((prefix + e, c) for e, c in terms.items()), k * sign)
+                add_into(out, qtilde_x(nu_hat, m - s).terms.items(), k * sign)
+
+
+def _equals_sliced(f: XPoly, slices: dict, s: int) -> bool:
+    """True when f equals the sum of x^prefix times ``slices[prefix]`` over
+    prefixes of length s: f is split by its first s exponents and compared
+    slice by slice with the slices that do not cancel to zero, which is the
+    equality of the two full term maps."""
+    lhs: dict[tuple[int, ...], dict] = {}
+    for e, c in f.terms.items():
+        lhs.setdefault(e[:s], {})[e[s:]] = c
+    return lhs == {prefix: terms for prefix, terms in slices.items() if terms}
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:
     """Check the one-variable peeling identity: the basis element on
     x_1..x_m equals sum_k x_1^k times the sum of basis elements on
     x_2..x_m over index sequences obtained by decrementing k parts of lam
-    by one.  Non-partition sequences enter through signed straightening."""
+    by one.  Non-partition sequences enter through signed straightening.
+    Both sides are compared slice by slice, one slice per power of x_1."""
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], int] = {}
+    rhs: dict[tuple[int, ...], dict] = {}
     for k in range(len(lam) + 1):
         _peel_into(rhs, (k,), lam, k, 0, m)
-    return qtilde_x(lam, m).terms == rhs
+    return _equals_sliced(qtilde_x(lam, m), rhs, 1)
 
 
 def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     """Check the odd-depth peeling formula for c_prime of a strict partition:
     sum over odd-size subsets S of rows, of x_1^(|S|-1) times the basis
-    element on x_2..x_m indexed by lam minus the indicator of S."""
+    element on x_2..x_m indexed by lam minus the indicator of S.  Both sides
+    are compared slice by slice, one slice per power of x_1."""
     lam = tuple(lam)
     if not (is_partition(lam) and is_strict(lam) and lam):
         raise ValueError(f"{lam} must be a nonempty strict partition")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], int] = {}
+    rhs: dict[tuple[int, ...], dict] = {}
     for k in range(1, len(lam) + 1, 2):
         _peel_into(rhs, (k - 1,), lam, k, 0, m)
-    return c_prime(lam, m).terms == rhs
+    return _equals_sliced(c_prime(lam, m), rhs, 1)
 
 
 def _pfaffian_vanishes(c, lam: Partition, m: int) -> bool:
@@ -148,13 +164,14 @@ def verify_lem2(lam: Partition, m: int) -> bool:
     length: a sum of two-variable monomial symmetric polynomials
     x_1^r x_2^s + x_1^s x_2^r (one term when r = s) times binomially
     weighted basis elements on x_3..x_m, indexed by sequences obtained by
-    decrementing parts of lam by 0, 1, or 2."""
+    decrementing parts of lam by 0, 1, or 2.  Both sides are compared slice
+    by slice, one slice per monomial x_1^r x_2^s."""
     lam = tuple(lam)
     ell = len(lam)
     if not (is_partition(lam) and is_strict(lam) and ell >= 2 and ell % 2 == 0):
         raise ValueError(f"{lam} must be strict of even positive length")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], int] = {}
+    rhs: dict[tuple[int, ...], dict] = {}
     for r in range(0, ell, 2):
         for s in range(0, r + 1, 2):
             for b in range(0, (r + s + 3) // 2 + 1):
@@ -163,7 +180,7 @@ def verify_lem2(lam: Partition, m: int) -> bool:
                 if co:
                     for prefix in {(r, s), (s, r)}:
                         _peel_into(rhs, prefix, lam, a, b, m, co)
-    return c_double_prime(lam, m).terms == rhs
+    return _equals_sliced(c_double_prime(lam, m), rhs, 2)
 
 
 def dawson(p: int, q: int) -> bool:

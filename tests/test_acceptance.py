@@ -4,10 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion with its measured runtime.
 """
 
-import os
 import time
-
-import pytest
 
 from lgschubert import suites
 from lgschubert.partitions import all_strict_upto, in_d
@@ -133,10 +130,6 @@ def test_criterion_14_stembridge_integrality():
     report(14, "rescaled constants integral and nonnegative, |lam|+|mu| <= 12", time.time() - t0)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("LGSCHUBERT_SLOW"),
-    reason="optional m = 6 tier; set LGSCHUBERT_SLOW=1 to run (~10 s)",
-)
 def test_criterion_10_optional_m6_tier():
     t0 = time.time()
     assert suites.suite_cprime_expansion(6) == []
@@ -144,4 +137,4 @@ def test_criterion_10_optional_m6_tier():
     assert suites.suite_pfaffian_double_prime(6) == []
     assert suites.suite_lem2(6) == []
     assert suites.suite_extension(6) == []
-    report(10, "optional tier: identity suite at m = 6", time.time() - t0)
+    report(10, "identity suite at m = 6", time.time() - t0)

@@ -1,9 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lgschubert.partitions import enumerate_partitions
 from lgschubert.polyring import (
     EPoly,
     XPoly,
+    _e_times_m,
+    _orbit,
     ddiff0,
     ddiff1prime,
     elementary_xpoly,
@@ -12,6 +17,7 @@ from lgschubert.polyring import (
     negate_first,
     swap_vars,
 )
+from lgschubert.qtilde import basis
 
 M = 3
 
@@ -46,6 +52,17 @@ def per_monomial(p: EPoly) -> XPoly:
             term = term * elementary_xpoly(i, p.m)
         expected = expected + term.scale(c)
     return expected
+
+
+def dominant_vectors(m, wmax):
+    """Every weakly decreasing exponent vector of length m and weight <= wmax."""
+    return [lam + (0,) * (m - len(lam)) for w in range(wmax + 1)
+            for lam in enumerate_partitions(w, w) if len(lam) <= m]
+
+
+def monomial_symmetric(beta):
+    """m_beta: the sum of x^alpha over the distinct permutations alpha of beta."""
+    return XPoly(len(beta), dict.fromkeys(set(itertools.permutations(beta)), 1))
 
 
 class TestEPolyArithmetic:
@@ -122,7 +139,7 @@ class TestExpansion:
     def test_expansion_is_symmetric(self, a):
         assert is_symmetric(epoly_to_xpoly(a))
 
-    @pytest.mark.parametrize("gens", [1, 2, 3])
+    @pytest.mark.parametrize("gens", [1, 2, 3, 4, 5])
     @given(data=st.data())
     @settings(max_examples=25)
     def test_matches_per_monomial_products(self, gens, data):
@@ -143,12 +160,61 @@ class TestExpansion:
     ])
     def test_exponents_beyond_one_byte(self, terms):
         """Exponents above 255 (e_1^300; e_2^130 e_1^140, on two variables)
-        come out exact: the packed exponent fields are sized from the
-        largest factor count, so none carries into the next."""
+        come out exact, with no width or range limit on an exponent."""
         p = EPoly(2, terms)
         got = epoly_to_xpoly(p)
         assert max(max(mono) for mono in got.terms) > 255
         assert got == per_monomial(p)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_basis_elements_match_per_monomial(self, m):
+        """Every basis element of weight <= 2m in m variables."""
+        for w in range(2 * m + 1):
+            for lam in enumerate_partitions(w, m):
+                p = basis(lam, m)
+                assert epoly_to_xpoly(p) == per_monomial(p), lam
+
+    def test_no_variables(self):
+        # m = 0: a constant stays on the empty exponent vector, and every
+        # generator expands to zero
+        assert epoly_to_xpoly(EPoly(0, {(): 7})).terms == {(): 7}
+        assert epoly_to_xpoly(EPoly(0, {(): -2, (1,): 5, (2, 1): 1})).terms == {(): -2}
+
+
+class TestMonomialSymmetricRule:
+    """The two helpers of the x-expansion: e_i * m_beta in the monomial
+    symmetric basis, and the distinct permutations of a dominant vector."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_e_times_m_matches_product(self, m):
+        """e_i * m_beta against elementary_xpoly(i, m) times the full orbit of
+        beta, for every beta of weight <= 6 (zeros and runs of equal values
+        among them) and 0 <= i <= m + 1; i > m gives zero."""
+        for beta in dominant_vectors(m, 6):
+            for i in range(m + 2):
+                pairs = _e_times_m(i, beta)
+                alphas = [alpha for alpha, _ in pairs]
+                assert len(set(alphas)) == len(alphas)
+                assert all(list(alpha) == sorted(alpha, reverse=True) for alpha in alphas)
+                got = XPoly.zero(m)
+                for alpha, c in pairs:
+                    got = got + monomial_symmetric(alpha).scale(c)
+                assert got == elementary_xpoly(i, m) * monomial_symmetric(beta), (i, beta)
+                if i > m:
+                    assert pairs == ()
+
+    def test_e_times_m_examples(self):
+        # (x1 + x2) * (x1 + x2) = m_(2,0) + 2 m_(1,1)
+        assert dict(_e_times_m(1, (1, 0))) == {(2, 0): 1, (1, 1): 2}
+        # e_2 * m_(1,1,0) = m_(2,2,0) + 2 m_(2,1,1)
+        assert dict(_e_times_m(2, (1, 1, 0))) == {(2, 2, 0): 1, (2, 1, 1): 2}
+
+    @pytest.mark.parametrize("m", range(0, 7))
+    def test_orbit_is_every_permutation_once(self, m):
+        for alpha in dominant_vectors(m, 7):
+            orbit = _orbit(alpha)
+            assert len(set(orbit)) == len(orbit)
+            assert set(orbit) == set(itertools.permutations(alpha))
 
 
 class TestDividedDifferences:

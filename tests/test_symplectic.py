@@ -15,6 +15,7 @@ from lgschubert.polyring import (
 )
 from lgschubert.qtilde import qtilde, qtilde_x
 from lgschubert.symplectic import (
+    _equals_sliced,
     _peel_into,
     c_double_prime,
     c_prime,
@@ -33,6 +34,14 @@ def on_tail(f: XPoly, s: int) -> XPoly:
     """f moved onto x_{s+1}, x_{s+2}, ...: s zero exponents prepended to
     each monomial."""
     return XPoly(f.m + s, {(0,) * s + e: c for e, c in f.terms.items()})
+
+
+def sliced(f: XPoly, s: int) -> dict:
+    """f split by its first s exponents: {prefix: {rest: c}}."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        out.setdefault(e[:s], {})[e[s:]] = c
+    return out
 
 
 def tail_qtilde(a: int, m: int, s: int) -> XPoly:
@@ -133,7 +142,9 @@ class TestIdentityVerifiers:
 
 
 class TestPeelKernel:
-    """_peel_into against a brute-force sum over every decrement vector."""
+    """_peel_into against a brute-force sum over every decrement vector,
+    split by the peeled exponents the same way, and the slice-by-slice
+    comparison of the checks."""
 
     @staticmethod
     def brute(prefix, lam, ones, twos, m, k):
@@ -144,7 +155,7 @@ class TestPeelKernel:
             if delta.count(1) == ones and delta.count(2) == twos:
                 nu = [p - d for p, d in zip(lam, delta)]
                 acc = acc + mono * on_tail(epoly_to_xpoly(qtilde(nu, m - s)), s).scale(k)
-        return acc.terms
+        return sliced(acc, s)
 
     @pytest.mark.parametrize("lam", [
         (), (1,), (3,), (2, 1), (1, 1), (2, 2), (3, 1, 1), (4, 2, 1), (2, 2, 1, 1), (4, 3, 2, 1),
@@ -155,7 +166,31 @@ class TestPeelKernel:
             for twos in range(len(lam) + 2 - ones):
                 out: dict = {}
                 _peel_into(out, prefix, lam, ones, twos, m, k)
-                assert out == self.brute(prefix, lam, ones, twos, m, k), (ones, twos)
+                assert list(out) == [prefix]
+                nonzero = {p: terms for p, terms in out.items() if terms}
+                assert nonzero == self.brute(prefix, lam, ones, twos, m, k), (ones, twos)
+
+    def test_cancelled_slice_passes(self):
+        # peeling one part of (1, 1) gives (0, 1) and (1, 0), which
+        # straighten to -(1) and (1): the slice of x_1 cancels to empty, and
+        # the extension check still holds
+        rhs: dict = {}
+        for k in range(3):
+            _peel_into(rhs, (k,), (1, 1), k, 0, 2)
+        assert rhs[(1,)] == {}
+        assert _equals_sliced(qtilde_x((1, 1), 2), rhs, 1)
+        assert verify_extension_formula((1, 1), 2)
+
+    def test_stray_slice_fails(self):
+        rhs: dict = {}
+        for k in range(3):
+            _peel_into(rhs, (k,), (2, 1), k, 0, 3)
+        lhs = qtilde_x((2, 1), 3)
+        assert _equals_sliced(lhs, rhs, 1)
+        # a nonzero slice on a power of x_1 that the left side lacks
+        assert (5,) not in sliced(lhs, 1)
+        rhs[(5,)] = {(0, 0): 1}
+        assert not _equals_sliced(lhs, rhs, 1)
 
 
 class TestPeelingChecksCanFail:
