@@ -11,7 +11,11 @@ x-expansion of an EPoly in m variables lies in x_1, ..., x_m; a caller that
 needs it on other variables moves its exponents itself.  That expansion is
 symmetric, so it is computed on its dominant exponent vectors (weakly
 decreasing ones) in the monomial symmetric basis, and every other
-x-monomial is a permutation of one of them.
+x-monomial is a permutation of one of them.  A polynomial symmetric in its
+trailing variables x_{s+1}, ..., x_m is likewise fixed by its terms whose
+tail after the first s exponents is weakly decreasing: ``free_heads`` reads
+those off the dominant vectors of a symmetric polynomial, and
+``spread_tails`` spreads them back over every ordering of the tail.
 """
 
 from __future__ import annotations
@@ -181,11 +185,6 @@ class XPoly(_SparsePoly):
         return "XPoly(" + " + ".join(bits) + ")"
 
 
-def negate_first(f: XPoly) -> XPoly:
-    """The substitution x_1 -> -x_1."""
-    return XPoly(f.m, {mono: (-c if mono[0] % 2 else c) for mono, c in f.terms.items()})
-
-
 def swap_vars(f: XPoly, i: int) -> XPoly:
     """The substitution exchanging x_i and x_{i+1} (1-indexed)."""
     if not 1 <= i < f.m:
@@ -233,11 +232,6 @@ def ddiff1prime(f: XPoly) -> XPoly:
         top = lo + d - 1
         add_into(out, (((lo + t, top - t) + rest, s) for t in range(d)))
     return XPoly(f.m, out)
-
-
-def is_symmetric(f: XPoly) -> bool:
-    """True when f is invariant under every adjacent variable swap."""
-    return all(swap_vars(f, i).terms == f.terms for i in range(1, f.m))
 
 
 @cache
@@ -304,22 +298,49 @@ def _horner(terms: dict, m: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+def dominant_expansion(p: EPoly) -> dict[tuple[int, ...], int]:
+    """The x-expansion of an EPoly in its m variables on its dominant
+    exponent vectors: each weakly decreasing alpha mapped to the coefficient
+    of x^alpha, which is that of every permutation of alpha.
+
+    Guarded to m <= XPANSION_VAR_LIMIT expansion variables.  The expansion
+    is a Horner scheme over the leading generator of each e-monomial that
+    carries each partial result only on its dominant exponent vectors,
+    multiplying by e_i with the monomial symmetric rule of ``_e_times_m``.
+    """
+    if p.m is None:
+        raise ValueError("expansion requires a finite variable count")
+    if p.m > XPANSION_VAR_LIMIT:
+        raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {p.m}")
+    return _horner(p.terms, p.m)
+
+
+def free_heads(terms: dict, s: int) -> dict[tuple[int, ...], int]:
+    """The terms of a symmetric polynomial, given on its dominant exponent
+    vectors by ``terms``, whose exponents after the first s are weakly
+    decreasing: s free head exponents and a dominant tail.  Each step moves
+    one distinct value of the dominant tail to the head; removing one copy
+    of a value leaves the tail weakly decreasing."""
+    for h in range(s):
+        terms = {e[:h] + (v,) + e[h:h + j] + e[h + j + 1:]: c for e, c in terms.items()
+                 for j, v in enumerate(e[h:]) if not j or v != e[h + j - 1]}
+    return terms
+
+
+def spread_tails(m: int, terms: dict, s: int = 0) -> XPoly:
+    """The XPoly in x_1..x_m symmetric in x_{s+1}..x_m whose terms with a
+    weakly decreasing tail after the first s exponents are ``terms``: each
+    tail spread over its distinct permutations."""
+    return XPoly(m, {e[:s] + tail: c for e, c in terms.items() for tail in _orbit(e[s:])})
+
+
 def epoly_to_xpoly(p: EPoly) -> XPoly:
     """Expand an EPoly into x-variables, substituting each e_i by the
     elementary symmetric polynomial in x_1, ..., x_m.
 
     Guarded to m <= 8 expansion variables; the result is symmetric in
-    x_1, ..., x_m.  The expansion is a Horner scheme over the leading
-    generator of each e-monomial that carries each partial result only on
-    its dominant exponent vectors, multiplying by e_i with the monomial
-    symmetric rule of ``_e_times_m``; the full term map is built once at the
-    end, each dominant vector's coefficient going to its distinct
-    permutations.
+    x_1, ..., x_m.  The full term map is built once from
+    ``dominant_expansion``, each dominant vector's coefficient going to its
+    distinct permutations.
     """
-    if p.m is None:
-        raise ValueError("expansion requires a finite variable count")
-    m = p.m
-    if m > XPANSION_VAR_LIMIT:
-        raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
-    return XPoly(m, {mono: c for alpha, c in _horner(p.terms, m).items()
-                     for mono in _orbit(alpha)})
+    return spread_tails(p.m, dominant_expansion(p))

@@ -1,7 +1,8 @@
 """The Schur-Q-style basis of the ring of symmetric functions in elementary
 generators: the memoized basis(lam, m) (pair formula, equal-pair split and
-Pfaffian recursion, truncated to m variables by filtering), its memoized
-x-variable expansion qtilde_x, expansion in the basis, stable structure
+Pfaffian recursion, truncated to m variables by filtering), its
+x-variable expansion qtilde_x built from the memoized map qtilde_dominant on
+dominant exponent vectors, expansion in the basis, stable structure
 constants (memoized once per unordered pair, the ring being commutative),
 the power-of-two Pieri rule, and the checks of the defining properties of
 the family.  The peeling identities of the x-expansion are checked in
@@ -16,7 +17,7 @@ back-substitution in ``expand_in_basis``.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 
 from .partitions import (
     Partition,
@@ -27,8 +28,8 @@ from .partitions import (
     pfaffian_terms,
     straighten,
 )
-from .polyring import (XPANSION_VAR_LIMIT, EPoly, XPoly, add_into, elementary_xpoly,
-                       epoly_to_xpoly, mul_into)
+from .polyring import (XPANSION_VAR_LIMIT, EPoly, XPoly, add_into, dominant_expansion,
+                       elementary_xpoly, epoly_to_xpoly, mul_into, spread_tails)
 
 
 class VerificationError(Exception):
@@ -169,11 +170,19 @@ def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
     return e >> t
 
 
-@lru_cache(maxsize=None)
+@cache
+def qtilde_dominant(lam: Partition, m: int) -> dict[tuple[int, ...], int]:
+    """X-variable expansion of the basis element in m variables on its
+    dominant exponent vectors: each weakly decreasing alpha mapped to the
+    coefficient of x^alpha.  Memoized per (lam, m); the map is shared by
+    every caller and must not be mutated."""
+    return dominant_expansion(basis(lam, m))
+
+
 def qtilde_x(lam: Partition, m: int) -> XPoly:
     """X-variable expansion of the basis element in m variables, on
-    x_1..x_m."""
-    return epoly_to_xpoly(basis(lam, m))
+    x_1..x_m: its dominant map spread over every ordering."""
+    return spread_tails(m, qtilde_dominant(lam, m))
 
 
 def _elementary_of_squares(i: int, m: int) -> XPoly:

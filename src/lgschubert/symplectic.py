@@ -3,36 +3,60 @@ and the divided-difference images with their Pfaffian identities.
 
 The three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
-one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, straighten,
-and add the basis element on the remaining variables into the slice of the
-monomial in the peeled ones.  Each check splits its left side by the same
-peeled exponents and compares it with those slices.  c_prime applies the
-sign-change divided difference to the x-expansion of a basis element;
-c_double_prime follows with the swap divided difference and the
-sign-change one again.  Both families satisfy alternating Pfaffian-style
-relations.  Every check is an exact term-map equality in a fixed small
-number m <= VAR_LIMIT of variables (each m gives an independent check,
-since the identities are polynomial in x_1..x_m for every m).
+one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, straighten
+(once per lam and decrement counts), and add the basis element on the
+remaining variables, on its dominant exponent vectors, into the slice of
+the monomial in the peeled ones.  Each left side is read off the dominant
+vectors of the basis element on x_1..x_m as s free head exponents plus a
+weakly decreasing tail, the divided differences acting on the head alone,
+and is compared with those slices slice by slice.  Both sides are symmetric
+in the tail by construction, so agreement on dominant tails is equality of
+the full term maps.  c_prime applies the sign-change divided difference to
+the x-expansion of a basis element; c_double_prime follows with the swap
+divided difference and the sign-change one again.  Both families satisfy
+alternating Pfaffian-style relations, whose products multiply monomials
+packed into one integer each.  Every check is an exact integer equality in
+a fixed small number m <= XPANSION_VAR_LIMIT (8) of variables (each m gives
+an independent check, since the identities are polynomial in x_1..x_m for
+every m).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
+from operator import add
 
 from .partitions import Partition, is_partition, is_strict, pfaffian_terms, straighten
-from .polyring import XPoly, add_into, ddiff0, ddiff1prime
-from .qtilde import qtilde_x
-
-VAR_LIMIT = 6
+from .polyring import (XPANSION_VAR_LIMIT, XPoly, add_into, ddiff0, ddiff1prime, free_heads,
+                       mul_into, spread_tails)
+from .qtilde import qtilde_dominant
 
 
 def check_var_limit(m: int) -> None:
-    """Reject variable counts above VAR_LIMIT, the bound of every check here."""
-    if m > VAR_LIMIT:
-        raise ValueError(f"guarded to m <= {VAR_LIMIT}, got {m}")
+    """Reject variable counts above XPANSION_VAR_LIMIT, the bound of every
+    check here."""
+    if m > XPANSION_VAR_LIMIT:
+        raise ValueError(f"guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
+
+
+def _heads(lam: Partition, m: int, s: int) -> XPoly:
+    """The x-expansion of qtilde(lam) on x_1..x_m on its terms with s free
+    head exponents and a weakly decreasing tail."""
+    return XPoly(m, free_heads(qtilde_dominant(lam, m), s))
+
+
+def _c_prime_heads(lam: Partition, m: int) -> XPoly:
+    """c_prime(lam) on its terms with a weakly decreasing tail after x_1."""
+    return ddiff0(_heads(lam, m, 1))
+
+
+def _c_double_prime_heads(lam: Partition, m: int) -> XPoly:
+    """c_double_prime(lam) on its terms with a weakly decreasing tail after
+    x_2."""
+    return ddiff0(ddiff1prime(ddiff0(_heads(lam, m, 2))))
 
 
 @lru_cache(maxsize=None)
@@ -42,7 +66,7 @@ def c_prime(lam: Partition, m: int) -> XPoly:
     if len(lam) < 1:
         raise ValueError("need a nonempty partition")
     check_var_limit(m)
-    return ddiff0(qtilde_x(lam, m))
+    return spread_tails(m, _c_prime_heads(lam, m).terms, 1)
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +76,7 @@ def c_double_prime(lam: Partition, m: int) -> XPoly:
     if len(lam) < 2:
         raise ValueError("need at least two parts")
     check_var_limit(m)
-    return ddiff0(ddiff1prime(ddiff0(qtilde_x(lam, m))))
+    return spread_tails(m, _c_double_prime_heads(lam, m).terms, 2)
 
 
 def comb0(n: int, k: int) -> int:
@@ -62,17 +86,13 @@ def comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _peel_into(slices: dict, prefix: tuple[int, ...], lam: Partition, ones: int, twos: int,
-               m: int, k: int = 1) -> None:
-    """Add into ``slices[prefix]``, for every sequence lam - delta with
-    delta in {0,1,2}^len(lam) holding exactly ``ones`` ones and ``twos``
-    twos, k * sign times the basis element of the straightened sequence in
-    m - s variables, s = len(prefix), its terms unchanged; sequences of sign
-    0 drop.  ``slices`` maps each peeled exponent vector x^prefix on
-    x_1..x_s to a term map on x_{s+1}..x_m, the factor that goes with it,
-    and a slice whose terms cancel stays behind empty."""
-    out = slices.setdefault(prefix, {})
-    s, ell = len(prefix), len(lam)
+@cache
+def _peel_terms(lam: Partition, ones: int, twos: int) -> tuple[tuple[int, Partition], ...]:
+    """The sequences lam - delta, delta in {0,1,2}^len(lam) holding exactly
+    ``ones`` ones and ``twos`` twos, straightened: pairs (sign, partition),
+    the signs of equal partitions summed and those that cancel dropped."""
+    out: dict[Partition, int] = {}
+    ell = len(lam)
     for two in itertools.combinations(range(ell), twos):
         base = list(lam)
         for i in two:
@@ -84,7 +104,23 @@ def _peel_into(slices: dict, prefix: tuple[int, ...], lam: Partition, ones: int,
                 nu[i] -= 1
             sign, nu_hat = straighten(nu)
             if sign:
-                add_into(out, qtilde_x(nu_hat, m - s).terms.items(), k * sign)
+                add_into(out, ((nu_hat, sign),))
+    return tuple((sign, nu) for nu, sign in out.items())
+
+
+def _peel_into(slices: dict, prefix: tuple[int, ...], lam: Partition, ones: int, twos: int,
+               m: int, k: int = 1) -> None:
+    """Add into ``slices[prefix]``, for every sequence lam - delta with
+    delta in {0,1,2}^len(lam) holding exactly ``ones`` ones and ``twos``
+    twos, k * sign times the basis element of the straightened sequence in
+    m - s variables, s = len(prefix), on its dominant exponent vectors;
+    sequences of sign 0 drop.  ``slices`` maps each peeled exponent vector
+    x^prefix on x_1..x_s to a term map on the weakly decreasing exponent
+    vectors of x_{s+1}..x_m, the factor that goes with it, and a slice
+    whose terms cancel stays behind empty."""
+    out = slices.setdefault(prefix, {})
+    for sign, nu in _peel_terms(lam, ones, twos):
+        add_into(out, qtilde_dominant(nu, m - len(prefix)).items(), k * sign)
 
 
 def _equals_sliced(f: XPoly, slices: dict, s: int) -> bool:
@@ -103,7 +139,8 @@ def verify_extension_formula(lam: Partition, m: int) -> bool:
     x_1..x_m equals sum_k x_1^k times the sum of basis elements on
     x_2..x_m over index sequences obtained by decrementing k parts of lam
     by one.  Non-partition sequences enter through signed straightening.
-    Both sides are compared slice by slice, one slice per power of x_1."""
+    Both sides are compared slice by slice, one slice per power of x_1, on
+    the weakly decreasing exponent vectors of x_2..x_m."""
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
@@ -111,14 +148,15 @@ def verify_extension_formula(lam: Partition, m: int) -> bool:
     rhs: dict[tuple[int, ...], dict] = {}
     for k in range(len(lam) + 1):
         _peel_into(rhs, (k,), lam, k, 0, m)
-    return _equals_sliced(qtilde_x(lam, m), rhs, 1)
+    return _equals_sliced(_heads(lam, m, 1), rhs, 1)
 
 
 def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     """Check the odd-depth peeling formula for c_prime of a strict partition:
     sum over odd-size subsets S of rows, of x_1^(|S|-1) times the basis
     element on x_2..x_m indexed by lam minus the indicator of S.  Both sides
-    are compared slice by slice, one slice per power of x_1."""
+    are compared slice by slice, one slice per power of x_1, on the weakly
+    decreasing exponent vectors of x_2..x_m."""
     lam = tuple(lam)
     if not (is_partition(lam) and is_strict(lam) and lam):
         raise ValueError(f"{lam} must be a nonempty strict partition")
@@ -126,16 +164,34 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     rhs: dict[tuple[int, ...], dict] = {}
     for k in range(1, len(lam) + 1, 2):
         _peel_into(rhs, (k - 1,), lam, k, 0, m)
-    return _equals_sliced(c_prime(lam, m), rhs, 1)
+    return _equals_sliced(_c_prime_heads(lam, m), rhs, 1)
 
 
-def _pfaffian_vanishes(c, lam: Partition, m: int) -> bool:
+def _packed(f: XPoly, w: int) -> dict[int, int]:
+    """The terms of f with each exponent vector packed into one integer,
+    exponent i in bits [w * i, w * (i + 1)); adding two packed keys
+    multiplies their monomials while every exponent of the product stays
+    below 2^w."""
+    out = {}
+    for mono, c in f.terms.items():
+        key = 0
+        for e in reversed(mono):
+            key = key << w | e
+        out[key] = c
+    return out
+
+
+def _pfaffian_sum(c, lam: Partition, m: int) -> dict[int, int]:
     """The alternating sum of c(pair) * c(rest) over the last-column terms
-    of lam is zero."""
-    acc: dict[tuple[int, ...], int] = {}
+    of lam, its exponent vectors packed as by ``_packed`` in fields of
+    sum(lam).bit_length() bits.  Each product is homogeneous of degree at
+    most |lam|, so no exponent in it exceeds |lam|, and its monomials
+    multiply as packed integers with no field carrying into the next."""
+    w = sum(lam).bit_length()
+    acc: dict[int, int] = {}
     for sign, pair, rest in pfaffian_terms(lam):
-        add_into(acc, (c(pair, m) * c(rest, m)).terms.items(), sign)
-    return not acc
+        mul_into(acc, _packed(c(pair, m), w), _packed(c(rest, m), w), sign, add)
+    return acc
 
 
 def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:
@@ -145,7 +201,7 @@ def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:
     if not (is_partition(lam) and is_strict(lam) and len(lam) >= 3):
         raise ValueError(f"{lam} must be strict of length >= 3")
     check_var_limit(m)
-    return _pfaffian_vanishes(c_prime, lam, m)
+    return not _pfaffian_sum(c_prime, lam, m)
 
 
 def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
@@ -156,7 +212,7 @@ def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
     if not (is_partition(lam) and is_strict(lam) and ell >= 4 and ell % 2 == 0):
         raise ValueError(f"{lam} must be strict of even length >= 4")
     check_var_limit(m)
-    return _pfaffian_vanishes(c_double_prime, lam, m)
+    return not _pfaffian_sum(c_double_prime, lam, m)
 
 
 def verify_lem2(lam: Partition, m: int) -> bool:
@@ -165,7 +221,8 @@ def verify_lem2(lam: Partition, m: int) -> bool:
     x_1^r x_2^s + x_1^s x_2^r (one term when r = s) times binomially
     weighted basis elements on x_3..x_m, indexed by sequences obtained by
     decrementing parts of lam by 0, 1, or 2.  Both sides are compared slice
-    by slice, one slice per monomial x_1^r x_2^s."""
+    by slice, one slice per monomial x_1^r x_2^s, on the weakly decreasing
+    exponent vectors of x_3..x_m."""
     lam = tuple(lam)
     ell = len(lam)
     if not (is_partition(lam) and is_strict(lam) and ell >= 2 and ell % 2 == 0):
@@ -180,7 +237,7 @@ def verify_lem2(lam: Partition, m: int) -> bool:
                 if co:
                     for prefix in {(r, s), (s, r)}:
                         _peel_into(rhs, prefix, lam, a, b, m, co)
-    return _equals_sliced(c_double_prime(lam, m), rhs, 2)
+    return _equals_sliced(_c_double_prime_heads(lam, m), rhs, 2)
 
 
 def dawson(p: int, q: int) -> bool:

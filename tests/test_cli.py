@@ -224,14 +224,14 @@ class TestVerify:
     ])
     def test_var_limit_checked_before_the_sweep(self, capsys, suite):
         # the c_prime memos would otherwise serve the Pfaffian cases
-        # without a qtilde_x call
-        for memo in (qtilde.qtilde_x, symplectic.c_prime, symplectic.c_double_prime):
+        # without a qtilde_dominant call
+        for memo in (qtilde.qtilde_dominant, symplectic.c_prime, symplectic.c_double_prime):
             memo.cache_clear()
-        code, out, err = run(capsys, "verify", suite, "--m", "7")
+        code, out, err = run(capsys, "verify", suite, "--m", "9")
         assert code == 2
         assert out == ""
-        assert err == "error: guarded to m <= 6, got 7\n"
-        assert qtilde.qtilde_x.cache_info().currsize == 0
+        assert err == "error: guarded to m <= 8, got 9\n"
+        assert qtilde.qtilde_dominant.cache_info().currsize == 0
 
     def test_seed_defaults_to_sample_seed(self):
         args = build_parser().parse_args(["verify", "engines-agree"])

@@ -1,8 +1,9 @@
 """Module boundaries of the package: no module reaches into a sibling's
 private names, each submodule is importable under its own name (``__main__``
 without running the CLI), and each polynomial model defines its own
-multiplication.  The README names every verification suite, and every
-function the benchmark reports by name still exists."""
+multiplication.  The README names every verification suite, every
+function the benchmark reports by name still exists, and one constant
+bounds the x-expansion variables."""
 
 import ast
 import importlib
@@ -109,3 +110,15 @@ def test_benchmark_span_names_resolve():
         if not ok:
             missing.append(name)
     assert missing == []
+
+
+def test_one_variable_limit():
+    """Exactly one module-level ``*VAR_LIMIT`` constant guards the
+    x-expansion and every check built on it, so two bounds for one guard
+    cannot come back."""
+    found = [f"{path.stem}.{target.id}" for path in MODULES
+             for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name) and target.id.endswith("VAR_LIMIT")]
+    assert found == ["polyring.XPANSION_VAR_LIMIT"]

@@ -11,15 +11,26 @@ from lgschubert.polyring import (
     _orbit,
     ddiff0,
     ddiff1prime,
+    dominant_expansion,
     elementary_xpoly,
     epoly_to_xpoly,
-    is_symmetric,
-    negate_first,
+    free_heads,
+    spread_tails,
     swap_vars,
 )
 from lgschubert.qtilde import basis
 
 M = 3
+
+
+def negate_first(f: XPoly) -> XPoly:
+    """The substitution x_1 -> -x_1."""
+    return XPoly(f.m, {mono: (-c if mono[0] % 2 else c) for mono, c in f.terms.items()})
+
+
+def is_symmetric(f: XPoly) -> bool:
+    """True when f is invariant under every adjacent variable swap."""
+    return all(swap_vars(f, i).terms == f.terms for i in range(1, f.m))
 
 
 def xmono(*exps, m=M, c=1):
@@ -125,8 +136,10 @@ class TestExpansion:
         assert epoly_to_xpoly(p) == xmono(2, m=2) + xmono(0, 2, m=2)
 
     def test_guard(self):
-        with pytest.raises(ValueError):
-            epoly_to_xpoly(EPoly.gen(1, 9))
+        for expand in (epoly_to_xpoly, dominant_expansion):
+            with pytest.raises(ValueError, match="guarded to m <= 8, got 9"):
+                expand(EPoly.gen(1, 9))
+            assert expand(EPoly.gen(1, 8))
 
     @given(epolys(m=3, max_terms=3), epolys(m=3, max_terms=3))
     @settings(max_examples=50)
@@ -179,6 +192,43 @@ class TestExpansion:
         # generator expands to zero
         assert epoly_to_xpoly(EPoly(0, {(): 7})).terms == {(): 7}
         assert epoly_to_xpoly(EPoly(0, {(): -2, (1,): 5, (2, 1): 1})).terms == {(): -2}
+
+
+class TestSymmetricTails:
+    """The dominant-vector map of a symmetric polynomial, its terms with s
+    free head exponents and a dominant tail, and the spreading of a tail
+    over its orderings."""
+
+    @pytest.mark.parametrize("m", range(0, 6))
+    def test_dominant_expansion_is_the_dominant_part(self, m):
+        for w in range(2 * m + 1):
+            for lam in enumerate_partitions(w, m):
+                p = basis(lam, m)
+                full = epoly_to_xpoly(p).terms
+                dom = dominant_expansion(p)
+                assert dom == {e: c for e, c in full.items()
+                               if list(e) == sorted(e, reverse=True)}, lam
+
+    @pytest.mark.parametrize("m", range(0, 6))
+    @pytest.mark.parametrize("s", range(0, 4))
+    def test_free_heads_and_spread_tails(self, m, s):
+        """free_heads keeps exactly the terms whose exponents after the
+        first s are weakly decreasing, and spread_tails restores the rest."""
+        if s > m:
+            return
+        for w in range(2 * m + 1):
+            for lam in enumerate_partitions(w, m):
+                p = basis(lam, m)
+                full = epoly_to_xpoly(p)
+                heads = free_heads(dominant_expansion(p), s)
+                assert heads == {e: c for e, c in full.terms.items()
+                                 if list(e[s:]) == sorted(e[s:], reverse=True)}, lam
+                assert spread_tails(m, heads, s) == full, lam
+
+    def test_free_heads_example(self):
+        # m_(2,1,1) read with one free head: x1^2 (x2 x3), x1 (x2^2 x3)
+        assert free_heads({(2, 1, 1): 5}, 1) == {(2, 1, 1): 5, (1, 2, 1): 5}
+        assert free_heads({(2, 1, 1): 5}, 2) == {(2, 1, 1): 5, (1, 2, 1): 5, (1, 1, 2): 5}
 
 
 class TestMonomialSymmetricRule:

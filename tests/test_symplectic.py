@@ -1,22 +1,25 @@
 import itertools
+from operator import add
 
 import pytest
 
 from lgschubert import suites, symplectic
-from lgschubert.partitions import all_strict_upto
+from lgschubert.partitions import all_strict_upto, enumerate_partitions, pfaffian_terms, straighten
 from lgschubert.polyring import (
     XPoly,
     add_into,
     ddiff0,
     ddiff1prime,
     epoly_to_xpoly,
-    negate_first,
+    mul_into,
     swap_vars,
 )
 from lgschubert.qtilde import qtilde, qtilde_x
 from lgschubert.symplectic import (
     _equals_sliced,
+    _packed,
     _peel_into,
+    _pfaffian_sum,
     c_double_prime,
     c_prime,
     comb0,
@@ -42,6 +45,16 @@ def sliced(f: XPoly, s: int) -> dict:
     for e, c in f.terms.items():
         out.setdefault(e[:s], {})[e[s:]] = c
     return out
+
+
+def is_dominant(e: tuple[int, ...]) -> bool:
+    return all(a >= b for a, b in zip(e, e[1:]))
+
+
+def on_dominant_tails(f: XPoly, s: int) -> XPoly:
+    """The terms of f whose exponents after the first s are weakly
+    decreasing: what a comparison on dominant tails reads of f."""
+    return XPoly(f.m, {e: c for e, c in f.terms.items() if is_dominant(e[s:])})
 
 
 def tail_qtilde(a: int, m: int, s: int) -> XPoly:
@@ -107,7 +120,7 @@ class TestCDoublePrime:
             if len(lam) < 2:
                 continue
             f = c_double_prime(lam, m)
-            assert negate_first(f) == f
+            assert all(e[0] % 2 == 0 for e in f.terms)
             assert swap_vars(f, 1) == f
             assert ddiff0(f) == XPoly.zero(m)
             assert ddiff1prime(f) == XPoly.zero(m)
@@ -137,14 +150,181 @@ class TestIdentityVerifiers:
         assert verify_lem2(lam, m)
 
     def test_var_limit_guard(self):
-        with pytest.raises(ValueError):
-            c_prime((1,), 7)
+        with pytest.raises(ValueError, match="guarded to m <= 8, got 9"):
+            c_prime((1,), 9)
+        assert c_prime((1,), 8) == XPoly.one(8)
+
+
+def full_peel(prefix, lam, ones, twos, m, k=1) -> XPoly:
+    """Full-map oracle of one peeling step: x^prefix times k * sign times
+    the basis element of each straightened lam - delta on x_{s+1}..x_m, as
+    one term map on x_1..x_m, every decremented sequence straightened
+    afresh."""
+    s, ell = len(prefix), len(lam)
+    acc: dict = {}
+    for two in itertools.combinations(range(ell), twos):
+        for one in itertools.combinations([i for i in range(ell) if i not in two], ones):
+            nu = [p - 2 * (i in two) - (i in one) for i, p in enumerate(lam)]
+            sign, nu_hat = straighten(nu)
+            if sign:
+                add_into(acc, ((prefix + e, c) for e, c in qtilde_x(nu_hat, m - s).terms.items()),
+                         k * sign)
+    return XPoly(m, acc)
+
+
+def full_extension_rhs(lam, m) -> XPoly:
+    return sum((full_peel((k,), lam, k, 0, m) for k in range(len(lam) + 1)), XPoly.zero(m))
+
+
+def full_cprime_rhs(lam, m) -> XPoly:
+    return sum((full_peel((k - 1,), lam, k, 0, m) for k in range(1, len(lam) + 1, 2)),
+               XPoly.zero(m))
+
+
+def full_lem2_rhs(lam, m) -> XPoly:
+    acc = XPoly.zero(m)
+    for r in range(0, len(lam), 2):
+        for s in range(0, r + 1, 2):
+            for b in range(0, (r + s + 3) // 2 + 1):
+                a = r + s + 3 - 2 * b
+                co = comb0(a - 1, s + 1 - b)
+                for prefix in {(r, s), (s, r)} if co else ():
+                    acc = acc + full_peel(prefix, lam, a, b, m, co)
+    return acc
+
+
+def full_c_prime(lam, m) -> XPoly:
+    return ddiff0(qtilde_x(lam, m))
+
+
+def full_c_double_prime(lam, m) -> XPoly:
+    return ddiff0(ddiff1prime(ddiff0(qtilde_x(lam, m))))
+
+
+def full_pfaffian_sum(c, lam, m) -> XPoly:
+    """The Pfaffian alternating sum on full term maps, products keyed by
+    tuples."""
+    acc = XPoly.zero(m)
+    for sign, pair, rest in pfaffian_terms(lam):
+        acc = acc + (c(pair, m) * c(rest, m)).scale(sign)
+    return acc
+
+
+def strict_cases(lo, m, keep):
+    return [(lam, mm) for mm in range(lo, m + 1) for lam in all_strict_upto(mm) if keep(lam)]
+
+
+# the c family of each Pfaffian vanishing, with the bounds of its sweep
+PFAFFIAN_FAMILIES = [
+    (c_prime, 3, lambda lam: len(lam) >= 3),
+    (c_double_prime, 4, lambda lam: len(lam) >= 4 and len(lam) % 2 == 0),
+]
+
+
+class TestFullMapOracle:
+    """The checks on dominant tails against the full term maps they stand
+    for, on every case of the sweeps at m <= 5: both sides of each check are
+    symmetric in the tail, so the verdicts agree."""
+
+    def test_extension(self):
+        cases = [(lam, mm) for mm in range(1, 6) for w in range(2 * mm + 1)
+                 for lam in enumerate_partitions(w, mm)]
+        for lam, m in cases:
+            want = qtilde_x(lam, m) == full_extension_rhs(lam, m)
+            assert verify_extension_formula(lam, m) == want, (lam, m)
+
+    def test_cprime_expansion(self):
+        for lam, m in strict_cases(1, 5, bool):
+            want = full_c_prime(lam, m) == full_cprime_rhs(lam, m)
+            assert verify_cprime_expansion(lam, m) == want, (lam, m)
+            assert c_prime(lam, m) == full_c_prime(lam, m), (lam, m)
+
+    def test_lem2(self):
+        for lam, m in strict_cases(2, 5, lambda lam: lam and len(lam) % 2 == 0):
+            want = full_c_double_prime(lam, m) == full_lem2_rhs(lam, m)
+            assert verify_lem2(lam, m) == want, (lam, m)
+            assert c_double_prime(lam, m) == full_c_double_prime(lam, m), (lam, m)
+
+    @pytest.mark.parametrize("verify,c,lo,keep", [
+        (verify_pfaffian_identity_prime, full_c_prime, 3, lambda lam: len(lam) >= 3),
+        (verify_pfaffian_identity_double_prime, full_c_double_prime, 4,
+         lambda lam: len(lam) >= 4 and len(lam) % 2 == 0),
+    ])
+    def test_pfaffian(self, verify, c, lo, keep):
+        for lam, m in strict_cases(lo, 5, keep):
+            assert verify(lam, m) == (not full_pfaffian_sum(c, lam, m)), (lam, m)
+
+    def test_non_symmetric_perturbation_needs_the_full_check(self):
+        """x_3 added to the left side of the extension check for (2, 1) on
+        three variables breaks its symmetry in the tail x_2, x_3 and sits
+        off every dominant tail: the comparison on dominant tails cannot see
+        it, and only the full comparison catches it."""
+        lam, m = (2, 1), 3
+        f = qtilde_x(lam, m) + XPoly(m, {(0, 0, 1): 1})
+        assert swap_vars(f, 2) != f
+        rhs: dict = {}
+        for k in range(len(lam) + 1):
+            _peel_into(rhs, (k,), lam, k, 0, m)
+        assert _equals_sliced(on_dominant_tails(f, 1), rhs, 1)
+        assert f != full_extension_rhs(lam, m)
+        assert qtilde_x(lam, m) == full_extension_rhs(lam, m)
+
+
+class TestPackedProducts:
+    """The Pfaffian vanishings multiply monomials packed into one integer,
+    in fields of sum(lam).bit_length() bits."""
+
+    @staticmethod
+    def unpack(key, w, m):
+        assert key >> (w * m) == 0
+        return tuple(key >> (w * i) & ((1 << w) - 1) for i in range(m))
+
+    @pytest.mark.parametrize("c,lo,keep", PFAFFIAN_FAMILIES)
+    def test_packed_products_match_tuple_products(self, c, lo, keep):
+        for lam, m in strict_cases(lo, 5, keep):
+            w = sum(lam).bit_length()
+            for _, pair, rest in pfaffian_terms(lam):
+                want = c(pair, m) * c(rest, m)
+                assert all(e < 1 << w for mono in want.terms for e in mono)
+                got: dict = {}
+                mul_into(got, _packed(c(pair, m), w), _packed(c(rest, m), w), 1, add)
+                assert got == _packed(want, w), (lam, m, pair)
+                assert {self.unpack(key, w, m): v for key, v in got.items()} == want.terms
+
+    @pytest.mark.parametrize("c,lo,keep", PFAFFIAN_FAMILIES)
+    def test_packed_sum_of_shifted_values(self, c, lo, keep):
+        """With 1 added to every value the alternating sum no longer
+        vanishes, and its packed terms read back as the tuple-keyed sum."""
+        def shifted(nu, m):
+            return c(nu, m) + XPoly.one(m)
+
+        for lam, m in strict_cases(lo, 5, keep):
+            want = full_pfaffian_sum(shifted, lam, m)
+            got = _pfaffian_sum(shifted, lam, m)
+            w = sum(lam).bit_length()
+            assert {self.unpack(key, w, m): v for key, v in got.items()} == want.terms, (lam, m)
+            assert want
+
+    @pytest.mark.parametrize("w", range(1, 7))
+    def test_top_degree_fits_its_field(self, w):
+        # x_i^a * x_i^b with a + b = 2^w - 1 fills field i and carries
+        # nothing into field i + 1
+        m, d = 3, (1 << w) - 1
+        for i in range(m):
+            for a in range(d + 1):
+                f = XPoly(m, {tuple(a if j == i else 0 for j in range(m)): 1})
+                g = XPoly(m, {tuple(d - a if j == i else 0 for j in range(m)): 2})
+                got: dict = {}
+                mul_into(got, _packed(f, w), _packed(g, w), 1, add)
+                assert got == _packed(f * g, w)
+                assert [self.unpack(key, w, m) for key in got] == [
+                    tuple(d if j == i else 0 for j in range(m))]
 
 
 class TestPeelKernel:
     """_peel_into against a brute-force sum over every decrement vector,
-    split by the peeled exponents the same way, and the slice-by-slice
-    comparison of the checks."""
+    split by the peeled exponents the same way and read on dominant tails,
+    and the slice-by-slice comparison of the checks."""
 
     @staticmethod
     def brute(prefix, lam, ones, twos, m, k):
@@ -155,12 +335,12 @@ class TestPeelKernel:
             if delta.count(1) == ones and delta.count(2) == twos:
                 nu = [p - d for p, d in zip(lam, delta)]
                 acc = acc + mono * on_tail(epoly_to_xpoly(qtilde(nu, m - s)), s).scale(k)
-        return sliced(acc, s)
+        return sliced(on_dominant_tails(acc, s), s)
 
     @pytest.mark.parametrize("lam", [
         (), (1,), (3,), (2, 1), (1, 1), (2, 2), (3, 1, 1), (4, 2, 1), (2, 2, 1, 1), (4, 3, 2, 1),
     ])
-    @pytest.mark.parametrize("prefix,m,k", [((2,), 4, 1), ((1, 3), 4, -3)])
+    @pytest.mark.parametrize("prefix,m,k", [((2,), 4, 1), ((1, 3), 4, -3), ((1, 3), 5, 2)])
     def test_matches_brute_force(self, lam, prefix, m, k):
         for ones in range(len(lam) + 2):
             for twos in range(len(lam) + 2 - ones):
@@ -185,7 +365,7 @@ class TestPeelKernel:
         rhs: dict = {}
         for k in range(3):
             _peel_into(rhs, (k,), (2, 1), k, 0, 3)
-        lhs = qtilde_x((2, 1), 3)
+        lhs = on_dominant_tails(qtilde_x((2, 1), 3), 1)
         assert _equals_sliced(lhs, rhs, 1)
         # a nonzero slice on a power of x_1 that the left side lacks
         assert (5,) not in sliced(lhs, 1)
@@ -194,26 +374,27 @@ class TestPeelKernel:
 
 
 class TestPeelingChecksCanFail:
-    """The peeling checks compare raw term maps; one wrong term in one
-    peeled basis element must make them, and their suites, fail, and so
-    must one wrong term in one c_prime or c_double_prime value for the
-    Pfaffian identities.  Both sides of a peeling check read the shared
-    qtilde_x memo, so each perturbed element is one that the left side of
-    the failing check does not read."""
+    """The peeling checks compare raw term maps on dominant tails; one wrong
+    term in one peeled basis element must make them, and their suites,
+    fail, and so must one wrong term in one c_prime or c_double_prime value
+    for the Pfaffian identities.  Both sides of a peeling check read the
+    shared qtilde_dominant memo, so each perturbed element is one that the
+    left side of the failing check does not read."""
 
     @staticmethod
     def perturb(monkeypatch, name, lam):
         """Add the constant 1 to the value of symplectic.<name> at lam, in
-        every variable count."""
+        every variable count: to the dominant map of qtilde_dominant, or to
+        the XPoly of c_prime and c_double_prime."""
         real = getattr(symplectic, name)
 
         def fake(nu, m):
             f = real(nu, m)
             if nu != lam:
                 return f
-            terms = dict(f.terms)
+            terms = dict(getattr(f, "terms", f))
             add_into(terms, [((0,) * m, 1)])
-            return XPoly(m, terms)
+            return terms if isinstance(f, dict) else XPoly(m, terms)
 
         monkeypatch.setattr(symplectic, name, fake)
 
@@ -225,7 +406,7 @@ class TestPeelingChecksCanFail:
         # (2, 1) peels to distinct elements, (2,) among them, so the wrong
         # term cannot cancel; the left side reads (2, 1) alone
         assert verify((2, 1), 3) and suite(2) == []
-        self.perturb(monkeypatch, "qtilde_x", (2,))
+        self.perturb(monkeypatch, "qtilde_dominant", (2,))
         assert not verify((2, 1), 3)
         assert {"suite": name, "lam": (2, 1), "m": 2} in suite(2)
 
@@ -233,7 +414,7 @@ class TestPeelingChecksCanFail:
         # (2, 1) peels to the empty partition alone, on x_3..x_m, which no
         # left side of lem2 reads
         assert verify_lem2((2, 1), 3) and suites.suite_lem2(3) == []
-        self.perturb(monkeypatch, "qtilde_x", ())
+        self.perturb(monkeypatch, "qtilde_dominant", ())
         assert not verify_lem2((2, 1), 3)
         assert {"suite": "lem2", "lam": (2, 1), "m": 3} in suites.suite_lem2(3)
 
