@@ -7,9 +7,9 @@ A quantum class is a finite map (strict partition with parts <= n, q-degree)
   basis elements (the stable structure constants).
 * qprod_quotient (route A): truncate both basis elements to n + 1 variables,
   multiply, and expand in the basis there.
-* qprod_pieri (route B): expand one factor symbolically into special classes
-  and q via the two-condition and Pfaffian Giambelli expressions, then fold
-  the quantum Pieri rule over the other factor.
+* qprod_pieri (route B): expand the factor with fewer rows along its
+  quantum Giambelli Pfaffian, each two-row class acting on the other factor
+  by folding the quantum Pieri rule over its special classes.
 
 Routes C and A share one read-out, ``_read_quantum``: the index
 ((n+1)^d, nu) with nu in D_n gives q^d sigma_nu / 2^d, and every other index
@@ -38,7 +38,7 @@ from .partitions import (
     shrink_strips,
     star,
 )
-from .polyring import add_into, mul_into
+from .polyring import add_into
 from .qtilde import VerificationError, basis, expand_in_basis, f_constant, stable_expansion
 
 QuantumClass = dict  # map (Partition, d) -> int
@@ -111,49 +111,48 @@ def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
     return out
 
 
-def _special_mono_mul(x: tuple, y: tuple) -> tuple:
-    return tuple(sorted(x[0] + y[0], reverse=True)), x[1] + y[1]
-
-
 @lru_cache(maxsize=None)
 def giambelli_special(mu: Partition, n: int) -> dict:
-    """Polynomial in the special classes and q whose quantum evaluation is
-    the Schubert class of mu, keyed by (special indices, q-power).  Rows are
-    special classes; a two-row class sigma_{i,j} is the basis element of
-    (i, j) in n variables plus the q-term (-1)^(n+1-i) q sigma_{i+j-n-1}
-    when i + j > n (the quantum two-condition Giambelli formula); longer
-    classes come from the Pfaffian expansion over the expressions of their
-    pairs, with all products expanded symbolically.  The result is shared by
+    """Polynomial in the special classes and q, keyed by (special indices,
+    q-power), whose quantum evaluation is the Schubert class of mu, for mu
+    of at most two rows: the basis element of mu in n variables, plus
+    (-1)^(n+1-i) q sigma_{i+j-n-1} when mu = (i, j) has i + j > n (the
+    quantum two-condition Giambelli formula).  The result is shared by
     every caller and must not be mutated."""
     mu = _require_dn(tuple(mu), n)
-    if len(mu) <= 1:
-        return {(mu, 0): 1}
-    if len(mu) == 2:
-        i, j = mu
-        terms = {(mono, 0): c for mono, c in basis(mu, n).terms.items()}
-        s = i + j - n - 1
-        if s >= 0:
-            terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
-        return terms
-    acc: dict = {}
-    for sign, pair, rest in pfaffian_terms(mu):
-        mul_into(acc, giambelli_special(pair, n), giambelli_special(rest, n), sign,
-                 _special_mono_mul)
-    return acc
+    if len(mu) > 2:
+        raise ValueError(f"{mu} has more than two rows")
+    terms = {(mono, 0): c for mono, c in basis(mu, n).terms.items()}
+    s = sum(mu) - n - 1
+    if s >= 0:
+        terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - mu[0])
+    return terms
 
 
 def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
-    """Quantum product via Giambelli and the quantum Pieri rule (route B)."""
+    """Quantum product via the quantum Giambelli Pfaffian and Pieri rule
+    (route B): for mu the factor of fewer rows, sigma_mu sigma_lam sums
+    sign * sigma_pair (sigma_rest sigma_lam) over ``pfaffian_terms(mu)``
+    down to the unit class, each pair folding the Pieri rule over its
+    ``giambelli_special`` monomials, each rest formed once per call."""
     lam, mu = _require_dn(lam, n), _require_dn(mu, n)
     if len(mu) > len(lam):  # the product commutes: expand the shorter factor
         lam, mu = mu, lam
-    out: QuantumClass = {}
-    for (indices, qp), c in giambelli_special(mu, n).items():
-        cls: QuantumClass = {(lam, 0): 1}
-        for k in indices:  # stored descending; fold order is fixed
-            cls = quantum_pieri(cls, k, n)
-        add_into(out, (((nu, d + qp), v) for (nu, d), v in cls.items()), c)
-    return out
+    memo: dict[Partition, QuantumClass] = {(): {(lam, 0): 1}}
+
+    def times_lam(part: Partition) -> QuantumClass:
+        if part not in memo:
+            memo[part] = out = {}
+            for sign, pair, rest in pfaffian_terms(part):
+                inner = times_lam(rest)
+                for (indices, qp), c in giambelli_special(pair, n).items():
+                    cls = inner
+                    for k in indices:  # stored descending; fold order is fixed
+                        cls = quantum_pieri(cls, k, n)
+                    add_into(out, (((nu, d + qp), v) for (nu, d), v in cls.items()), sign * c)
+        return memo[part]
+
+    return times_lam(mu)
 
 
 def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:

@@ -1,10 +1,12 @@
+import functools
 import itertools
 
 import pytest
 
 from lgschubert.classical import classical_product
-from lgschubert.partitions import all_strict_upto, dual, rho, star
-from lgschubert.qtilde import VerificationError
+from lgschubert.partitions import all_strict_upto, dual, pfaffian_terms, rho, star
+from lgschubert.polyring import mul_into
+from lgschubert.qtilde import VerificationError, basis
 from lgschubert.quantum import (
     _read_quantum,
     eightfold_check,
@@ -109,8 +111,13 @@ class TestGiambelliSpecial:
         assert giambelli_special((3,), 5) == {((3,), 0): 1}
         assert giambelli_special((), 4) == {((), 0): 1}
 
+    @pytest.mark.parametrize("mu,n", [((3, 2, 1), 3), ((4, 3, 2, 1), 4), ((5, 3, 1), 5)])
+    def test_rejects_three_or_more_rows(self, mu, n):
+        with pytest.raises(ValueError, match="more than two rows"):
+            giambelli_special(mu, n)
+
     def test_three_row_uses_pairs(self):
-        expr = giambelli_special((3, 2, 1), 3)
+        expr = symbolic_giambelli((3, 2, 1), 3)
         # evaluating on the unit class recovers the Schubert class itself
         out = {}
         for (idxs, qp), c in expr.items():
@@ -129,11 +136,38 @@ class TestGiambelliSpecial:
             assert qprod_pieri((), mu, n) == {(mu, 0): 1}
 
 
+def _special_mono_mul(x, y):
+    return tuple(sorted(x[0] + y[0], reverse=True)), x[1] + y[1]
+
+
+@functools.cache
+def symbolic_giambelli(mu, n):
+    """Test oracle: sigma_mu as one polynomial in the special classes and q,
+    keyed by (special indices, q-power).  One row is its own special class;
+    two rows are the basis element of (i, j) in n variables plus the q-term
+    (-1)^(n+1-i) q sigma_{i+j-n-1} when i + j > n; longer classes multiply
+    the expressions of their Pfaffian pairs and rests out symbolically."""
+    if len(mu) <= 1:
+        return {(mu, 0): 1}
+    if len(mu) == 2:
+        i, j = mu
+        terms = {(mono, 0): c for mono, c in basis(mu, n).terms.items()}
+        s = i + j - n - 1
+        if s >= 0:
+            terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
+        return terms
+    acc = {}
+    for sign, pair, rest in pfaffian_terms(mu):
+        mul_into(acc, symbolic_giambelli(pair, n), symbolic_giambelli(rest, n), sign,
+                 _special_mono_mul)
+    return acc
+
+
 def fold_giambelli_of_mu(lam, mu, n):
-    """sigma_lam * sigma_mu by folding the Pieri rule over Giambelli of mu,
-    even when mu is the longer factor."""
+    """sigma_lam * sigma_mu by folding the Pieri rule over the symbolic
+    Giambelli expansion of mu, even when mu is the longer factor."""
     out = {}
-    for (idxs, qp), c in giambelli_special(mu, n).items():
+    for (idxs, qp), c in symbolic_giambelli(mu, n).items():
         cls = {(lam, 0): 1}
         for k in idxs:
             cls = quantum_pieri(cls, k, n)
@@ -151,9 +185,27 @@ class TestRouteBShorterFactor:
         for lam, mu in pairs:
             assert qprod_pieri(lam, mu, 4) == fold_giambelli_of_mu(lam, mu, 4)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_staircase_square(self, n):
         assert qprod_pieri(rho(n), rho(n), n) == {((), n): 1}
+
+
+class TestRouteBPfaffianRecursion:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pair_matches_the_symbolic_fold(self, n):
+        """The pair-by-pair recursion against the fold over the whole
+        symbolic expansion of the factor with fewer rows."""
+        classes = all_strict_upto(n)
+        for lam in classes:
+            for mu in classes:
+                shorter, longer = (lam, mu) if len(lam) < len(mu) else (mu, lam)
+                assert qprod_pieri(lam, mu, n) == fold_giambelli_of_mu(longer, shorter, n)
+
+    def test_mutating_a_result_leaves_later_products_clean(self):
+        first = qprod_pieri((3, 1), (2, 1), 3)
+        want = dict(first)
+        first.clear()
+        assert qprod_pieri((3, 1), (2, 1), 3) == want
 
 
 class TestEngineAgreement:
