@@ -17,6 +17,8 @@ import json
 import os
 import sys
 from functools import cache, partial
+from itertools import groupby
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import quantum
@@ -138,43 +140,38 @@ def _cache_path(n: int, engine: str) -> Path:
     return cache_dir() / f"table-n{n}-{engine}.jsonl"
 
 
-def _valid_record(lam, mu, product: dict, n: int, weight: dict) -> bool:
-    """A cached product the engines could have computed: every index in D_n
-    (the keys of ``weight``, which maps each to its size), 0 <= d <= len(mu),
-    |lam| + |mu| = |nu| + d(n+1), and positive integer coefficients."""
-    if lam not in weight or mu not in weight:
-        return False
-    w = weight[lam] + weight[mu]
-    for (nu, d), c in product.items():
-        if not (weight.get(nu) == w - d * (n + 1) and 0 <= d <= len(mu)
-                and type(c) is int and c > 0):
-            return False
-    return True
-
-
 def load_cache(n: int) -> dict:
-    """Read the cache file; a header mismatch (format, n, engine or code
-    fingerprint), or a record of the wrong shape or that fails
-    ``_valid_record``, means it is ignored whole."""
+    """Read the cache file as {(lam, mu): product}, each product in
+    ``quantum_to_json`` form as stored.  The file is ignored whole on a
+    header mismatch (format, n, engine or code fingerprint), on a body that
+    does not parse (a record nested too deep for ``json`` included), or on
+    one record no engine could have produced.  A record passes when lambda
+    and mu are index strings of D_n in ``partition_to_str`` form, and each
+    product term "nu|d" has nu in that form, 0 <= d <= len(mu),
+    |lam| + |mu| = |nu| + d(n+1), and a positive integer coefficient; both
+    are lookups in maps built once per call."""
     path = _cache_path(n, TABLE_ENGINE)
     if not path.exists():
         return {}
     try:
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        if header != _cache_header(n):
+        header, *lines = path.read_text().splitlines()
+        if json.loads(header) != _cache_header(n):
             return {}
-        weight = {nu: sum(nu) for nu in all_strict_upto(n)}
+        records = json.loads("[" + ",".join(lines) + "]")
+        index = {partition_to_str(nu): nu for nu in all_strict_upto(n)}
+        terms = {f"{s}|{d}": (sum(nu) + d * (n + 1), d)
+                 for s, nu in index.items() for d in range(n + 1)}
         out = {}
-        for line in lines[1:]:
-            rec = json.loads(line)
-            lam, mu = partition_from_str(rec["lambda"]), partition_from_str(rec["mu"])
-            product = quantum_from_json(rec["product"])
-            if not _valid_record(lam, mu, product, n, weight):
-                return {}
+        for rec in records:
+            lam, mu, product = index[rec["lambda"]], index[rec["mu"]], rec["product"]
+            w = sum(lam) + sum(mu)
+            for key, c in product.items():
+                weight, d = terms[key]
+                if weight != w or d > len(mu) or type(c) is not int or c <= 0:
+                    return {}
             out[(lam, mu)] = product
         return out
-    except (ValueError, KeyError, IndexError, TypeError, AttributeError):
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return {}
 
 
@@ -183,35 +180,53 @@ def _cache_header(n: int) -> dict:
 
 
 def save_cache(n: int, engine: str, table: dict) -> None:
-    """Rewrite the cache file atomically, records sorted for stable diffs.
+    """Rewrite the cache file atomically, records in ``_record_pairs`` order
+    for stable diffs; ``table`` maps every pair of D_n to its product in
+    ``quantum_to_json`` form.
     ``engine`` is always TABLE_ENGINE; it stays a parameter, as in
     ``_cache_path``, because the benchmark's trace counters (bench/child.py)
     read the (n, engine, table) arguments of this call."""
     path = _cache_path(n, engine)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps(_cache_header(n))]
-    for lam, mu in sorted(table, key=_record_order):
-        lines.append(
-            json.dumps(
-                {
-                    "lambda": partition_to_str(lam),
-                    "mu": partition_to_str(mu),
-                    "product": quantum_to_json(table[(lam, mu)]),
-                },
-                sort_keys=True,
-            )
-        )
+    for lam, mu in _record_pairs(n):
+        record = {"lambda": partition_to_str(lam), "mu": partition_to_str(mu),
+                  "product": table[(lam, mu)]}
+        lines.append(json.dumps(record, sort_keys=True))
     tmp = path.with_suffix(".tmp")
     tmp.write_text("\n".join(lines) + "\n")
     tmp.replace(path)
 
 
-def _record_order(key):
-    lam, mu = key
-    return (sum(lam), sum(mu), tuple(-x for x in lam), tuple(-x for x in mu))
+def _record_pairs(n: int) -> list:
+    """Every pair of D_n, by |lam|, then |mu|, then each in descending lex
+    order, the order in which ``all_strict_upto`` lists one weight."""
+    by_weight = [list(g) for _, g in groupby(all_strict_upto(n), key=sum)]
+    return [(l, m) for ls in by_weight for ms in by_weight for l in ls for m in ms]
+
+
+def _render_json(n: int, entries) -> str:
+    """The table as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    writes it, from f-strings and the C string encoder ``json.dumps`` uses:
+    any ``indent`` makes ``json`` fall back to its pure-Python encoder.
+    tests/test_cli.py pins the layout to that call."""
+    cells = []
+    for lam, mu, product in entries:
+        body = ",\n".join([f"        {_quote(k)}: {product[k]}" for k in sorted(product)])
+        block = f"{{\n{body}\n      }}" if body else "{}"
+        cells.append(f'    {{\n      "lambda": {_quote(lam)},\n      "mu": {_quote(mu)},'
+                     f'\n      "product": {block}\n    }}')
+    listing = ",\n".join(cells)
+    return (f'{{\n  "engine": {_quote(TABLE_ENGINE)},\n  "entries": [\n{listing}\n  ],\n'
+            f'  "format": {CACHE_FORMAT},\n  "n": {n},\n  "ring": "quantum"\n}}\n')
 
 
 def cmd_table(args) -> int:
+    """Print every product of D_n x D_n, in ``_record_pairs`` order.  Cells
+    come from ``load_cache`` as stored; missing ones are computed, turned
+    once into ``quantum_to_json`` form and saved.  JSON is written by
+    ``_render_json``, whose layout the tests fix; TSV lists each product's
+    terms in ``quantum_to_json`` order, by q-degree and then index."""
     out_path = Path(args.out) if args.out else None
     if out_path:
         # fail on an unwritable path before computing; append mode keeps an
@@ -221,34 +236,19 @@ def cmd_table(args) -> int:
     table = load_cache(args.n)
     pending = [(lam, mu) for lam in classes for mu in classes if (lam, mu) not in table]
     for lam, mu in pending:
-        table[(lam, mu)] = quantum.qprod_constants(lam, mu, args.n)
+        table[(lam, mu)] = quantum_to_json(quantum.qprod_constants(lam, mu, args.n))
     if pending:
         save_cache(args.n, TABLE_ENGINE, table)
 
-    entries = []
-    for lam, mu in sorted(((l, m) for l in classes for m in classes), key=_record_order):
-        entries.append((lam, mu, quantum_to_json(table[(lam, mu)])))
-
+    names = {nu: partition_to_str(nu) for nu in classes}
+    entries = [(names[l], names[m], table[(l, m)]) for l, m in _record_pairs(args.n)]
     if args.format == "json":
-        payload = json.dumps(
-            {
-                "format": CACHE_FORMAT,
-                "ring": "quantum",
-                "n": args.n,
-                "engine": TABLE_ENGINE,
-                "entries": [
-                    {"lambda": partition_to_str(l), "mu": partition_to_str(m), "product": p}
-                    for l, m, p in entries
-                ],
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        payload = _render_json(args.n, entries)
     else:
         rows = ["lambda\tmu\tproduct"]
         for l, m, p in entries:
-            prod = ";".join(f"{k}={v}" for k, v in p.items())
-            rows.append(f"{partition_to_str(l)}\t{partition_to_str(m)}\t{prod}")
+            prod = ";".join(f"{k}={v}" for k, v in quantum_to_json(quantum_from_json(p)).items())
+            rows.append(f"{l}\t{m}\t{prod}")
         payload = "\n".join(rows) + "\n"
 
     if out_path:

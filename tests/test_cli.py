@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from lgschubert import cli, qtilde, suites, symplectic
 from lgschubert.cli import build_parser, code_fingerprint, main
+from lgschubert.partitions import all_strict_upto, partition_to_str
+from lgschubert.quantum import quantum_to_json
 from lgschubert.qtilde import VerificationError
 
 
@@ -309,6 +312,10 @@ class TestTable:
         ("1", "1", '{"2|0": 0}'),  # zero coefficient
         ("1", "1", '{"2|0": 2.5}'),  # not an integer
         ("1", "3", '{"3,1|0": 1}'),  # mu outside D_2
+        ("0", "1", '{"1|0": 1}'),  # "0" is not the partition_to_str form of ()
+        ("1", " 1", '{"2|0": 2}'),  # index string with a space
+        ("1", "1", '{"2|00": 2}'),  # q-degree with a leading zero
+        ("1", "1", '{"02|0": 2}'),  # part with a leading zero
     ])
     def test_poisoned_cache_record_ignored(self, tmp_path, monkeypatch, capsys, lam, mu, product):
         """One bad record voids the whole file: the plausible but wrong
@@ -327,6 +334,55 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert code == 0
         assert out == clean
+
+    def test_deeply_nested_cache_record_ignored(self, tmp_path, monkeypatch, capsys):
+        """A record nested past the JSON parser's recursion limit voids the
+        file like any other damage, rather than ending in an internal error."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
+        code, clean, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert code == 0
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "table-n2-constants.jsonl").write_text(
+            cache_header() + "[" * 200_000 + "]" * 200_000 + "\n")
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
+        code, out, err = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert (code, out, err) == (0, clean, "")
+
+    def test_json_layout_matches_json_dumps(self, tmp_path, monkeypatch, capsys):
+        """The JSON table is written without ``json.dumps``; on a cold and a
+        warm run it must equal that call on the same entries, computed here
+        and listed by |lambda|, |mu|, then descending lex."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))
+        for n in range(1, 5):
+            classes = all_strict_upto(n)
+            pairs = sorted(((l, m) for l in classes for m in classes),
+                           key=lambda p: (sum(p[0]), sum(p[1]), [-x for x in p[0]],
+                                          [-x for x in p[1]]))
+            entries = [{"lambda": partition_to_str(l), "mu": partition_to_str(m),
+                        "product": quantum_to_json(cli.ENGINES["constants"](l, m, n))}
+                       for l, m in pairs]
+            oracle = json.dumps({"format": 1, "ring": "quantum", "n": n, "engine": "constants",
+                                 "entries": entries}, sort_keys=True, indent=2) + "\n"
+            for _ in ("cold", "warm"):
+                code, out, _ = run(capsys, "table", "--n", str(n))
+                assert (code, out) == (0, oracle)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2ddcf88099450ff8936770a044305963e0561644f45aba6174c6fe0d54db735d")
+        code, tsv, _ = run(capsys, "table", "--n", "4", "--format", "tsv")
+        assert hashlib.sha256(tsv.encode()).hexdigest() == (
+            "a88d8fdb3fbfe86db26eb739074e8202e34b365c134e183f3946418881d3e0ca")
+
+    def test_json_layout_of_an_empty_product(self, tmp_path, monkeypatch, capsys):
+        """A cached product with no terms passes the record checks; it is
+        written as ``json.dumps`` writes an empty object."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
+        (tmp_path / "table-n2-constants.jsonl").write_text(
+            cache_header() + '{"lambda": "", "mu": "", "product": {}}\n')
+        code, out, _ = run(capsys, "table", "--n", "2")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert '"product": {}' in out
 
     @pytest.mark.parametrize("header", [
         cache_header(code="0" * 16),  # written by other code
