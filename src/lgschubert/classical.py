@@ -9,9 +9,9 @@ equal pair, hence dies; a part > n dies by truncation).
 
 from __future__ import annotations
 
-from .partitions import Partition, dual, in_d, pfaffian_terms, rho
+from .partitions import Partition, dual, in_d, pfaffian_terms, require_dn, rho
 from .polyring import add_into
-from .qtilde import structure_constants
+from .qtilde import stable_expansion
 
 CohClass = dict  # map Partition -> int
 
@@ -23,11 +23,7 @@ def reduce_to_lg(expansion: dict[Partition, int], n: int) -> CohClass:
 
 def classical_product(lam: Partition, mu: Partition, n: int) -> CohClass:
     """Product of two Schubert classes in H*(LG(n, 2n))."""
-    lam, mu = tuple(lam), tuple(mu)
-    for p in (lam, mu):
-        if not in_d(p, n):
-            raise ValueError(f"{p} does not index a Schubert class for n={n}")
-    return reduce_to_lg(structure_constants(lam, mu), n)
+    return reduce_to_lg(stable_expansion(require_dn(lam, n), require_dn(mu, n)), n)
 
 
 def class_product(x: CohClass, y: CohClass, n: int) -> CohClass:

@@ -6,7 +6,8 @@ denote the empty partition.  Exit codes: 0 success, 1 verification failure,
 2 usage error (an OSError, such as an unwritable ``--out``, included), 3
 internal error (any other exception, reported on stderr).
 The table cache header carries ``code_fingerprint()``, so a cache written by
-other code is never served.
+other code is never served; a cache that cannot be read is recomputed, and
+one that cannot be written is reported on stderr without failing ``table``.
 """
 
 from __future__ import annotations
@@ -107,17 +108,10 @@ def cmd_verify(args) -> int:
             if k in ("n", "m", "wmax", "pmax", "sample", "seed") and v is not None
         },
         "pass": not failures,
-        "failures": [_jsonable(f) for f in failures],
+        "failures": failures,
     }
     print(json.dumps(report, indent=2))
     return 0 if not failures else 1
-
-
-def _jsonable(record):
-    out = {}
-    for k, v in record.items():
-        out[k] = list(v) if isinstance(v, tuple) else v
-    return out
 
 
 def cache_dir() -> Path:
@@ -149,12 +143,10 @@ def load_cache(n: int) -> dict:
     and mu are index strings of D_n in ``partition_to_str`` form, and each
     product term "nu|d" has nu in that form, 0 <= d <= len(mu),
     |lam| + |mu| = |nu| + d(n+1), and a positive integer coefficient; both
-    are lookups in maps built once per call."""
-    path = _cache_path(n, TABLE_ENGINE)
-    if not path.exists():
-        return {}
+    are lookups in maps built once per call.  A cache that cannot be read
+    (missing, or a directory in its place) is no cache."""
     try:
-        header, *lines = path.read_text().splitlines()
+        header, *lines = _cache_path(n, TABLE_ENGINE).read_text().splitlines()
         if json.loads(header) != _cache_header(n):
             return {}
         records = json.loads("[" + ",".join(lines) + "]")
@@ -171,7 +163,7 @@ def load_cache(n: int) -> dict:
                     return {}
             out[(lam, mu)] = product
         return out
-    except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return {}
 
 
@@ -224,7 +216,8 @@ def _render_json(n: int, entries) -> str:
 def cmd_table(args) -> int:
     """Print every product of D_n x D_n, in ``_record_pairs`` order.  Cells
     come from ``load_cache`` as stored; missing ones are computed, turned
-    once into ``quantum_to_json`` form and saved.  JSON is written by
+    once into ``quantum_to_json`` form and saved; a cache that cannot be
+    written costs a warning on stderr, not the table.  JSON is written by
     ``_render_json``, whose layout the tests fix; TSV lists each product's
     terms in ``quantum_to_json`` order, by q-degree and then index."""
     out_path = Path(args.out) if args.out else None
@@ -235,10 +228,14 @@ def cmd_table(args) -> int:
     classes = all_strict_upto(args.n)
     table = load_cache(args.n)
     pending = [(lam, mu) for lam in classes for mu in classes if (lam, mu) not in table]
+    engine = ENGINES[TABLE_ENGINE]
     for lam, mu in pending:
-        table[(lam, mu)] = quantum_to_json(quantum.qprod_constants(lam, mu, args.n))
+        table[(lam, mu)] = quantum_to_json(engine(lam, mu, args.n))
     if pending:
-        save_cache(args.n, TABLE_ENGINE, table)
+        try:
+            save_cache(args.n, TABLE_ENGINE, table)
+        except OSError as exc:
+            print(f"warning: table cache not saved: {exc}", file=sys.stderr)
 
     names = {nu: partition_to_str(nu) for nu in classes}
     entries = [(names[l], names[m], table[(l, m)]) for l, m in _record_pairs(args.n)]

@@ -38,6 +38,15 @@ def in_d(lam: Partition, n: int) -> bool:
     return is_strict(lam) and (not lam or lam[0] <= n)
 
 
+def require_dn(lam: Iterable[int], n: int) -> Partition:
+    """lam as a tuple, if it indexes a Schubert class of LG(n, 2n), that is,
+    lies in D_n; ValueError otherwise."""
+    lam = tuple(lam)
+    if not in_d(lam, n):
+        raise ValueError(f"{lam} does not index a Schubert class for n={n}")
+    return lam
+
+
 def rho(n: int) -> Partition:
     """The staircase partition (n, n-1, ..., 1)."""
     return tuple(range(n, 0, -1))
@@ -67,17 +76,13 @@ def straighten(seq: Iterable[int]) -> tuple[int, Partition]:
 
 def dual(lam: Partition, n: int) -> Partition:
     """The complementary partition rho_n minus lam (Poincare dual index)."""
-    if not in_d(lam, n):
-        raise ValueError(f"{lam} is not a strict partition with parts <= {n}")
-    present = set(lam)
+    present = set(require_dn(lam, n))
     return tuple(x for x in range(n, 0, -1) if x not in present)
 
 
 def star(lam: Partition, n: int) -> Partition:
     """The reflected partition (n+1-lam_r, ..., n+1-lam_1)."""
-    if not in_d(lam, n):
-        raise ValueError(f"{lam} is not a strict partition with parts <= {n}")
-    return tuple(n + 1 - x for x in reversed(lam))
+    return tuple(n + 1 - x for x in reversed(require_dn(lam, n)))
 
 
 def prepend(a: int, d: int, nu: Partition) -> Partition:

@@ -28,6 +28,13 @@ from operator import add
 XPANSION_VAR_LIMIT = 8
 
 
+def check_var_limit(m: int) -> None:
+    """Reject variable counts above XPANSION_VAR_LIMIT, the bound of the
+    x-expansion and of every check built on it."""
+    if m > XPANSION_VAR_LIMIT:
+        raise ValueError(f"guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
+
+
 def _e_mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(a + b, reverse=True))
 
@@ -310,8 +317,7 @@ def dominant_expansion(p: EPoly) -> dict[tuple[int, ...], int]:
     """
     if p.m is None:
         raise ValueError("expansion requires a finite variable count")
-    if p.m > XPANSION_VAR_LIMIT:
-        raise ValueError(f"x-expansion guarded to m <= {XPANSION_VAR_LIMIT}, got {p.m}")
+    check_var_limit(p.m)
     return _horner(p.terms, p.m)
 
 

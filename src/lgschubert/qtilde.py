@@ -28,8 +28,8 @@ from .partitions import (
     pfaffian_terms,
     straighten,
 )
-from .polyring import (XPANSION_VAR_LIMIT, EPoly, XPoly, add_into, dominant_expansion,
-                       elementary_xpoly, epoly_to_xpoly, mul_into, spread_tails)
+from .polyring import (XPANSION_VAR_LIMIT, EPoly, XPoly, add_into, dominant_expansion, mul_into,
+                       spread_tails)
 
 
 class VerificationError(Exception):
@@ -185,18 +185,14 @@ def qtilde_x(lam: Partition, m: int) -> XPoly:
     return spread_tails(m, qtilde_dominant(lam, m))
 
 
-def _elementary_of_squares(i: int, m: int) -> XPoly:
-    base = elementary_xpoly(i, m)
-    return XPoly(m, {tuple(2 * e for e in mono): c for mono, c in base.terms.items()})
-
-
 def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
     """Run the defining-property checks over all partitions of weight <= wmax.
 
     (a) vanishing when the top part exceeds m; (b) basis expansion
     round-trips; (c) equal-pair elements expand to elementary symmetric
     polynomials of squared variables (x-expansion leg, for m within the
-    expansion guard XPANSION_VAR_LIMIT only);
+    expansion guard XPANSION_VAR_LIMIT only), compared on dominant exponent
+    vectors, where e_i(x_1^2, ..., x_m^2) is the single vector (2^i, 0^(m-i));
     (d) multiplying by the top-degree generator prepends a part m;
     (e) equal pairs split off multiplicatively, the merged element taken by
     one Pfaffian step rather than from basis, which splits it.  Returns
@@ -213,8 +209,7 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
                 failures.append({"check": "b", "lam": lam, "m": m})
     if m <= XPANSION_VAR_LIMIT:
         for i in range(1, min(m, wmax // 2) + 1):
-            got = epoly_to_xpoly(basis((i, i), m))
-            if got != _elementary_of_squares(i, m):
+            if qtilde_dominant((i, i), m) != {(2,) * i + (0,) * (m - i): 1}:
                 failures.append({"check": "c", "i": i, "m": m})
     for w in range(max(0, wmax - m) + 1):
         for lam in enumerate_partitions(w, m):

@@ -34,6 +34,7 @@ from .partitions import (
     is_strict,
     pfaffian_terms,
     prepend,
+    require_dn,
     rho,
     shrink_strips,
     star,
@@ -42,13 +43,6 @@ from .polyring import add_into
 from .qtilde import VerificationError, basis, expand_in_basis, f_constant, stable_expansion
 
 QuantumClass = dict  # map (Partition, d) -> int
-
-
-def _require_dn(lam: Partition, n: int) -> Partition:
-    lam = tuple(lam)
-    if not in_d(lam, n):
-        raise ValueError(f"{lam} does not index a Schubert class for n={n}")
-    return lam
 
 
 def _read_quantum(expansion: dict[Partition, int], n: int) -> QuantumClass:
@@ -76,13 +70,13 @@ def _read_quantum(expansion: dict[Partition, int], n: int) -> QuantumClass:
 
 def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     """Quantum product read off the stable structure constants (route C)."""
-    return _read_quantum(stable_expansion(_require_dn(lam, n), _require_dn(mu, n)), n)
+    return _read_quantum(stable_expansion(require_dn(lam, n), require_dn(mu, n)), n)
 
 
 def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     """Quantum product read off the expansion of the product in n + 1
     variables (route A)."""
-    lam, mu = _require_dn(lam, n), _require_dn(mu, n)
+    lam, mu = require_dn(lam, n), require_dn(mu, n)
     return _read_quantum(expand_in_basis(basis(lam, n + 1) * basis(mu, n + 1)), n)
 
 
@@ -119,7 +113,7 @@ def giambelli_special(mu: Partition, n: int) -> dict:
     (-1)^(n+1-i) q sigma_{i+j-n-1} when mu = (i, j) has i + j > n (the
     quantum two-condition Giambelli formula).  The result is shared by
     every caller and must not be mutated."""
-    mu = _require_dn(tuple(mu), n)
+    mu = require_dn(mu, n)
     if len(mu) > 2:
         raise ValueError(f"{mu} has more than two rows")
     terms = {(mono, 0): c for mono, c in basis(mu, n).terms.items()}
@@ -135,7 +129,7 @@ def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     sign * sigma_pair (sigma_rest sigma_lam) over ``pfaffian_terms(mu)``
     down to the unit class, each pair folding the Pieri rule over its
     ``giambelli_special`` monomials, each rest formed once per call."""
-    lam, mu = _require_dn(lam, n), _require_dn(mu, n)
+    lam, mu = require_dn(lam, n), require_dn(mu, n)
     if len(mu) > len(lam):  # the product commutes: expand the shorter factor
         lam, mu = mu, lam
     memo: dict[Partition, QuantumClass] = {(): {(lam, 0): 1}}
@@ -159,7 +153,7 @@ def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:
     """Three-point genus-zero invariant of degree d: zero unless the weights
     sum to n(n+1)/2 + d(n+1), else the coefficient of (dual(nu), d) in the
     quantum product of the first two classes."""
-    lam, mu, nu = (_require_dn(p, n) for p in (lam, mu, nu))
+    lam, mu, nu = (require_dn(p, n) for p in (lam, mu, nu))
     if d < 0 or sum(lam) + sum(mu) + sum(nu) != n * (n + 1) // 2 + d * (n + 1):
         return 0
     return qprod_constants(lam, mu, n).get((dual(nu, n), d), 0)
@@ -193,12 +187,12 @@ def eightfold_check(lam: Partition, mu: Partition, nu: Partition, d: int, n: int
     """Check the two-to-the-power scaling between the degree-d invariant of
     (lam, mu, nu) and the degree-(len(lam)-d) invariant of the starred and
     dualized triple; for d beyond len(lam) the invariant must vanish."""
-    lam, mu, nu = (_require_dn(p, n) for p in (lam, mu, nu))
+    lam, mu, nu = (require_dn(p, n) for p in (lam, mu, nu))
     if d > len(lam):
         return gw(lam, mu, nu, d, n) == 0
     e = len(lam) - d
     lhs = (1 << (n + d)) * gw(lam, mu, nu, d, n)
-    rhs = (1 << (len(mu) + len(nu) + e)) * gw(star(lam, n) if lam else (), dual(mu, n), dual(nu, n), e, n)
+    rhs = (1 << (len(mu) + len(nu) + e)) * gw(star(lam, n), dual(mu, n), dual(nu, n), e, n)
     return lhs == rhs
 
 
@@ -206,7 +200,7 @@ def rho_product(lam: Partition, n: int) -> QuantumClass:
     """Product with the point-adjacent class of the full staircase:
     a single term, the starred dual of lam in q-degree len(lam).  The closed
     form is asserted against the structure-constant engine."""
-    lam = _require_dn(lam, n)
+    lam = require_dn(lam, n)
     expected: QuantumClass = {(star(dual(lam, n), n), len(lam)): 1}
     actual = qprod_constants(lam, rho(n), n)
     if actual != expected:
@@ -248,7 +242,7 @@ def qlr_check(lam: Partition, mu: Partition, n: int) -> bool:
     second factor with two or three rows: classical constants in degree 0,
     halved prepended constants in degree 1, and rescaled constants of the
     starred factor in the top degrees."""
-    lam, mu = _require_dn(lam, n), _require_dn(mu, n)
+    lam, mu = require_dn(lam, n), require_dn(mu, n)
     if len(mu) not in (2, 3):
         raise ValueError("second factor must have two or three rows")
     w0 = sum(lam) + sum(mu)
@@ -278,7 +272,7 @@ def fform_check(lam: Partition, mu: Partition, n: int) -> bool:
     constants: every degree-d coefficient equals the f-constant of
     (nu, mu-star; ((n+1)^e, lam)) with d + e = len(mu), and for a two-row mu
     the degree-one constants match the starred classical identity."""
-    lam, mu = _require_dn(lam, n), _require_dn(mu, n)
+    lam, mu = require_dn(lam, n), require_dn(mu, n)
     if not mu:
         raise ValueError("second factor must be nonempty")
     actual = qprod_constants(lam, mu, n)

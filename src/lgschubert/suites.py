@@ -13,7 +13,7 @@ import random
 
 from . import classical, quantum
 from .partitions import all_strict_upto, dual, enumerate_partitions
-from .polyring import EPoly
+from .polyring import EPoly, check_var_limit
 from .qtilde import (
     VerificationError,
     basis,
@@ -23,7 +23,6 @@ from .qtilde import (
     verify_qtilde_properties,
 )
 from .symplectic import (
-    check_var_limit,
     dawson,
     verify_cprime_expansion,
     verify_extension_formula,

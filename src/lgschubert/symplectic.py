@@ -30,16 +30,9 @@ from math import comb
 from operator import add
 
 from .partitions import Partition, is_partition, is_strict, pfaffian_terms, straighten
-from .polyring import (XPANSION_VAR_LIMIT, XPoly, add_into, ddiff0, ddiff1prime, free_heads,
+from .polyring import (XPoly, add_into, check_var_limit, ddiff0, ddiff1prime, free_heads,
                        mul_into, spread_tails)
 from .qtilde import qtilde_dominant
-
-
-def check_var_limit(m: int) -> None:
-    """Reject variable counts above XPANSION_VAR_LIMIT, the bound of every
-    check here."""
-    if m > XPANSION_VAR_LIMIT:
-        raise ValueError(f"guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
 
 
 def _heads(lam: Partition, m: int, s: int) -> XPoly:

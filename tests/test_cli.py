@@ -3,11 +3,75 @@ import json
 
 import pytest
 
-from lgschubert import cli, qtilde, suites, symplectic
+from lgschubert import cli, qtilde, quantum, suites, symplectic
 from lgschubert.cli import build_parser, code_fingerprint, main
 from lgschubert.partitions import all_strict_upto, partition_to_str
 from lgschubert.quantum import quantum_to_json
 from lgschubert.qtilde import VerificationError
+
+# sha256 of the report of ``verify <suite>`` at the command-line defaults
+PASSING_REPORT_SHA256 = {
+    "cprime-expansion": "fdf0453636374e07e2ab0060317f99409ac6f67d35b060a75fd6e6885ed26531",
+    "dawson": "6bca37d93d5cc76619759ea3bb6a9038a97698879648a25b2697bfc9b7e49277",
+    "duality": "43adb71c07f0d05a63c78c53ddb5d9bb4f7c55caaef62093f8641e85f209d449",
+    "eightfold": "a309265ba3b252a72462bc5c33c7898f52717d68fed558aa157a81e8974cedaf",
+    "engines-agree": "5df0bd8dd27ab6251019986a57236fab8cf2e7340401520621fb46e5eabad086",
+    "extension": "57a1470b92fdfc2c0b257f6972e213fcdd9611a80b1d969517be54faaf8c6601",
+    "fform": "b8c077954b5ab30a9fbca625f0f8efc7530ae9104548a3768952b22951d9fdf4",
+    "giambelli-classical": "c5175a4a063497f965f4f7e4ca570e3428ab585926a034f335360f3753c32d2e",
+    "lem2": "fd4ff3e370f9d5b960f7e9c46a7e62b281c94c2d14843a0cbd8df8e140082a97",
+    "lines": "fa9249536ea5bb20ae03fa356eab678dedc5bace248b9edaaf190c20a593007f",
+    "pfaffian-double-prime": "abef3c27f48b077a1a903f1b66aa3c7b050ac1bf3356d4f7f549af0ec78c3851",
+    "pfaffian-prime": "926efed2eaa009c71d4fad40b0673f28ae48ab6e8c4a7f382c8ad0c2cea18740",
+    "pieri-oracle": "fe921c3166d49fdc69b27c9729d77da96bc03f1d16038876a48ced161f8553ea",
+    "qlr": "46b70d2cfbfacc634aff10f4c3abf86a75df066cdf5c1ad7b803fe9095b358ec",
+    "qtilde-properties": "c1f4f1155936dd509887939e5f46ae3d66a881b8a5366718ea98c2c8cc32cde3",
+    "relations": "40ef8808126075cfd0036c7918f5c7aa7e81082b06bab20a0e6038b8f489845f",
+    "rho": "78d1eb76adfa0736a2e5d220fbc8cbd4e5b360f9f1e75c808e2f5549c40dc146",
+    "sigma-ij": "f7aa0345bdbd1312432fe70673d660035b886279a848d368e417f5b8cf09a5bc",
+    "stembridge": "0490bdccc5f5aebbd58c784de61c516567a26953417092cbb40f361c7570a1ae",
+    "vanishing": "88312771b18d1c5875521a431111867a32b945121719a2e5329b4d7610229cd8",
+}
+
+FAILING_EIGHTFOLD_REPORT = """\
+{
+  "suite": "eightfold",
+  "params": {
+    "n": 1,
+    "m": 5,
+    "pmax": 12,
+    "seed": 20030503
+  },
+  "pass": false,
+  "failures": [
+    {
+      "suite": "eightfold",
+      "lam": [],
+      "mu": [],
+      "nu": [
+        1
+      ],
+      "d": 0,
+      "n": 1,
+      "error": "forced"
+    },
+    {
+      "suite": "eightfold",
+      "lam": [
+        1
+      ],
+      "mu": [
+        1
+      ],
+      "nu": [
+        1
+      ],
+      "d": 1,
+      "n": 1
+    }
+  ]
+}
+"""
 
 
 def run(capsys, *argv):
@@ -236,6 +300,29 @@ class TestVerify:
         assert err == "error: guarded to m <= 8, got 9\n"
         assert qtilde.qtilde_dominant.cache_info().currsize == 0
 
+    def test_failing_report_bytes(self, capsys, monkeypatch):
+        """A failing report writes tuple witnesses as JSON lists, an error
+        record included; the bytes are pinned."""
+        def check(lam, mu, nu, d, n):
+            if lam == mu == nu == (1,):
+                return False
+            if not lam and not mu:
+                raise VerificationError("forced")
+            return True
+
+        monkeypatch.setattr(quantum, "eightfold_check", check)
+        code, out, _ = run(capsys, "verify", "eightfold", "--n", "1")
+        assert code == 1
+        assert out == FAILING_EIGHTFOLD_REPORT
+
+    @pytest.mark.parametrize("suite", sorted(PASSING_REPORT_SHA256))
+    def test_passing_report_bytes(self, capsys, suite):
+        """Every suite's report at the command-line defaults, pinned by
+        digest."""
+        code, out, _ = run(capsys, "verify", suite)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PASSING_REPORT_SHA256[suite]
+
     def test_seed_defaults_to_sample_seed(self):
         args = build_parser().parse_args(["verify", "engines-agree"])
         assert args.seed == suites.DEFAULT_SAMPLE_SEED
@@ -427,6 +514,25 @@ class TestTable:
         assert not out.exists()
         # the path is checked before any cell is computed or cached
         assert list((tmp_path / "cache").glob("table-*")) == []
+
+    @pytest.mark.parametrize("blocked", ["dir", "file"])
+    def test_unusable_cache_only_warns(self, tmp_path, monkeypatch, capsys, blocked):
+        """The cache is an optimisation: a regular file where its directory
+        goes, or a directory where its file goes, leaves stdout as a clean
+        run prints it, with one warning on stderr."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
+        code, clean, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
+        assert code == 0
+        cache_dir = tmp_path / "cache"
+        if blocked == "dir":
+            cache_dir.write_text("")
+        else:
+            (cache_dir / "table-n2-constants.jsonl").mkdir(parents=True)
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
+        for _ in range(2):
+            code, out, err = run(capsys, "table", "--n", "2", "--format", "tsv")
+            assert (code, out) == (0, clean)
+            assert err.startswith("warning: table cache not saved: ") and err.count("\n") == 1
 
     def test_tsv_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))

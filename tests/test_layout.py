@@ -2,8 +2,8 @@
 private names, each submodule is importable under its own name (``__main__``
 without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
-function the benchmark reports by name still exists, and one constant
-bounds the x-expansion variables."""
+function the benchmark reports by name still exists, one constant bounds
+the x-expansion variables, and each input rule is raised from one guard."""
 
 import ast
 import importlib
@@ -122,3 +122,25 @@ def test_one_variable_limit():
              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
              if isinstance(target, ast.Name) and target.id.endswith("VAR_LIMIT")]
     assert found == ["polyring.XPANSION_VAR_LIMIT"]
+
+
+def _raises_carrying(phrase: str) -> list[str]:
+    """The ``raise`` statements of the package whose message text, in a
+    plain string or the literal parts of an f-string, contains phrase."""
+    return [f"{path.stem} line {node.lineno}" for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Raise)
+            if any(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                   and phrase in sub.value for sub in ast.walk(node))]
+
+
+def test_one_guard_per_rule():
+    """The D_n rule and the variable limit are each raised from one place,
+    by one function defined once, so copies of either guard cannot come
+    back."""
+    for phrase in ("does not index a Schubert class", "guarded to m <="):
+        found = _raises_carrying(phrase)
+        assert len(found) == 1, found
+    defined = [f"{path.stem}.{node.name}" for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name in ("check_var_limit", "require_dn")]
+    assert sorted(defined) == ["partitions.require_dn", "polyring.check_var_limit"]

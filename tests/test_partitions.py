@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from lgschubert.partitions import (
     partition_to_str,
     pfaffian_terms,
     prepend,
+    require_dn,
     rho,
     shrink_strips,
     star,
@@ -79,10 +81,18 @@ class TestDualStar:
             assert in_d(s, n)
 
     def test_rejects_non_dn(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\(3,\) does not index a Schubert class for n=2$"):
             dual((3,), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\(2, 2\) does not index a Schubert class for n=3$"):
             star((2, 2), 3)
+
+    def test_require_dn(self):
+        assert require_dn([3, 1], 3) == (3, 1)
+        assert require_dn((), 1) == ()
+        for lam in ((4,), (2, 2), [2, 2]):
+            message = f"{tuple(lam)} does not index a Schubert class for n=3"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                require_dn(lam, 3)
 
 
 class TestPrepend:

@@ -9,6 +9,7 @@ from lgschubert.polyring import (
     XPoly,
     _e_times_m,
     _orbit,
+    check_var_limit,
     ddiff0,
     ddiff1prime,
     dominant_expansion,
@@ -18,7 +19,7 @@ from lgschubert.polyring import (
     spread_tails,
     swap_vars,
 )
-from lgschubert.qtilde import basis
+from lgschubert.qtilde import basis, qtilde_x
 
 M = 3
 
@@ -136,10 +137,14 @@ class TestExpansion:
         assert epoly_to_xpoly(p) == xmono(2, m=2) + xmono(0, 2, m=2)
 
     def test_guard(self):
-        for expand in (epoly_to_xpoly, dominant_expansion):
-            with pytest.raises(ValueError, match="guarded to m <= 8, got 9"):
+        """One guard, ``check_var_limit``, bounds every x-expansion."""
+        for expand in (epoly_to_xpoly, dominant_expansion, lambda p: qtilde_x((1,), p.m)):
+            with pytest.raises(ValueError, match="^guarded to m <= 8, got 9$"):
                 expand(EPoly.gen(1, 9))
             assert expand(EPoly.gen(1, 8))
+        check_var_limit(8)
+        with pytest.raises(ValueError, match="^guarded to m <= 8, got 9$"):
+            check_var_limit(9)
 
     @given(epolys(m=3, max_terms=3), epolys(m=3, max_terms=3))
     @settings(max_examples=50)

@@ -4,7 +4,7 @@ import pytest
 
 from lgschubert import qtilde as qtilde_module
 from lgschubert.partitions import enumerate_partitions, is_strict, pfaffian_terms
-from lgschubert.polyring import EPoly, epoly_to_xpoly, swap_vars
+from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, epoly_to_xpoly, swap_vars
 from lgschubert.qtilde import (
     basis,
     expand_in_basis,
@@ -315,6 +315,26 @@ class TestVerifiers:
             monkeypatch.undo()
             real.cache_clear()
         assert {"check": "e", "lam": (2, 1, 1, 1), "i": 1, "m": 3} in failures
+
+    def test_property_c_single_vector_is_the_full_map(self):
+        """Check (c) compares the dominant map of basis((i, i), m) with the
+        single vector (2^i, 0^(m-i)); spread over every ordering that is
+        e_i(x_1^2, ..., x_m^2), built here from the elementary oracle."""
+        for m in range(1, 6):
+            for i in range(1, m + 1):
+                squares = XPoly(m, {tuple(2 * e for e in mono): c
+                                    for mono, c in elementary_xpoly(i, m).terms.items()})
+                assert epoly_to_xpoly(basis((i, i), m)) == squares
+
+    def test_property_c_catches_a_wrong_expansion(self, monkeypatch):
+        real = qtilde_module.qtilde_dominant
+
+        def wrong(lam, m):
+            return {**real(lam, m), (1,) * m: 1} if lam == (1, 1) else real(lam, m)
+
+        monkeypatch.setattr(qtilde_module, "qtilde_dominant", wrong)
+        failures = verify_qtilde_properties(3, 8)
+        assert [f for f in failures if f["check"] == "c"] == [{"check": "c", "i": 1, "m": 3}]
 
     def test_property_a_single_case(self):
         assert qtilde((3,), 2) == EPoly.zero(2)
