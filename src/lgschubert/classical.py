@@ -57,9 +57,9 @@ def poincare_pairing(lam: Partition, mu: Partition, n: int) -> int:
 def giambelli_check(lam: Partition, n: int) -> bool:
     """Check the Pfaffian expansion of a Schubert class into two-condition
     classes inside H*(LG(n, 2n)), for len(lam) >= 3."""
-    lam = tuple(lam)
-    if not in_d(lam, n) or len(lam) < 3:
-        raise ValueError(f"{lam} must be in D_{n} with length >= 3")
+    lam = require_dn(lam, n)
+    if len(lam) < 3:
+        raise ValueError(f"{lam} must have length >= 3")
     acc: CohClass = {}
     for sign, pair, rest in pfaffian_terms(lam):
         add_into(acc, classical_product(pair, rest, n).items(), sign)

@@ -186,8 +186,12 @@ def save_cache(n: int, engine: str, table: dict) -> None:
                   "product": table[(lam, mu)]}
         lines.append(json.dumps(record, sort_keys=True))
     tmp = path.with_suffix(".tmp")
-    tmp.write_text("\n".join(lines) + "\n")
-    tmp.replace(path)
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _record_pairs(n: int) -> list:

@@ -17,6 +17,7 @@ the bounds.
 from __future__ import annotations
 
 from functools import cache
+from operator import gt
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -40,9 +41,11 @@ def in_d(lam: Partition, n: int) -> bool:
 
 def require_dn(lam: Iterable[int], n: int) -> Partition:
     """lam as a tuple, if it indexes a Schubert class of LG(n, 2n), that is,
-    lies in D_n; ValueError otherwise."""
+    lies in D_n: its parts strictly decrease from at most n to at least 1.
+    ValueError otherwise, for unsorted, repeated, zero and negative parts
+    alike."""
     lam = tuple(lam)
-    if not in_d(lam, n):
+    if lam and not (lam[0] <= n and lam[-1] > 0 and all(map(gt, lam, lam[1:]))):
         raise ValueError(f"{lam} does not index a Schubert class for n={n}")
     return lam
 

@@ -10,12 +10,13 @@ tuple is 1); x-monomials are exponent tuples of fixed length m.  The
 x-expansion of an EPoly in m variables lies in x_1, ..., x_m; a caller that
 needs it on other variables moves its exponents itself.  That expansion is
 symmetric, so it is computed on its dominant exponent vectors (weakly
-decreasing ones) in the monomial symmetric basis, and every other
-x-monomial is a permutation of one of them.  A polynomial symmetric in its
-trailing variables x_{s+1}, ..., x_m is likewise fixed by its terms whose
-tail after the first s exponents is weakly decreasing: ``free_heads`` reads
-those off the dominant vectors of a symmetric polynomial, and
-``spread_tails`` spreads them back over every ordering of the tail.
+decreasing ones) in the monomial symmetric basis, and ``spread_tails``
+spreads each of them over its distinct permutations.  ``peel`` writes an
+EPoly in m variables in x_1, ..., x_s and the elementary symmetric functions
+e'_1, ..., e'_{m-s} of x_{s+1}, ..., x_m instead, through
+e_i = sum over T in {1..s} of x^T e'_{i-|T|}: the e'_j are algebraically
+independent, so this form is exact and expands nothing in the trailing
+variables.  Both expansions run one Horner scheme.
 """
 
 from __future__ import annotations
@@ -285,23 +286,23 @@ def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
                  for tail in _orbit(alpha[:j] + alpha[j + 1:]))
 
 
-def _horner(terms: dict, m: int) -> dict[tuple[int, ...], int]:
-    """The x-expansion of the e-polynomial ``terms`` in m variables, on its
-    dominant exponent vectors, by a Horner scheme: c_0 + sum_i e_i * p_i,
-    where p_i holds the terms led by generator i with that i removed and is
-    expanded the same way, so monomials with a common leading part share one
-    multiplication by it.  The result maps each dominant alpha to the
-    coefficient of m_alpha, which is the coefficient of x^alpha."""
+def _horner(terms: dict, one: tuple[int, ...], times_e) -> dict[tuple[int, ...], int]:
+    """The e-polynomial ``terms`` rewritten by a Horner scheme:
+    c_0 * one + sum_i e_i * p_i, where p_i holds the terms led by generator
+    i with that i removed and is rewritten the same way, so monomials with a
+    common leading part share one multiplication by it.  ``one`` is the key
+    of 1, and ``times_e(i, key)`` gives the pairs (key', c) of e_i times the
+    monomial ``key``."""
     out: dict[tuple[int, ...], int] = {}
     led: dict[int, dict] = {}
     for mono, c in terms.items():
         if mono:
             led.setdefault(mono[0], {})[mono[1:]] = c
         else:
-            out[(0,) * m] = c
+            out[one] = c
     for i, tail in led.items():
-        for beta, c in _horner(tail, m).items():
-            add_into(out, _e_times_m(i, beta), c)
+        for key, c in _horner(tail, one, times_e).items():
+            add_into(out, times_e(i, key), c)
     return out
 
 
@@ -310,34 +311,49 @@ def dominant_expansion(p: EPoly) -> dict[tuple[int, ...], int]:
     exponent vectors: each weakly decreasing alpha mapped to the coefficient
     of x^alpha, which is that of every permutation of alpha.
 
-    Guarded to m <= XPANSION_VAR_LIMIT expansion variables.  The expansion
-    is a Horner scheme over the leading generator of each e-monomial that
-    carries each partial result only on its dominant exponent vectors,
-    multiplying by e_i with the monomial symmetric rule of ``_e_times_m``.
+    Guarded to m <= XPANSION_VAR_LIMIT expansion variables.  The Horner
+    scheme carries each partial result on its dominant exponent vectors
+    (the coefficient of x^alpha is that of m_alpha) and multiplies by e_i
+    with the rule of ``_e_times_m``.
     """
     if p.m is None:
         raise ValueError("expansion requires a finite variable count")
     check_var_limit(p.m)
-    return _horner(p.terms, p.m)
+    return _horner(p.terms, (0,) * p.m, _e_times_m)
 
 
-def free_heads(terms: dict, s: int) -> dict[tuple[int, ...], int]:
-    """The terms of a symmetric polynomial, given on its dominant exponent
-    vectors by ``terms``, whose exponents after the first s are weakly
-    decreasing: s free head exponents and a dominant tail.  Each step moves
-    one distinct value of the dominant tail to the head; removing one copy
-    of a value leaves the tail weakly decreasing."""
-    for h in range(s):
-        terms = {e[:h] + (v,) + e[h:h + j] + e[h + j + 1:]: c for e, c in terms.items()
-                 for j, v in enumerate(e[h:]) if not j or v != e[h + j - 1]}
-    return terms
+def peel(p: EPoly, s: int) -> XPoly:
+    """An EPoly in m variables as an XPoly in x_1..x_s followed by
+    e'_1..e'_{m-s}, the elementary symmetric functions of x_{s+1}..x_m:
+    exponent h < s is that of x_{h+1}, exponent s + j - 1 that of e'_j.
+
+    e_i is the sum over subsets T of {1..s} with i - m + s <= |T| <= i of
+    x^T e'_{i-|T|}, and the e'_j are algebraically independent, so two
+    polynomials are equal exactly when their peeled forms are.  A divided
+    difference in x_1..x_s acts on the first s exponents alone.
+    """
+    m = p.m
+    if m is None or not 0 <= s <= m:
+        raise ValueError(f"cannot peel {s} of {m} variables")
+    steps = _peel_steps(m, s)
+    return XPoly(m, _horner(p.terms, (0,) * m,
+                            lambda i, key: [(_x_mono_mul(key, d), 1) for d in steps.get(i, ())]))
 
 
-def spread_tails(m: int, terms: dict, s: int = 0) -> XPoly:
-    """The XPoly in x_1..x_m symmetric in x_{s+1}..x_m whose terms with a
-    weakly decreasing tail after the first s exponents are ``terms``: each
-    tail spread over its distinct permutations."""
-    return XPoly(m, {e[:s] + tail: c for e, c in terms.items() for tail in _orbit(e[s:])})
+@cache
+def _peel_steps(m: int, s: int) -> dict[int, list[tuple[int, ...]]]:
+    """For each 1 <= i <= m, the exponent vectors of the monomials
+    x^T e'_{i-|T|} of e_i peeled at s."""
+    return {i: [t + tuple(int(j == i - r) for j in range(1, m - s + 1))
+                for r in range(s + 1) if 0 <= i - r <= m - s
+                for t in elementary_xpoly(r, s).terms]
+            for i in range(1, m + 1)}
+
+
+def spread_tails(m: int, terms: dict) -> XPoly:
+    """The symmetric XPoly in x_1..x_m whose dominant exponent vectors
+    carry ``terms``: each vector spread over its distinct permutations."""
+    return XPoly(m, {alpha: c for e, c in terms.items() for alpha in _orbit(e)})
 
 
 def epoly_to_xpoly(p: EPoly) -> XPoly:

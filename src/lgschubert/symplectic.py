@@ -1,23 +1,22 @@
 """Identities of the x-expansions of the basis elements: the peeling checks
 and the divided-difference images with their Pfaffian identities.
 
-The three peeling checks (the one-variable extension formula, the c_prime
+Every side of every check is one polynomial in x_1..x_m in one exact form:
+the basis element peeled at s (``polyring.peel``), in x_1..x_s and the
+elementary symmetric functions e'_1..e'_{m-s} of x_{s+1}..x_m, which are
+algebraically independent, so two sides agree exactly when their term maps
+do.  c_prime applies the sign-change divided difference to the basis
+element peeled at 1; c_double_prime follows with the swap divided
+difference and the sign-change one again on the element peeled at 2.  The
+three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
 one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, straighten
-(once per lam and decrement counts), and add the basis element on the
-remaining variables, on its dominant exponent vectors, into the slice of
-the monomial in the peeled ones.  Each left side is read off the dominant
-vectors of the basis element on x_1..x_m as s free head exponents plus a
-weakly decreasing tail, the divided differences acting on the head alone,
-and is compared with those slices slice by slice.  Both sides are symmetric
-in the tail by construction, so agreement on dominant tails is equality of
-the full term maps.  c_prime applies the sign-change divided difference to
-the x-expansion of a basis element; c_double_prime follows with the swap
-divided difference and the sign-change one again.  Both families satisfy
-alternating Pfaffian-style relations, whose products multiply monomials
-packed into one integer each.  Every check is an exact integer equality in
-a fixed small number m <= XPANSION_VAR_LIMIT (8) of variables (each m gives
-an independent check, since the identities are polynomial in x_1..x_m for
+(once per lam and decrement counts), and add x^prefix times the basis
+element on the remaining variables, peeled at 0.  The Pfaffian-style
+vanishings of c_prime and c_double_prime are alternating sums of products
+of their peeled forms.  Every check is an exact integer equality in a fixed
+small number m <= XPANSION_VAR_LIMIT (8) of variables (each m gives an
+independent check, since the identities are polynomial in x_1..x_m for
 every m).
 """
 
@@ -25,51 +24,43 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import comb
-from operator import add
 
 from .partitions import Partition, is_partition, is_strict, pfaffian_terms, straighten
-from .polyring import (XPoly, add_into, check_var_limit, ddiff0, ddiff1prime, free_heads,
-                       mul_into, spread_tails)
-from .qtilde import qtilde_dominant
+from .polyring import XPoly, add_into, check_var_limit, ddiff0, ddiff1prime, peel
+from .qtilde import basis
 
 
-def _heads(lam: Partition, m: int, s: int) -> XPoly:
-    """The x-expansion of qtilde(lam) on x_1..x_m on its terms with s free
-    head exponents and a weakly decreasing tail."""
-    return XPoly(m, free_heads(qtilde_dominant(lam, m), s))
+@cache
+def _peeled(lam: Partition, m: int, s: int) -> XPoly:
+    """The basis element of lam in m variables peeled at s.  Memoized per
+    (lam, m, s); the result is shared by every caller and must not be
+    mutated."""
+    return peel(basis(lam, m), s)
 
 
-def _c_prime_heads(lam: Partition, m: int) -> XPoly:
-    """c_prime(lam) on its terms with a weakly decreasing tail after x_1."""
-    return ddiff0(_heads(lam, m, 1))
-
-
-def _c_double_prime_heads(lam: Partition, m: int) -> XPoly:
-    """c_double_prime(lam) on its terms with a weakly decreasing tail after
-    x_2."""
-    return ddiff0(ddiff1prime(ddiff0(_heads(lam, m, 2))))
-
-
-@lru_cache(maxsize=None)
+@cache
 def c_prime(lam: Partition, m: int) -> XPoly:
-    """First divided difference of the x-expansion of qtilde(lam)."""
+    """First divided difference of the basis element of lam in m variables,
+    peeled at 1: exponent 0 is that of x_1, exponent j that of e'_j."""
     lam = tuple(lam)
     if len(lam) < 1:
         raise ValueError("need a nonempty partition")
     check_var_limit(m)
-    return spread_tails(m, _c_prime_heads(lam, m).terms, 1)
+    return ddiff0(_peeled(lam, m, 1))
 
 
-@lru_cache(maxsize=None)
+@cache
 def c_double_prime(lam: Partition, m: int) -> XPoly:
-    """Triple divided difference of the x-expansion of qtilde(lam)."""
+    """Triple divided difference of the basis element of lam in m variables,
+    peeled at 2: exponents 0 and 1 are those of x_1 and x_2, exponent
+    j + 1 that of e'_j."""
     lam = tuple(lam)
     if len(lam) < 2:
         raise ValueError("need at least two parts")
     check_var_limit(m)
-    return spread_tails(m, _c_double_prime_heads(lam, m).terms, 2)
+    return ddiff0(ddiff1prime(ddiff0(_peeled(lam, m, 2))))
 
 
 def comb0(n: int, k: int) -> int:
@@ -101,30 +92,17 @@ def _peel_terms(lam: Partition, ones: int, twos: int) -> tuple[tuple[int, Partit
     return tuple((sign, nu) for nu, sign in out.items())
 
 
-def _peel_into(slices: dict, prefix: tuple[int, ...], lam: Partition, ones: int, twos: int,
+def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, twos: int,
                m: int, k: int = 1) -> None:
-    """Add into ``slices[prefix]``, for every sequence lam - delta with
+    """Add into the term map ``out``, for every sequence lam - delta with
     delta in {0,1,2}^len(lam) holding exactly ``ones`` ones and ``twos``
-    twos, k * sign times the basis element of the straightened sequence in
-    m - s variables, s = len(prefix), on its dominant exponent vectors;
-    sequences of sign 0 drop.  ``slices`` maps each peeled exponent vector
-    x^prefix on x_1..x_s to a term map on the weakly decreasing exponent
-    vectors of x_{s+1}..x_m, the factor that goes with it, and a slice
-    whose terms cancel stays behind empty."""
-    out = slices.setdefault(prefix, {})
+    twos, k * sign times x^prefix times the basis element of the
+    straightened sequence in m - s variables peeled at 0, s = len(prefix):
+    a term map in the layout of an element in m variables peeled at s.
+    Sequences of sign 0 drop."""
     for sign, nu in _peel_terms(lam, ones, twos):
-        add_into(out, qtilde_dominant(nu, m - len(prefix)).items(), k * sign)
-
-
-def _equals_sliced(f: XPoly, slices: dict, s: int) -> bool:
-    """True when f equals the sum of x^prefix times ``slices[prefix]`` over
-    prefixes of length s: f is split by its first s exponents and compared
-    slice by slice with the slices that do not cancel to zero, which is the
-    equality of the two full term maps."""
-    lhs: dict[tuple[int, ...], dict] = {}
-    for e, c in f.terms.items():
-        lhs.setdefault(e[:s], {})[e[s:]] = c
-    return lhs == {prefix: terms for prefix, terms in slices.items() if terms}
+        add_into(out, ((prefix + e, c) for e, c in _peeled(nu, m - len(prefix), 0).terms.items()),
+                 k * sign)
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:
@@ -132,58 +110,38 @@ def verify_extension_formula(lam: Partition, m: int) -> bool:
     x_1..x_m equals sum_k x_1^k times the sum of basis elements on
     x_2..x_m over index sequences obtained by decrementing k parts of lam
     by one.  Non-partition sequences enter through signed straightening.
-    Both sides are compared slice by slice, one slice per power of x_1, on
-    the weakly decreasing exponent vectors of x_2..x_m."""
+    Both sides are compared peeled at 1."""
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], dict] = {}
+    rhs: dict[tuple[int, ...], int] = {}
     for k in range(len(lam) + 1):
         _peel_into(rhs, (k,), lam, k, 0, m)
-    return _equals_sliced(_heads(lam, m, 1), rhs, 1)
+    return _peeled(lam, m, 1).terms == rhs
 
 
 def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     """Check the odd-depth peeling formula for c_prime of a strict partition:
     sum over odd-size subsets S of rows, of x_1^(|S|-1) times the basis
     element on x_2..x_m indexed by lam minus the indicator of S.  Both sides
-    are compared slice by slice, one slice per power of x_1, on the weakly
-    decreasing exponent vectors of x_2..x_m."""
+    are compared peeled at 1."""
     lam = tuple(lam)
     if not (is_partition(lam) and is_strict(lam) and lam):
         raise ValueError(f"{lam} must be a nonempty strict partition")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], dict] = {}
+    rhs: dict[tuple[int, ...], int] = {}
     for k in range(1, len(lam) + 1, 2):
         _peel_into(rhs, (k - 1,), lam, k, 0, m)
-    return _equals_sliced(_c_prime_heads(lam, m), rhs, 1)
+    return c_prime(lam, m).terms == rhs
 
 
-def _packed(f: XPoly, w: int) -> dict[int, int]:
-    """The terms of f with each exponent vector packed into one integer,
-    exponent i in bits [w * i, w * (i + 1)); adding two packed keys
-    multiplies their monomials while every exponent of the product stays
-    below 2^w."""
-    out = {}
-    for mono, c in f.terms.items():
-        key = 0
-        for e in reversed(mono):
-            key = key << w | e
-        out[key] = c
-    return out
-
-
-def _pfaffian_sum(c, lam: Partition, m: int) -> dict[int, int]:
+def _pfaffian_sum(c, lam: Partition, m: int) -> dict[tuple[int, ...], int]:
     """The alternating sum of c(pair) * c(rest) over the last-column terms
-    of lam, its exponent vectors packed as by ``_packed`` in fields of
-    sum(lam).bit_length() bits.  Each product is homogeneous of degree at
-    most |lam|, so no exponent in it exceeds |lam|, and its monomials
-    multiply as packed integers with no field carrying into the next."""
-    w = sum(lam).bit_length()
-    acc: dict[int, int] = {}
+    of lam, as a term map."""
+    acc: dict[tuple[int, ...], int] = {}
     for sign, pair, rest in pfaffian_terms(lam):
-        mul_into(acc, _packed(c(pair, m), w), _packed(c(rest, m), w), sign, add)
+        add_into(acc, (c(pair, m) * c(rest, m)).terms.items(), sign)
     return acc
 
 
@@ -213,15 +171,14 @@ def verify_lem2(lam: Partition, m: int) -> bool:
     length: a sum of two-variable monomial symmetric polynomials
     x_1^r x_2^s + x_1^s x_2^r (one term when r = s) times binomially
     weighted basis elements on x_3..x_m, indexed by sequences obtained by
-    decrementing parts of lam by 0, 1, or 2.  Both sides are compared slice
-    by slice, one slice per monomial x_1^r x_2^s, on the weakly decreasing
-    exponent vectors of x_3..x_m."""
+    decrementing parts of lam by 0, 1, or 2.  Both sides are compared
+    peeled at 2."""
     lam = tuple(lam)
     ell = len(lam)
     if not (is_partition(lam) and is_strict(lam) and ell >= 2 and ell % 2 == 0):
         raise ValueError(f"{lam} must be strict of even positive length")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], dict] = {}
+    rhs: dict[tuple[int, ...], int] = {}
     for r in range(0, ell, 2):
         for s in range(0, r + 1, 2):
             for b in range(0, (r + s + 3) // 2 + 1):
@@ -230,7 +187,7 @@ def verify_lem2(lam: Partition, m: int) -> bool:
                 if co:
                     for prefix in {(r, s), (s, r)}:
                         _peel_into(rhs, prefix, lam, a, b, m, co)
-    return _equals_sliced(_c_double_prime_heads(lam, m), rhs, 2)
+    return c_double_prime(lam, m).terms == rhs
 
 
 def dawson(p: int, q: int) -> bool:

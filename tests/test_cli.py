@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lgschubert import cli, qtilde, quantum, suites, symplectic
+from lgschubert import cli, quantum, suites, symplectic
 from lgschubert.cli import build_parser, code_fingerprint, main
 from lgschubert.partitions import all_strict_upto, partition_to_str
 from lgschubert.quantum import quantum_to_json
@@ -290,15 +290,15 @@ class TestVerify:
         "extension", "cprime-expansion", "lem2", "pfaffian-prime", "pfaffian-double-prime",
     ])
     def test_var_limit_checked_before_the_sweep(self, capsys, suite):
-        # the c_prime memos would otherwise serve the Pfaffian cases
-        # without a qtilde_dominant call
-        for memo in (qtilde.qtilde_dominant, symplectic.c_prime, symplectic.c_double_prime):
+        # every sweep fills at least one of these memos from its first case
+        memos = (symplectic._peeled, symplectic.c_prime, symplectic.c_double_prime)
+        for memo in memos:
             memo.cache_clear()
         code, out, err = run(capsys, "verify", suite, "--m", "9")
         assert code == 2
         assert out == ""
         assert err == "error: guarded to m <= 8, got 9\n"
-        assert qtilde.qtilde_dominant.cache_info().currsize == 0
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
 
     def test_failing_report_bytes(self, capsys, monkeypatch):
         """A failing report writes tuple witnesses as JSON lists, an error
@@ -519,7 +519,8 @@ class TestTable:
     def test_unusable_cache_only_warns(self, tmp_path, monkeypatch, capsys, blocked):
         """The cache is an optimisation: a regular file where its directory
         goes, or a directory where its file goes, leaves stdout as a clean
-        run prints it, with one warning on stderr."""
+        run prints it, with one warning on stderr, and leaves no temporary
+        file behind."""
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
         code, clean, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert code == 0
@@ -533,6 +534,7 @@ class TestTable:
             code, out, err = run(capsys, "table", "--n", "2", "--format", "tsv")
             assert (code, out) == (0, clean)
             assert err.startswith("warning: table cache not saved: ") and err.count("\n") == 1
+            assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_tsv_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))

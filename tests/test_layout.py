@@ -3,7 +3,8 @@ private names, each submodule is importable under its own name (``__main__``
 without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
-the x-expansion variables, and each input rule is raised from one guard."""
+the x-expansion variables, each input rule is raised from one guard, and
+the identity checks of ``symplectic`` use the peeled form alone."""
 
 import ast
 import importlib
@@ -40,6 +41,17 @@ def _private_sibling_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_private_sibling_imports(path):
     assert _private_sibling_imports(path) == []
+
+
+def test_symplectic_uses_the_peeled_form_alone():
+    """The identity checks read every side peeled (``polyring.peel``), so
+    no x-expansion on dominant vectors or on x_1..x_m comes back beside it."""
+    tree = ast.parse((PACKAGE_DIR / "symplectic.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    expansions = {"dominant_expansion", "qtilde_dominant", "free_heads", "spread_tails",
+                  "epoly_to_xpoly", "qtilde_x"}
+    assert imported & expansions == set()
 
 
 def test_submodules_are_modules():

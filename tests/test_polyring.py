@@ -15,8 +15,7 @@ from lgschubert.polyring import (
     dominant_expansion,
     elementary_xpoly,
     epoly_to_xpoly,
-    free_heads,
-    spread_tails,
+    peel,
     swap_vars,
 )
 from lgschubert.qtilde import basis, qtilde_x
@@ -200,9 +199,8 @@ class TestExpansion:
 
 
 class TestSymmetricTails:
-    """The dominant-vector map of a symmetric polynomial, its terms with s
-    free head exponents and a dominant tail, and the spreading of a tail
-    over its orderings."""
+    """The dominant-vector map of a symmetric polynomial: its terms whose
+    exponent vector is weakly decreasing."""
 
     @pytest.mark.parametrize("m", range(0, 6))
     def test_dominant_expansion_is_the_dominant_part(self, m):
@@ -214,26 +212,53 @@ class TestSymmetricTails:
                 assert dom == {e: c for e, c in full.items()
                                if list(e) == sorted(e, reverse=True)}, lam
 
-    @pytest.mark.parametrize("m", range(0, 6))
-    @pytest.mark.parametrize("s", range(0, 4))
-    def test_free_heads_and_spread_tails(self, m, s):
-        """free_heads keeps exactly the terms whose exponents after the
-        first s are weakly decreasing, and spread_tails restores the rest."""
-        if s > m:
-            return
-        for w in range(2 * m + 1):
-            for lam in enumerate_partitions(w, m):
-                p = basis(lam, m)
-                full = epoly_to_xpoly(p)
-                heads = free_heads(dominant_expansion(p), s)
-                assert heads == {e: c for e, c in full.terms.items()
-                                 if list(e[s:]) == sorted(e[s:], reverse=True)}, lam
-                assert spread_tails(m, heads, s) == full, lam
 
-    def test_free_heads_example(self):
-        # m_(2,1,1) read with one free head: x1^2 (x2 x3), x1 (x2^2 x3)
-        assert free_heads({(2, 1, 1): 5}, 1) == {(2, 1, 1): 5, (1, 2, 1): 5}
-        assert free_heads({(2, 1, 1): 5}, 2) == {(2, 1, 1): 5, (1, 2, 1): 5, (1, 1, 2): 5}
+def unpeel(f: XPoly, s: int) -> XPoly:
+    """A polynomial peeled at s mapped back to x_1..x_m: each e'_j replaced
+    by e_j(x_{s+1}, ..., x_m)."""
+    m = f.m
+    tail = [XPoly(m, {(0,) * s + e: 1 for e in elementary_xpoly(j, m - s).terms})
+            for j in range(1, m - s + 1)]
+    acc = XPoly.zero(m)
+    for mono, c in f.terms.items():
+        term = XPoly(m, {mono[:s] + (0,) * (m - s): c})
+        for g, b in zip(tail, mono[s:]):
+            for _ in range(b):
+                term = term * g
+        acc = acc + term
+    return acc
+
+
+class TestPeel:
+    """An EPoly written in x_1..x_s and the elementary symmetric functions
+    e'_j of x_{s+1}..x_m."""
+
+    @pytest.mark.parametrize("m", range(0, 6))
+    def test_basis_elements_round_trip(self, m):
+        """Every basis element of weight <= 2m, peeled at s <= 2 and mapped
+        back to x, is its x-expansion."""
+        for s in range(min(m, 2) + 1):
+            for w in range(2 * m + 1):
+                for lam in enumerate_partitions(w, m):
+                    p = basis(lam, m)
+                    assert unpeel(peel(p, s), s) == epoly_to_xpoly(p), (lam, s)
+
+    def test_examples(self):
+        # e_2(x_1, x_2, x_3) = x_1 e'_1 + e'_2
+        assert peel(EPoly.gen(2, 3), 1).terms == {(1, 1, 0): 1, (0, 0, 1): 1}
+        # e_3(x_1, x_2, x_3) = x_1 x_2 e'_1, and e_1^2 = (x_1 + x_2 + e'_1)^2
+        assert peel(EPoly.gen(3, 3), 2).terms == {(1, 1, 1): 1}
+        e1 = xmono(1) + xmono(0, 1) + xmono(0, 0, 1)
+        assert peel(EPoly(3, {(1, 1): 1}), 2) == e1 * e1
+        # at s = 0 each e-monomial is its own exponent vector of the e'_j
+        assert peel(EPoly(3, {(3, 1, 1): 4, (): -1}), 0).terms == {(2, 0, 1): 4, (0, 0, 0): -1}
+        # a hand-built term led by e_{m+1} peels to zero
+        assert not peel(EPoly(2, {(3, 1): 1}), 1)
+
+    def test_rejects_bad_counts(self):
+        for p, s in [(EPoly.gen(1, 2), 3), (EPoly.gen(1, 2), -1), (EPoly.gen(1, None), 0)]:
+            with pytest.raises(ValueError, match="cannot peel"):
+                peel(p, s)
 
 
 class TestMonomialSymmetricRule:

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from lgschubert.classical import classical_product
+from lgschubert.classical import classical_product, giambelli_check
 from lgschubert.partitions import all_strict_upto, dual, pfaffian_terms, rho, star
 from lgschubert.polyring import mul_into
 from lgschubert.qtilde import VerificationError, basis
@@ -393,3 +393,23 @@ def test_quantum_associativity(n):
 def test_quantum_json_round_trip():
     x = {((3, 1), 2): 4, ((), 0): 1, ((2,), 1): -3}
     assert quantum_from_json(quantum_to_json(x)) == x
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (2, 0), (-1,), (3, 0, 1)])
+@pytest.mark.parametrize("call", [
+    lambda bad: qprod_pieri(bad, (1,), 3),
+    lambda bad: qprod_pieri((1,), bad, 3),
+    lambda bad: qprod_constants(bad, (1,), 3),
+    lambda bad: qprod_quotient((1,), bad, 3),
+    lambda bad: classical_product(bad, (1,), 3),
+    lambda bad: gw(bad, (1,), (1,), 0, 3),
+    lambda bad: dual(bad, 3),
+    lambda bad: giambelli_check(bad + (5, 4), 5),
+], ids=["pieri-lam", "pieri-mu", "constants", "quotient", "classical", "gw", "dual",
+        "giambelli"])
+def test_non_partition_indices_are_usage_errors(call, bad):
+    """An unsorted index, a zero part or a negative part is no element of
+    D_n, whichever entry point it reaches: the one D_n guard raises, where
+    the engines would otherwise return an empty product or fail inside."""
+    with pytest.raises(ValueError, match="does not index a Schubert class"):
+        call(bad)

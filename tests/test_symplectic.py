@@ -1,23 +1,12 @@
 import itertools
-from operator import add
 
 import pytest
 
 from lgschubert import suites, symplectic
 from lgschubert.partitions import all_strict_upto, enumerate_partitions, pfaffian_terms, straighten
-from lgschubert.polyring import (
-    XPoly,
-    add_into,
-    ddiff0,
-    ddiff1prime,
-    epoly_to_xpoly,
-    mul_into,
-    swap_vars,
-)
+from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, epoly_to_xpoly, swap_vars
 from lgschubert.qtilde import qtilde, qtilde_x
 from lgschubert.symplectic import (
-    _equals_sliced,
-    _packed,
     _peel_into,
     _pfaffian_sum,
     c_double_prime,
@@ -31,30 +20,13 @@ from lgschubert.symplectic import (
     verify_pfaffian_identity_double_prime,
     verify_pfaffian_identity_prime,
 )
+from test_polyring import unpeel
 
 
 def on_tail(f: XPoly, s: int) -> XPoly:
     """f moved onto x_{s+1}, x_{s+2}, ...: s zero exponents prepended to
     each monomial."""
     return XPoly(f.m + s, {(0,) * s + e: c for e, c in f.terms.items()})
-
-
-def sliced(f: XPoly, s: int) -> dict:
-    """f split by its first s exponents: {prefix: {rest: c}}."""
-    out: dict = {}
-    for e, c in f.terms.items():
-        out.setdefault(e[:s], {})[e[s:]] = c
-    return out
-
-
-def is_dominant(e: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(e, e[1:]))
-
-
-def on_dominant_tails(f: XPoly, s: int) -> XPoly:
-    """The terms of f whose exponents after the first s are weakly
-    decreasing: what a comparison on dominant tails reads of f."""
-    return XPoly(f.m, {e: c for e, c in f.terms.items() if is_dominant(e[s:])})
 
 
 def tail_qtilde(a: int, m: int, s: int) -> XPoly:
@@ -70,7 +42,7 @@ class TestCPrime:
         assert c_prime((1, 1), 2) == XPoly.zero(2)
         # two-row value matches its closed form on the tail variables
         m = 3
-        got = c_prime((2, 1), m)
+        got = unpeel(c_prime((2, 1), m), 1)
         q1 = tail_qtilde(1, m, 1)
         q2 = tail_qtilde(2, m, 1)
         assert got == q1 * q1 - q2
@@ -84,7 +56,7 @@ class TestCPrime:
         # c_prime(a, b) = Q_{a-1}(X') Q_b(X') - Q_a(X') Q_{b-1}(X')
         for a in range(1, m + 1):
             for b in range(0, a):
-                got = c_prime((a, b) if b else (a,), m)
+                got = unpeel(c_prime((a, b) if b else (a,), m), 1)
                 want = tail_qtilde(a - 1, m, 1) * tail_qtilde(b, m, 1) - tail_qtilde(
                     a, m, 1
                 ) * tail_qtilde(b - 1, m, 1)
@@ -100,14 +72,14 @@ class TestCPrime:
 class TestCDoublePrime:
     def test_examples(self):
         assert c_double_prime((2, 1), 3) == XPoly.one(3)
-        assert c_double_prime((3, 1), 4) == tail_qtilde(1, 4, 2)
+        assert unpeel(c_double_prime((3, 1), 4), 2) == tail_qtilde(1, 4, 2)
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_two_row_closed_form(self, m):
         # c_double_prime(a, b) = Q_{a-2}Q_{b-1} - Q_{a-1}Q_{b-2} on x_3...
         for a in range(2, m + 1):
             for b in range(1, a):
-                got = c_double_prime((a, b), m)
+                got = unpeel(c_double_prime((a, b), m), 2)
                 want = tail_qtilde(a - 2, m, 2) * tail_qtilde(
                     b - 1, m, 2
                 ) - tail_qtilde(a - 1, m, 2) * tail_qtilde(b - 2, m, 2)
@@ -202,8 +174,7 @@ def full_c_double_prime(lam, m) -> XPoly:
 
 
 def full_pfaffian_sum(c, lam, m) -> XPoly:
-    """The Pfaffian alternating sum on full term maps, products keyed by
-    tuples."""
+    """The Pfaffian alternating sum on full term maps."""
     acc = XPoly.zero(m)
     for sign, pair, rest in pfaffian_terms(lam):
         acc = acc + (c(pair, m) * c(rest, m)).scale(sign)
@@ -214,17 +185,11 @@ def strict_cases(lo, m, keep):
     return [(lam, mm) for mm in range(lo, m + 1) for lam in all_strict_upto(mm) if keep(lam)]
 
 
-# the c family of each Pfaffian vanishing, with the bounds of its sweep
-PFAFFIAN_FAMILIES = [
-    (c_prime, 3, lambda lam: len(lam) >= 3),
-    (c_double_prime, 4, lambda lam: len(lam) >= 4 and len(lam) % 2 == 0),
-]
-
-
 class TestFullMapOracle:
-    """The checks on dominant tails against the full term maps they stand
-    for, on every case of the sweeps at m <= 5: both sides of each check are
-    symmetric in the tail, so the verdicts agree."""
+    """The checks on peeled forms against the full term maps on x_1..x_m
+    that they stand for, on every case of the sweeps at m <= 5: the peeled
+    form is exact, so the verdicts agree, and c_prime and c_double_prime
+    mapped back to x are the full divided differences."""
 
     def test_extension(self):
         cases = [(lam, mm) for mm in range(1, 6) for w in range(2 * mm + 1)
@@ -237,13 +202,13 @@ class TestFullMapOracle:
         for lam, m in strict_cases(1, 5, bool):
             want = full_c_prime(lam, m) == full_cprime_rhs(lam, m)
             assert verify_cprime_expansion(lam, m) == want, (lam, m)
-            assert c_prime(lam, m) == full_c_prime(lam, m), (lam, m)
+            assert unpeel(c_prime(lam, m), 1) == full_c_prime(lam, m), (lam, m)
 
     def test_lem2(self):
         for lam, m in strict_cases(2, 5, lambda lam: lam and len(lam) % 2 == 0):
             want = full_c_double_prime(lam, m) == full_lem2_rhs(lam, m)
             assert verify_lem2(lam, m) == want, (lam, m)
-            assert c_double_prime(lam, m) == full_c_double_prime(lam, m), (lam, m)
+            assert unpeel(c_double_prime(lam, m), 2) == full_c_double_prime(lam, m), (lam, m)
 
     @pytest.mark.parametrize("verify,c,lo,keep", [
         (verify_pfaffian_identity_prime, full_c_prime, 3, lambda lam: len(lam) >= 3),
@@ -254,77 +219,38 @@ class TestFullMapOracle:
         for lam, m in strict_cases(lo, 5, keep):
             assert verify(lam, m) == (not full_pfaffian_sum(c, lam, m)), (lam, m)
 
+    @pytest.mark.parametrize("c,full,s,lo,keep", [
+        (c_prime, full_c_prime, 1, 3, lambda lam: len(lam) >= 3),
+        (c_double_prime, full_c_double_prime, 2, 4,
+         lambda lam: len(lam) >= 4 and len(lam) % 2 == 0),
+    ])
+    def test_pfaffian_sum_of_shifted_values(self, c, full, s, lo, keep):
+        """With 1 added to every value the alternating sum no longer
+        vanishes, and its products of peeled forms map back to the sum of
+        products of the full maps."""
+        for lam, m in strict_cases(lo, 5, keep):
+            got = _pfaffian_sum(lambda nu, m: c(nu, m) + XPoly.one(m), lam, m)
+            want = full_pfaffian_sum(lambda nu, m: full(nu, m) + XPoly.one(m), lam, m)
+            assert want and unpeel(XPoly(m, got), s) == want, (lam, m)
+
     def test_non_symmetric_perturbation_needs_the_full_check(self):
         """x_3 added to the left side of the extension check for (2, 1) on
-        three variables breaks its symmetry in the tail x_2, x_3 and sits
-        off every dominant tail: the comparison on dominant tails cannot see
-        it, and only the full comparison catches it."""
+        three variables breaks its symmetry in the tail x_2, x_3.  A peeled
+        form maps back to a polynomial symmetric in the tail, so it cannot
+        carry that perturbation, and only the full comparison catches it;
+        both sides of the check are symmetric in the tail by construction."""
         lam, m = (2, 1), 3
         f = qtilde_x(lam, m) + XPoly(m, {(0, 0, 1): 1})
         assert swap_vars(f, 2) != f
-        rhs: dict = {}
-        for k in range(len(lam) + 1):
-            _peel_into(rhs, (k,), lam, k, 0, m)
-        assert _equals_sliced(on_dominant_tails(f, 1), rhs, 1)
+        lhs = unpeel(symplectic._peeled(lam, m, 1), 1)
+        assert lhs == qtilde_x(lam, m) and swap_vars(lhs, 2) == lhs
         assert f != full_extension_rhs(lam, m)
         assert qtilde_x(lam, m) == full_extension_rhs(lam, m)
 
 
-class TestPackedProducts:
-    """The Pfaffian vanishings multiply monomials packed into one integer,
-    in fields of sum(lam).bit_length() bits."""
-
-    @staticmethod
-    def unpack(key, w, m):
-        assert key >> (w * m) == 0
-        return tuple(key >> (w * i) & ((1 << w) - 1) for i in range(m))
-
-    @pytest.mark.parametrize("c,lo,keep", PFAFFIAN_FAMILIES)
-    def test_packed_products_match_tuple_products(self, c, lo, keep):
-        for lam, m in strict_cases(lo, 5, keep):
-            w = sum(lam).bit_length()
-            for _, pair, rest in pfaffian_terms(lam):
-                want = c(pair, m) * c(rest, m)
-                assert all(e < 1 << w for mono in want.terms for e in mono)
-                got: dict = {}
-                mul_into(got, _packed(c(pair, m), w), _packed(c(rest, m), w), 1, add)
-                assert got == _packed(want, w), (lam, m, pair)
-                assert {self.unpack(key, w, m): v for key, v in got.items()} == want.terms
-
-    @pytest.mark.parametrize("c,lo,keep", PFAFFIAN_FAMILIES)
-    def test_packed_sum_of_shifted_values(self, c, lo, keep):
-        """With 1 added to every value the alternating sum no longer
-        vanishes, and its packed terms read back as the tuple-keyed sum."""
-        def shifted(nu, m):
-            return c(nu, m) + XPoly.one(m)
-
-        for lam, m in strict_cases(lo, 5, keep):
-            want = full_pfaffian_sum(shifted, lam, m)
-            got = _pfaffian_sum(shifted, lam, m)
-            w = sum(lam).bit_length()
-            assert {self.unpack(key, w, m): v for key, v in got.items()} == want.terms, (lam, m)
-            assert want
-
-    @pytest.mark.parametrize("w", range(1, 7))
-    def test_top_degree_fits_its_field(self, w):
-        # x_i^a * x_i^b with a + b = 2^w - 1 fills field i and carries
-        # nothing into field i + 1
-        m, d = 3, (1 << w) - 1
-        for i in range(m):
-            for a in range(d + 1):
-                f = XPoly(m, {tuple(a if j == i else 0 for j in range(m)): 1})
-                g = XPoly(m, {tuple(d - a if j == i else 0 for j in range(m)): 2})
-                got: dict = {}
-                mul_into(got, _packed(f, w), _packed(g, w), 1, add)
-                assert got == _packed(f * g, w)
-                assert [self.unpack(key, w, m) for key in got] == [
-                    tuple(d if j == i else 0 for j in range(m))]
-
-
 class TestPeelKernel:
-    """_peel_into against a brute-force sum over every decrement vector,
-    split by the peeled exponents the same way and read on dominant tails,
-    and the slice-by-slice comparison of the checks."""
+    """_peel_into against a brute-force sum over every decrement vector on
+    full term maps, and the comparison of the checks."""
 
     @staticmethod
     def brute(prefix, lam, ones, twos, m, k):
@@ -335,7 +261,7 @@ class TestPeelKernel:
             if delta.count(1) == ones and delta.count(2) == twos:
                 nu = [p - d for p, d in zip(lam, delta)]
                 acc = acc + mono * on_tail(epoly_to_xpoly(qtilde(nu, m - s)), s).scale(k)
-        return sliced(on_dominant_tails(acc, s), s)
+        return acc
 
     @pytest.mark.parametrize("lam", [
         (), (1,), (3,), (2, 1), (1, 1), (2, 2), (3, 1, 1), (4, 2, 1), (2, 2, 1, 1), (4, 3, 2, 1),
@@ -346,57 +272,63 @@ class TestPeelKernel:
             for twos in range(len(lam) + 2 - ones):
                 out: dict = {}
                 _peel_into(out, prefix, lam, ones, twos, m, k)
-                assert list(out) == [prefix]
-                nonzero = {p: terms for p, terms in out.items() if terms}
-                assert nonzero == self.brute(prefix, lam, ones, twos, m, k), (ones, twos)
+                assert all(e[:len(prefix)] == prefix for e in out)
+                got = unpeel(XPoly(m, out), len(prefix))
+                assert got == self.brute(prefix, lam, ones, twos, m, k), (ones, twos)
 
     def test_cancelled_slice_passes(self):
         # peeling one part of (1, 1) gives (0, 1) and (1, 0), which
-        # straighten to -(1) and (1): the slice of x_1 cancels to empty, and
-        # the extension check still holds
+        # straighten to -(1) and (1): the terms on x_1 cancel, and the
+        # extension check still holds
         rhs: dict = {}
         for k in range(3):
             _peel_into(rhs, (k,), (1, 1), k, 0, 2)
-        assert rhs[(1,)] == {}
-        assert _equals_sliced(qtilde_x((1, 1), 2), rhs, 1)
+        assert all(e[0] != 1 for e in rhs)
+        assert symplectic._peeled((1, 1), 2, 1).terms == rhs
         assert verify_extension_formula((1, 1), 2)
 
     def test_stray_slice_fails(self):
         rhs: dict = {}
         for k in range(3):
             _peel_into(rhs, (k,), (2, 1), k, 0, 3)
-        lhs = on_dominant_tails(qtilde_x((2, 1), 3), 1)
-        assert _equals_sliced(lhs, rhs, 1)
-        # a nonzero slice on a power of x_1 that the left side lacks
-        assert (5,) not in sliced(lhs, 1)
-        rhs[(5,)] = {(0, 0): 1}
-        assert not _equals_sliced(lhs, rhs, 1)
+        lhs = symplectic._peeled((2, 1), 3, 1).terms
+        assert lhs == rhs
+        # a nonzero term on a power of x_1 that the left side lacks
+        assert all(e[0] != 5 for e in lhs)
+        rhs[(5, 0, 0)] = 1
+        assert lhs != rhs
 
 
 class TestPeelingChecksCanFail:
-    """The peeling checks compare raw term maps on dominant tails; one wrong
-    term in one peeled basis element must make them, and their suites,
-    fail, and so must one wrong term in one c_prime or c_double_prime value
-    for the Pfaffian identities.  Both sides of a peeling check read the
-    shared qtilde_dominant memo, so each perturbed element is one that the
-    left side of the failing check does not read."""
+    """The checks compare raw term maps; one wrong term in one basis element
+    read by a peeling check must make it, and its suite, fail, and so must
+    one wrong term in one c_prime or c_double_prime value for the Pfaffian
+    identities.  Each perturbed element is one that the left side of the
+    failing check does not read.  The memos of the peeled forms are emptied
+    when an element is perturbed and after each test."""
 
-    @staticmethod
-    def perturb(monkeypatch, name, lam):
-        """Add the constant 1 to the value of symplectic.<name> at lam, in
-        every variable count: to the dominant map of qtilde_dominant, or to
-        the XPoly of c_prime and c_double_prime."""
+    MEMOS = (symplectic._peeled, symplectic.c_prime, symplectic.c_double_prime)
+
+    @pytest.fixture(autouse=True)
+    def clear_memos_after(self):
+        yield
+        for memo in self.MEMOS:
+            memo.cache_clear()
+
+    def perturb(self, monkeypatch, name, lam):
+        """Add e_1 to symplectic.basis at lam, or the constant 1 to the
+        value of c_prime or c_double_prime at lam, in every variable
+        count."""
         real = getattr(symplectic, name)
+        extra = (lambda m: EPoly.gen(1, m)) if name == "basis" else XPoly.one
 
         def fake(nu, m):
             f = real(nu, m)
-            if nu != lam:
-                return f
-            terms = dict(getattr(f, "terms", f))
-            add_into(terms, [((0,) * m, 1)])
-            return terms if isinstance(f, dict) else XPoly(m, terms)
+            return f + extra(m) if nu == lam else f
 
         monkeypatch.setattr(symplectic, name, fake)
+        for memo in self.MEMOS:
+            memo.cache_clear()
 
     @pytest.mark.parametrize("verify,suite,name", [
         (verify_extension_formula, suites.suite_extension, "extension"),
@@ -406,7 +338,7 @@ class TestPeelingChecksCanFail:
         # (2, 1) peels to distinct elements, (2,) among them, so the wrong
         # term cannot cancel; the left side reads (2, 1) alone
         assert verify((2, 1), 3) and suite(2) == []
-        self.perturb(monkeypatch, "qtilde_dominant", (2,))
+        self.perturb(monkeypatch, "basis", (2,))
         assert not verify((2, 1), 3)
         assert {"suite": name, "lam": (2, 1), "m": 2} in suite(2)
 
@@ -414,7 +346,7 @@ class TestPeelingChecksCanFail:
         # (2, 1) peels to the empty partition alone, on x_3..x_m, which no
         # left side of lem2 reads
         assert verify_lem2((2, 1), 3) and suites.suite_lem2(3) == []
-        self.perturb(monkeypatch, "qtilde_dominant", ())
+        self.perturb(monkeypatch, "basis", ())
         assert not verify_lem2((2, 1), 3)
         assert {"suite": "lem2", "lam": (2, 1), "m": 3} in suites.suite_lem2(3)
 
