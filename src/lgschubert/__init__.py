@@ -12,7 +12,7 @@ from .partitions import (
     star,
     straighten,
 )
-from .polyring import EPoly, XPoly, ddiff0, ddiff1prime, epoly_to_xpoly
+from .polyring import EPoly, XPoly, ddiff0, ddiff1prime
 from .qtilde import (
     VerificationError,
     basis,

@@ -6,32 +6,26 @@ ordinary integer polynomial in x_1, ..., x_m.  Coefficients are Python ints,
 so arithmetic is exact at any size.
 
 E-monomials are weakly decreasing tuples of generator indices (the empty
-tuple is 1); x-monomials are exponent tuples of fixed length m.  The
-x-expansion of an EPoly in m variables lies in x_1, ..., x_m; a caller that
-needs it on other variables moves its exponents itself.  That expansion is
-symmetric, so it is computed on its dominant exponent vectors (weakly
-decreasing ones) in the monomial symmetric basis, and ``spread_tails``
-spreads each of them over its distinct permutations.  ``peel`` writes an
-EPoly in m variables in x_1, ..., x_s and the elementary symmetric functions
-e'_1, ..., e'_{m-s} of x_{s+1}, ..., x_m instead, through
-e_i = sum over T in {1..s} of x^T e'_{i-|T|}: the e'_j are algebraically
-independent, so this form is exact and expands nothing in the trailing
-variables.  Both expansions run one Horner scheme.
+tuple is 1); x-monomials are exponent tuples of fixed length m.  The one
+passage from e to x is ``peel``: it writes an EPoly in m variables in
+x_1, ..., x_s and the elementary symmetric functions e'_1, ..., e'_{m-s} of
+x_{s+1}, ..., x_m, through e_i = sum over T in {1..s} of x^T e'_{i-|T|}.
+The e'_j are algebraically independent, so this form is exact and expands
+nothing in the trailing variables; at s = m it is the full x-expansion.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import comb, prod
 from operator import add
 
 XPANSION_VAR_LIMIT = 8
 
 
 def check_var_limit(m: int) -> None:
-    """Reject variable counts above XPANSION_VAR_LIMIT, the bound of the
-    x-expansion and of every check built on it."""
+    """Reject variable counts above XPANSION_VAR_LIMIT, the bound of every
+    check built on the x-form of ``peel``."""
     if m > XPANSION_VAR_LIMIT:
         raise ValueError(f"guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
 
@@ -254,115 +248,48 @@ def elementary_xpoly(i: int, m: int) -> XPoly:
     return XPoly(m, terms)
 
 
-@cache
-def _e_times_m(i: int, beta: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """e_i * m_beta in the monomial symmetric basis, for a weakly decreasing
-    exponent vector beta of length m: the pairs (alpha, c) with
-    e_i * m_beta = sum c * m_alpha, empty for i > m.
-
-    Each alpha is beta with one added in i distinct places, and
-    c = prod_v C(mult_v(alpha), a_v), a_v counting the raised parts that land
-    on value v.  A run of equal values in beta has its raised entries at the
-    front, so that alpha stays weakly decreasing; the sum runs over how many
-    entries of each run are raised."""
-    runs = [(v, len(list(g))) for v, g in itertools.groupby(beta)]
-    out = []
-    for raised in itertools.product(*(range(r + 1) for _, r in runs)):
-        if sum(raised) == i:
-            alpha = tuple(itertools.chain.from_iterable(
-                (v + 1,) * t + (v,) * (r - t) for (v, r), t in zip(runs, raised)))
-            out.append((alpha, prod(comb(alpha.count(v + 1), t)
-                                    for (v, _), t in zip(runs, raised))))
-    return tuple(out)
-
-
-@cache
-def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The distinct permutations of the weakly decreasing tuple alpha, each
-    once: a distinct leading value, then the orbit of what is left."""
-    if not alpha or alpha[0] == alpha[-1]:
-        return (alpha,)
-    return tuple((v,) + tail for j, v in enumerate(alpha) if not j or v != alpha[j - 1]
-                 for tail in _orbit(alpha[:j] + alpha[j + 1:]))
-
-
-def _horner(terms: dict, one: tuple[int, ...], times_e) -> dict[tuple[int, ...], int]:
-    """The e-polynomial ``terms`` rewritten by a Horner scheme:
-    c_0 * one + sum_i e_i * p_i, where p_i holds the terms led by generator
-    i with that i removed and is rewritten the same way, so monomials with a
-    common leading part share one multiplication by it.  ``one`` is the key
-    of 1, and ``times_e(i, key)`` gives the pairs (key', c) of e_i times the
-    monomial ``key``."""
-    out: dict[tuple[int, ...], int] = {}
-    led: dict[int, dict] = {}
-    for mono, c in terms.items():
-        if mono:
-            led.setdefault(mono[0], {})[mono[1:]] = c
-        else:
-            out[one] = c
-    for i, tail in led.items():
-        for key, c in _horner(tail, one, times_e).items():
-            add_into(out, times_e(i, key), c)
-    return out
-
-
-def dominant_expansion(p: EPoly) -> dict[tuple[int, ...], int]:
-    """The x-expansion of an EPoly in its m variables on its dominant
-    exponent vectors: each weakly decreasing alpha mapped to the coefficient
-    of x^alpha, which is that of every permutation of alpha.
-
-    Guarded to m <= XPANSION_VAR_LIMIT expansion variables.  The Horner
-    scheme carries each partial result on its dominant exponent vectors
-    (the coefficient of x^alpha is that of m_alpha) and multiplies by e_i
-    with the rule of ``_e_times_m``.
-    """
-    if p.m is None:
-        raise ValueError("expansion requires a finite variable count")
-    check_var_limit(p.m)
-    return _horner(p.terms, (0,) * p.m, _e_times_m)
-
-
 def peel(p: EPoly, s: int) -> XPoly:
     """An EPoly in m variables as an XPoly in x_1..x_s followed by
     e'_1..e'_{m-s}, the elementary symmetric functions of x_{s+1}..x_m:
     exponent h < s is that of x_{h+1}, exponent s + j - 1 that of e'_j.
+    At s = m no e'_j is left, and this is the x-expansion on x_1..x_m.
 
     e_i is the sum over subsets T of {1..s} with i - m + s <= |T| <= i of
     x^T e'_{i-|T|}, and the e'_j are algebraically independent, so two
     polynomials are equal exactly when their peeled forms are.  A divided
-    difference in x_1..x_s acts on the first s exponents alone.
+    difference in x_1..x_s acts on the first s exponents alone.  The
+    e-monomials are multiplied out by a Horner scheme: the terms led by
+    generator i, with that i removed, are peeled the same way and then
+    multiplied by e_i peeled, so monomials with a common leading part share
+    one multiplication by it.
     """
     m = p.m
     if m is None or not 0 <= s <= m:
         raise ValueError(f"cannot peel {s} of {m} variables")
     steps = _peel_steps(m, s)
-    return XPoly(m, _horner(p.terms, (0,) * m,
-                            lambda i, key: [(_x_mono_mul(key, d), 1) for d in steps.get(i, ())]))
+    one = (0,) * m
+
+    def horner(terms: dict) -> dict[tuple[int, ...], int]:
+        out: dict[tuple[int, ...], int] = {}
+        led: dict[int, dict] = {}
+        for mono, c in terms.items():
+            if mono:
+                led.setdefault(mono[0], {})[mono[1:]] = c
+            else:
+                out[one] = c
+        for i, tail in led.items():
+            if i in steps:
+                mul_into(out, horner(tail), steps[i], 1, _x_mono_mul)
+        return out
+
+    return XPoly(m, horner(p.terms))
 
 
 @cache
-def _peel_steps(m: int, s: int) -> dict[int, list[tuple[int, ...]]]:
-    """For each 1 <= i <= m, the exponent vectors of the monomials
-    x^T e'_{i-|T|} of e_i peeled at s."""
-    return {i: [t + tuple(int(j == i - r) for j in range(1, m - s + 1))
-                for r in range(s + 1) if 0 <= i - r <= m - s
-                for t in elementary_xpoly(r, s).terms]
+def _peel_steps(m: int, s: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """For each 1 <= i <= m, e_i peeled at s as a term map: the exponent
+    vectors of its monomials x^T e'_{i-|T|}, each with coefficient 1."""
+    return {i: dict.fromkeys((t + tuple(int(j == i - r) for j in range(1, m - s + 1))
+                              for r in range(s + 1) if 0 <= i - r <= m - s
+                              for t in elementary_xpoly(r, s).terms), 1)
             for i in range(1, m + 1)}
-
-
-def spread_tails(m: int, terms: dict) -> XPoly:
-    """The symmetric XPoly in x_1..x_m whose dominant exponent vectors
-    carry ``terms``: each vector spread over its distinct permutations."""
-    return XPoly(m, {alpha: c for e, c in terms.items() for alpha in _orbit(e)})
-
-
-def epoly_to_xpoly(p: EPoly) -> XPoly:
-    """Expand an EPoly into x-variables, substituting each e_i by the
-    elementary symmetric polynomial in x_1, ..., x_m.
-
-    Guarded to m <= 8 expansion variables; the result is symmetric in
-    x_1, ..., x_m.  The full term map is built once from
-    ``dominant_expansion``, each dominant vector's coefficient going to its
-    distinct permutations.
-    """
-    return spread_tails(p.m, dominant_expansion(p))

@@ -1,12 +1,11 @@
 """The Schur-Q-style basis of the ring of symmetric functions in elementary
 generators: the memoized basis(lam, m) (pair formula, equal-pair split and
-Pfaffian recursion, truncated to m variables by filtering), its
-x-variable expansion qtilde_x built from the memoized map qtilde_dominant on
-dominant exponent vectors, expansion in the basis, stable structure
-constants (memoized once per unordered pair, the ring being commutative),
-the power-of-two Pieri rule, and the checks of the defining properties of
-the family.  The peeling identities of the x-expansion are checked in
-``symplectic``.
+Pfaffian recursion, truncated to m variables by filtering), expansion in
+the basis, stable structure constants (memoized once per unordered pair,
+the ring being commutative), the power-of-two Pieri rule, and the checks of
+the defining properties of the family.  Their one x-variable check reads
+the basis element through ``polyring.peel``; the peeling identities of the
+x-expansion are checked in ``symplectic``.
 
 A basis element qtilde(lam) is attached to every partition lam; for strict
 lam these map onto Schubert classes of the Lagrangian Grassmannian.  The
@@ -28,8 +27,7 @@ from .partitions import (
     pfaffian_terms,
     straighten,
 )
-from .polyring import (XPANSION_VAR_LIMIT, EPoly, XPoly, add_into, dominant_expansion, mul_into,
-                       spread_tails)
+from .polyring import XPANSION_VAR_LIMIT, EPoly, add_into, elementary_xpoly, mul_into, peel
 
 
 class VerificationError(Exception):
@@ -170,29 +168,15 @@ def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
     return e >> t
 
 
-@cache
-def qtilde_dominant(lam: Partition, m: int) -> dict[tuple[int, ...], int]:
-    """X-variable expansion of the basis element in m variables on its
-    dominant exponent vectors: each weakly decreasing alpha mapped to the
-    coefficient of x^alpha.  Memoized per (lam, m); the map is shared by
-    every caller and must not be mutated."""
-    return dominant_expansion(basis(lam, m))
-
-
-def qtilde_x(lam: Partition, m: int) -> XPoly:
-    """X-variable expansion of the basis element in m variables, on
-    x_1..x_m: its dominant map spread over every ordering."""
-    return spread_tails(m, qtilde_dominant(lam, m))
-
-
 def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
     """Run the defining-property checks over all partitions of weight <= wmax.
 
     (a) vanishing when the top part exceeds m; (b) basis expansion
     round-trips; (c) equal-pair elements expand to elementary symmetric
-    polynomials of squared variables (x-expansion leg, for m within the
-    expansion guard XPANSION_VAR_LIMIT only), compared on dominant exponent
-    vectors, where e_i(x_1^2, ..., x_m^2) is the single vector (2^i, 0^(m-i));
+    polynomials of squared variables (x-variable leg, for m within the
+    guard XPANSION_VAR_LIMIT only), the element peeled at s = m, which
+    leaves no e' and so is its expansion on x_1..x_m, against the terms of
+    e_i(x_1, ..., x_m) with every exponent doubled;
     (d) multiplying by the top-degree generator prepends a part m;
     (e) equal pairs split off multiplicatively, the merged element taken by
     one Pfaffian step rather than from basis, which splits it.  Returns
@@ -209,7 +193,9 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
                 failures.append({"check": "b", "lam": lam, "m": m})
     if m <= XPANSION_VAR_LIMIT:
         for i in range(1, min(m, wmax // 2) + 1):
-            if qtilde_dominant((i, i), m) != {(2,) * i + (0,) * (m - i): 1}:
+            squares = {tuple(2 * e for e in mono): c
+                       for mono, c in elementary_xpoly(i, m).terms.items()}
+            if peel(basis((i, i), m), m).terms != squares:
                 failures.append({"check": "c", "i": i, "m": m})
     for w in range(max(0, wmax - m) + 1):
         for lam in enumerate_partitions(w, m):

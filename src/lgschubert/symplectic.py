@@ -45,6 +45,8 @@ def c_prime(lam: Partition, m: int) -> XPoly:
     """First divided difference of the basis element of lam in m variables,
     peeled at 1: exponent 0 is that of x_1, exponent j that of e'_j."""
     lam = tuple(lam)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
     if len(lam) < 1:
         raise ValueError("need a nonempty partition")
     check_var_limit(m)
@@ -57,6 +59,8 @@ def c_double_prime(lam: Partition, m: int) -> XPoly:
     peeled at 2: exponents 0 and 1 are those of x_1 and x_2, exponent
     j + 1 that of e'_j."""
     lam = tuple(lam)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
     if len(lam) < 2:
         raise ValueError("need at least two parts")
     check_var_limit(m)

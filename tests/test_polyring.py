@@ -1,4 +1,4 @@
-import itertools
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,18 +7,15 @@ from lgschubert.partitions import enumerate_partitions
 from lgschubert.polyring import (
     EPoly,
     XPoly,
-    _e_times_m,
-    _orbit,
+    add_into,
     check_var_limit,
     ddiff0,
     ddiff1prime,
-    dominant_expansion,
     elementary_xpoly,
-    epoly_to_xpoly,
     peel,
     swap_vars,
 )
-from lgschubert.qtilde import basis, qtilde_x
+from lgschubert.qtilde import basis
 
 M = 3
 
@@ -56,24 +53,25 @@ def xpolys(m=3, deg=4, max_terms=5):
 def per_monomial(p: EPoly) -> XPoly:
     """Oracle for the x-expansion: the sum over the e-monomials of p of the
     product of one elementary_xpoly factor per part."""
-    expected = XPoly.zero(p.m)
+    out: dict = {}
     for mono, c in p.terms.items():
-        term = XPoly.one(p.m)
-        for i in mono:
-            term = term * elementary_xpoly(i, p.m)
-        expected = expected + term.scale(c)
-    return expected
+        add_into(out, x_monomial(mono, p.m).terms.items(), c)
+    return XPoly(p.m, out)
 
 
-def dominant_vectors(m, wmax):
-    """Every weakly decreasing exponent vector of length m and weight <= wmax."""
-    return [lam + (0,) * (m - len(lam)) for w in range(wmax + 1)
-            for lam in enumerate_partitions(w, w) if len(lam) <= m]
+@cache
+def x_monomial(mono: tuple[int, ...], m: int) -> XPoly:
+    """The product of elementary_xpoly(i, m) over the parts i of the
+    e-monomial mono, memoised per (mono, m) so that monomials with a common
+    tail share its product."""
+    return elementary_xpoly(mono[0], m) * x_monomial(mono[1:], m) if mono else XPoly.one(m)
 
 
-def monomial_symmetric(beta):
-    """m_beta: the sum of x^alpha over the distinct permutations alpha of beta."""
-    return XPoly(len(beta), dict.fromkeys(set(itertools.permutations(beta)), 1))
+@cache
+def basis_x(lam, m: int) -> XPoly:
+    """The x-expansion of basis(lam, m) on x_1..x_m by ``per_monomial``,
+    memoised per (lam, m); shared by every caller and not to be mutated."""
+    return per_monomial(basis(lam, m))
 
 
 class TestEPolyArithmetic:
@@ -124,23 +122,23 @@ class TestXPolyArithmetic:
 
 
 class TestExpansion:
+    """``peel`` at s = m, the x-expansion on x_1..x_m, and at every s
+    against the per-monomial oracle."""
+
     def test_elementary(self):
-        e1 = epoly_to_xpoly(EPoly.gen(1, 2))
+        e1 = peel(EPoly.gen(1, 2), 2)
         assert e1 == xmono(1, m=2) + xmono(0, 1, m=2)
-        e2 = epoly_to_xpoly(EPoly.gen(2, 2))
+        e2 = peel(EPoly.gen(2, 2), 2)
         assert e2 == xmono(1, 1, m=2)
 
     def test_power_sum_combination(self):
         # e1^2 - 2 e2 expands to x1^2 + x2^2
         p = EPoly(2, {(1, 1): 1, (2,): -2})
-        assert epoly_to_xpoly(p) == xmono(2, m=2) + xmono(0, 2, m=2)
+        assert peel(p, 2) == xmono(2, m=2) + xmono(0, 2, m=2)
 
     def test_guard(self):
-        """One guard, ``check_var_limit``, bounds every x-expansion."""
-        for expand in (epoly_to_xpoly, dominant_expansion, lambda p: qtilde_x((1,), p.m)):
-            with pytest.raises(ValueError, match="^guarded to m <= 8, got 9$"):
-                expand(EPoly.gen(1, 9))
-            assert expand(EPoly.gen(1, 8))
+        """One guard, ``check_var_limit``, bounds every check built on the
+        x-form, with one message."""
         check_var_limit(8)
         with pytest.raises(ValueError, match="^guarded to m <= 8, got 9$"):
             check_var_limit(9)
@@ -148,28 +146,32 @@ class TestExpansion:
     @given(epolys(m=3, max_terms=3), epolys(m=3, max_terms=3))
     @settings(max_examples=50)
     def test_ring_homomorphism(self, a, b):
-        assert epoly_to_xpoly(a * b) == epoly_to_xpoly(a) * epoly_to_xpoly(b)
-        assert epoly_to_xpoly(a + b) == epoly_to_xpoly(a) + epoly_to_xpoly(b)
+        for s in range(a.m + 1):
+            assert peel(a * b, s) == peel(a, s) * peel(b, s)
+            assert peel(a + b, s) == peel(a, s) + peel(b, s)
 
     @given(epolys(m=3, max_terms=3))
     @settings(max_examples=50)
     def test_expansion_is_symmetric(self, a):
-        assert is_symmetric(epoly_to_xpoly(a))
+        assert is_symmetric(peel(a, a.m))
 
     @pytest.mark.parametrize("gens", [1, 2, 3, 4, 5])
     @given(data=st.data())
     @settings(max_examples=25)
     def test_matches_per_monomial_products(self, gens, data):
-        """The expansion equals the sum over e-monomials of products of
-        elementary_xpoly factors, one factor per part.  Beside the drawn terms
-        every case holds the empty monomial, a repeated part and a hand-built
-        term led by e_{gens+1}, which expands to zero."""
+        """Peeled at every s and mapped back to x, the polynomial is the sum
+        over e-monomials of products of elementary_xpoly factors, one factor
+        per part.  Beside the drawn terms every case holds the empty
+        monomial, a repeated part and a hand-built term led by e_{gens+1},
+        which expands to zero."""
         terms = dict(data.draw(epolys(m=gens, max_terms=6)).terms)
         terms.setdefault((), 3)
         terms.setdefault((gens, gens), -1)
         terms[(gens + 1, 1)] = data.draw(st.sampled_from((-2, 1)))
         p = EPoly(gens, terms)
-        assert epoly_to_xpoly(p) == per_monomial(p)
+        want = per_monomial(p)
+        for s in range(gens + 1):
+            assert unpeel(peel(p, s), s) == want, s
 
     @pytest.mark.parametrize("terms", [
         {(1,) * 300: 1},
@@ -179,38 +181,23 @@ class TestExpansion:
         """Exponents above 255 (e_1^300; e_2^130 e_1^140, on two variables)
         come out exact, with no width or range limit on an exponent."""
         p = EPoly(2, terms)
-        got = epoly_to_xpoly(p)
+        got = peel(p, 1)
         assert max(max(mono) for mono in got.terms) > 255
-        assert got == per_monomial(p)
+        assert unpeel(got, 1) == per_monomial(p)
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_basis_elements_match_per_monomial(self, m):
-        """Every basis element of weight <= 2m in m variables."""
+        """Every basis element of weight <= 2m in m variables, peeled at
+        s = m, the form check (c) of ``verify_qtilde_properties`` reads."""
         for w in range(2 * m + 1):
             for lam in enumerate_partitions(w, m):
-                p = basis(lam, m)
-                assert epoly_to_xpoly(p) == per_monomial(p), lam
+                assert peel(basis(lam, m), m) == basis_x(lam, m), lam
 
     def test_no_variables(self):
         # m = 0: a constant stays on the empty exponent vector, and every
         # generator expands to zero
-        assert epoly_to_xpoly(EPoly(0, {(): 7})).terms == {(): 7}
-        assert epoly_to_xpoly(EPoly(0, {(): -2, (1,): 5, (2, 1): 1})).terms == {(): -2}
-
-
-class TestSymmetricTails:
-    """The dominant-vector map of a symmetric polynomial: its terms whose
-    exponent vector is weakly decreasing."""
-
-    @pytest.mark.parametrize("m", range(0, 6))
-    def test_dominant_expansion_is_the_dominant_part(self, m):
-        for w in range(2 * m + 1):
-            for lam in enumerate_partitions(w, m):
-                p = basis(lam, m)
-                full = epoly_to_xpoly(p).terms
-                dom = dominant_expansion(p)
-                assert dom == {e: c for e, c in full.items()
-                               if list(e) == sorted(e, reverse=True)}, lam
+        assert peel(EPoly(0, {(): 7}), 0).terms == {(): 7}
+        assert peel(EPoly(0, {(): -2, (1,): 5, (2, 1): 1}), 0).terms == {(): -2}
 
 
 def unpeel(f: XPoly, s: int) -> XPoly:
@@ -237,11 +224,11 @@ class TestPeel:
     def test_basis_elements_round_trip(self, m):
         """Every basis element of weight <= 2m, peeled at s <= 2 and mapped
         back to x, is its x-expansion."""
-        for s in range(min(m, 2) + 1):
-            for w in range(2 * m + 1):
-                for lam in enumerate_partitions(w, m):
-                    p = basis(lam, m)
-                    assert unpeel(peel(p, s), s) == epoly_to_xpoly(p), (lam, s)
+        for w in range(2 * m + 1):
+            for lam in enumerate_partitions(w, m):
+                want = basis_x(lam, m)
+                for s in range(min(m, 2) + 1):
+                    assert unpeel(peel(basis(lam, m), s), s) == want, (lam, s)
 
     def test_examples(self):
         # e_2(x_1, x_2, x_3) = x_1 e'_1 + e'_2
@@ -259,42 +246,6 @@ class TestPeel:
         for p, s in [(EPoly.gen(1, 2), 3), (EPoly.gen(1, 2), -1), (EPoly.gen(1, None), 0)]:
             with pytest.raises(ValueError, match="cannot peel"):
                 peel(p, s)
-
-
-class TestMonomialSymmetricRule:
-    """The two helpers of the x-expansion: e_i * m_beta in the monomial
-    symmetric basis, and the distinct permutations of a dominant vector."""
-
-    @pytest.mark.parametrize("m", range(1, 6))
-    def test_e_times_m_matches_product(self, m):
-        """e_i * m_beta against elementary_xpoly(i, m) times the full orbit of
-        beta, for every beta of weight <= 6 (zeros and runs of equal values
-        among them) and 0 <= i <= m + 1; i > m gives zero."""
-        for beta in dominant_vectors(m, 6):
-            for i in range(m + 2):
-                pairs = _e_times_m(i, beta)
-                alphas = [alpha for alpha, _ in pairs]
-                assert len(set(alphas)) == len(alphas)
-                assert all(list(alpha) == sorted(alpha, reverse=True) for alpha in alphas)
-                got = XPoly.zero(m)
-                for alpha, c in pairs:
-                    got = got + monomial_symmetric(alpha).scale(c)
-                assert got == elementary_xpoly(i, m) * monomial_symmetric(beta), (i, beta)
-                if i > m:
-                    assert pairs == ()
-
-    def test_e_times_m_examples(self):
-        # (x1 + x2) * (x1 + x2) = m_(2,0) + 2 m_(1,1)
-        assert dict(_e_times_m(1, (1, 0))) == {(2, 0): 1, (1, 1): 2}
-        # e_2 * m_(1,1,0) = m_(2,2,0) + 2 m_(2,1,1)
-        assert dict(_e_times_m(2, (1, 1, 0))) == {(2, 2, 0): 1, (2, 1, 1): 2}
-
-    @pytest.mark.parametrize("m", range(0, 7))
-    def test_orbit_is_every_permutation_once(self, m):
-        for alpha in dominant_vectors(m, 7):
-            orbit = _orbit(alpha)
-            assert len(set(orbit)) == len(orbit)
-            assert set(orbit) == set(itertools.permutations(alpha))
 
 
 class TestDividedDifferences:

@@ -4,7 +4,7 @@ import pytest
 
 from lgschubert import qtilde as qtilde_module
 from lgschubert.partitions import enumerate_partitions, is_strict, pfaffian_terms
-from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, epoly_to_xpoly, swap_vars
+from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, peel, swap_vars
 from lgschubert.qtilde import (
     basis,
     expand_in_basis,
@@ -16,6 +16,7 @@ from lgschubert.qtilde import (
     verify_qtilde_properties,
 )
 from lgschubert.symplectic import verify_extension_formula
+from test_polyring import basis_x
 
 
 def E(m, **monos):
@@ -153,7 +154,7 @@ class TestQtilde:
 
     def test_expansions_are_symmetric_polynomials(self):
         for lam in [(2, 1), (3, 1), (2, 2), (3, 2, 1)]:
-            f = epoly_to_xpoly(qtilde(lam, 3))
+            f = peel(qtilde(lam, 3), 3)
             assert swap_vars(f, 1) == f == swap_vars(f, 2)
 
 
@@ -230,10 +231,10 @@ class TestStructureConstants:
         cases = [((2, 1), (1,)), ((2,), (2,)), ((3, 1), (2,)), ((2, 2), (1, 1))]
         for lam, mu in cases:
             sc = structure_constants(lam, mu)
-            lhs = epoly_to_xpoly(qtilde(lam, m)) * epoly_to_xpoly(qtilde(mu, m))
+            lhs = basis_x(lam, m) * basis_x(mu, m)
             rhs = None
             for nu, c in sc.items():
-                term = epoly_to_xpoly(qtilde(nu, m)).scale(c)
+                term = basis_x(nu, m).scale(c)
                 rhs = term if rhs is None else rhs + term
             assert lhs == rhs
 
@@ -317,24 +318,27 @@ class TestVerifiers:
         assert {"check": "e", "lam": (2, 1, 1, 1), "i": 1, "m": 3} in failures
 
     def test_property_c_single_vector_is_the_full_map(self):
-        """Check (c) compares the dominant map of basis((i, i), m) with the
-        single vector (2^i, 0^(m-i)); spread over every ordering that is
-        e_i(x_1^2, ..., x_m^2), built here from the elementary oracle."""
+        """Check (c) reads basis((i, i), m) peeled at s = m, which leaves no
+        e' and so is the full x-expansion on x_1..x_m: the per-monomial
+        oracle, and e_i(x_1^2, ..., x_m^2), built here from the elementary
+        oracle."""
         for m in range(1, 6):
             for i in range(1, m + 1):
                 squares = XPoly(m, {tuple(2 * e for e in mono): c
                                     for mono, c in elementary_xpoly(i, m).terms.items()})
-                assert epoly_to_xpoly(basis((i, i), m)) == squares
+                assert peel(basis((i, i), m), m) == basis_x((i, i), m) == squares
 
     def test_property_c_catches_a_wrong_expansion(self, monkeypatch):
-        real = qtilde_module.qtilde_dominant
+        """One wrong term in the peeled form of basis((1, 1), 3), as check
+        (c) reads it, fails that check alone."""
+        real = qtilde_module.peel
 
-        def wrong(lam, m):
-            return {**real(lam, m), (1,) * m: 1} if lam == (1, 1) else real(lam, m)
+        def wrong(p, s):
+            f = real(p, s)
+            return f + XPoly(p.m, {(1,) * p.m: 1}) if p == basis((1, 1), p.m) else f
 
-        monkeypatch.setattr(qtilde_module, "qtilde_dominant", wrong)
-        failures = verify_qtilde_properties(3, 8)
-        assert [f for f in failures if f["check"] == "c"] == [{"check": "c", "i": 1, "m": 3}]
+        monkeypatch.setattr(qtilde_module, "peel", wrong)
+        assert verify_qtilde_properties(3, 8) == [{"check": "c", "i": 1, "m": 3}]
 
     def test_property_a_single_case(self):
         assert qtilde((3,), 2) == EPoly.zero(2)

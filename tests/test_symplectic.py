@@ -1,11 +1,12 @@
 import itertools
+import re
 
 import pytest
 
 from lgschubert import suites, symplectic
 from lgschubert.partitions import all_strict_upto, enumerate_partitions, pfaffian_terms, straighten
-from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, epoly_to_xpoly, swap_vars
-from lgschubert.qtilde import qtilde, qtilde_x
+from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, swap_vars
+from lgschubert.qtilde import qtilde
 from lgschubert.symplectic import (
     _peel_into,
     _pfaffian_sum,
@@ -20,7 +21,7 @@ from lgschubert.symplectic import (
     verify_pfaffian_identity_double_prime,
     verify_pfaffian_identity_prime,
 )
-from test_polyring import unpeel
+from test_polyring import basis_x, per_monomial, unpeel
 
 
 def on_tail(f: XPoly, s: int) -> XPoly:
@@ -33,7 +34,7 @@ def tail_qtilde(a: int, m: int, s: int) -> XPoly:
     """One-row basis element on x_{s+1}..x_m; zero for a < 0."""
     if a < 0:
         return XPoly.zero(m)
-    return on_tail(qtilde_x((a,) if a else (), m - s), s)
+    return on_tail(basis_x((a,) if a else (), m - s), s)
 
 
 class TestCPrime:
@@ -121,6 +122,13 @@ class TestIdentityVerifiers:
     def test_lem2(self, lam, m):
         assert verify_lem2(lam, m)
 
+    @pytest.mark.parametrize("c,lam", [
+        (c_prime, (1, 2)), (c_prime, (-1,)), (c_double_prime, (2, 0)),
+    ])
+    def test_divided_differences_reject_non_partitions(self, c, lam):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(lam))} is not a partition$"):
+            c(lam, 3)
+
     def test_var_limit_guard(self):
         with pytest.raises(ValueError, match="guarded to m <= 8, got 9"):
             c_prime((1,), 9)
@@ -139,7 +147,7 @@ def full_peel(prefix, lam, ones, twos, m, k=1) -> XPoly:
             nu = [p - 2 * (i in two) - (i in one) for i, p in enumerate(lam)]
             sign, nu_hat = straighten(nu)
             if sign:
-                add_into(acc, ((prefix + e, c) for e, c in qtilde_x(nu_hat, m - s).terms.items()),
+                add_into(acc, ((prefix + e, c) for e, c in basis_x(nu_hat, m - s).terms.items()),
                          k * sign)
     return XPoly(m, acc)
 
@@ -166,11 +174,11 @@ def full_lem2_rhs(lam, m) -> XPoly:
 
 
 def full_c_prime(lam, m) -> XPoly:
-    return ddiff0(qtilde_x(lam, m))
+    return ddiff0(basis_x(lam, m))
 
 
 def full_c_double_prime(lam, m) -> XPoly:
-    return ddiff0(ddiff1prime(ddiff0(qtilde_x(lam, m))))
+    return ddiff0(ddiff1prime(ddiff0(basis_x(lam, m))))
 
 
 def full_pfaffian_sum(c, lam, m) -> XPoly:
@@ -195,7 +203,7 @@ class TestFullMapOracle:
         cases = [(lam, mm) for mm in range(1, 6) for w in range(2 * mm + 1)
                  for lam in enumerate_partitions(w, mm)]
         for lam, m in cases:
-            want = qtilde_x(lam, m) == full_extension_rhs(lam, m)
+            want = basis_x(lam, m) == full_extension_rhs(lam, m)
             assert verify_extension_formula(lam, m) == want, (lam, m)
 
     def test_cprime_expansion(self):
@@ -240,12 +248,12 @@ class TestFullMapOracle:
         carry that perturbation, and only the full comparison catches it;
         both sides of the check are symmetric in the tail by construction."""
         lam, m = (2, 1), 3
-        f = qtilde_x(lam, m) + XPoly(m, {(0, 0, 1): 1})
+        f = basis_x(lam, m) + XPoly(m, {(0, 0, 1): 1})
         assert swap_vars(f, 2) != f
         lhs = unpeel(symplectic._peeled(lam, m, 1), 1)
-        assert lhs == qtilde_x(lam, m) and swap_vars(lhs, 2) == lhs
+        assert lhs == basis_x(lam, m) and swap_vars(lhs, 2) == lhs
         assert f != full_extension_rhs(lam, m)
-        assert qtilde_x(lam, m) == full_extension_rhs(lam, m)
+        assert basis_x(lam, m) == full_extension_rhs(lam, m)
 
 
 class TestPeelKernel:
@@ -260,7 +268,7 @@ class TestPeelKernel:
         for delta in itertools.product((0, 1, 2), repeat=len(lam)):
             if delta.count(1) == ones and delta.count(2) == twos:
                 nu = [p - d for p, d in zip(lam, delta)]
-                acc = acc + mono * on_tail(epoly_to_xpoly(qtilde(nu, m - s)), s).scale(k)
+                acc = acc + mono * on_tail(per_monomial(qtilde(nu, m - s)), s).scale(k)
         return acc
 
     @pytest.mark.parametrize("lam", [
