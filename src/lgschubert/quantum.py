@@ -31,7 +31,6 @@ from .partitions import (
     enumerate_partitions,
     grow_strips,
     in_d,
-    is_strict,
     pfaffian_terms,
     prepend,
     require_dn,
@@ -84,13 +83,14 @@ def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
 def pieri_row(lam: Partition, k: int, n: int) -> tuple:
     """Terms ((nu, q-step), e) of sigma_k * sigma_lam, each worth 2**e.
 
-    Classical part (step 0): strict horizontal-strip extensions inside the
-    Schubert range, e counting the strip components off the first column.
-    Quantum part (step 1): strict sub-partitions a horizontal strip of size
-    n + 1 - k below, e being components - 1.  The row is shared by every
-    caller and must not be mutated."""
+    Classical part (step 0): the strict horizontal-strip extensions inside
+    the Schubert range, e counting the strip components off the first
+    column.  Quantum part (step 1): the strict sub-partitions a horizontal
+    strip of size n + 1 - k below, e being components - 1.  Both come
+    strict out of the strip enumerator, which builds no other shape.  The
+    row is shared by every caller and must not be mutated."""
     return tuple(((s.shape, 0), s.off_first_column)
-                 for s in grow_strips(lam, k, cap=n) if is_strict(s.shape)) + tuple(
+                 for s in grow_strips(lam, k, cap=n, strict=True)) + tuple(
         ((nu, 1), comps - 1) for nu, comps in shrink_strips(lam, n + 1 - k))
 
 

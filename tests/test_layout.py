@@ -3,8 +3,9 @@ private names, each submodule is importable under its own name (``__main__``
 without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
-the x-expansion variables, each input rule is raised from one guard, and
-``polyring.peel`` is the only x-variable form of an EPoly."""
+the x-expansion variables, each input rule is raised from one guard,
+``polyring.peel`` is the only x-variable form of an EPoly, and strips come
+strict out of their enumerator rather than through a filter."""
 
 import ast
 import importlib
@@ -141,6 +142,23 @@ def test_benchmark_span_names_resolve():
         if not ok:
             missing.append(name)
     assert set(missing) == RETIRED_SPANS
+
+
+def test_strips_come_strict_out_of_the_enumerator():
+    """Strictness is a bound inside ``partitions._interlaced``, never a
+    filter after it: ``quantum`` does not name ``is_strict`` at all, and
+    neither strip enumerator calls it, so discarded shapes cannot come back
+    as a second path."""
+    def names(tree):
+        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+            alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+
+    assert "is_strict" not in names(ast.parse((PACKAGE_DIR / "quantum.py").read_text()))
+    enumerators = [node for node in ast.parse((PACKAGE_DIR / "partitions.py").read_text()).body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("_interlaced", "grow_strips", "shrink_strips")]
+    assert len(enumerators) == 3
+    assert [f.name for f in enumerators if "is_strict" in names(f)] == []
 
 
 def test_one_variable_limit():

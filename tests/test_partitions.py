@@ -182,6 +182,16 @@ class TestGrowStrips:
             for k in range(9):
                 assert grow_strips(lam, k, cap) == oracle_strips(lam, k, cap)
 
+    @pytest.mark.parametrize("cap", [None, 3, 5])
+    def test_strict_is_the_filtered_enumeration(self, cap):
+        """The strict bound inside the enumerator keeps exactly the strict
+        shapes of the full enumeration, counts included, in the same order."""
+        shapes = set(all_strict_upto(7)).union(*(enumerate_partitions(w, w) for w in range(7)))
+        for lam in shapes:
+            for k in range(10):
+                assert grow_strips(lam, k, cap, strict=True) == [
+                    s for s in grow_strips(lam, k, cap) if is_strict(s.shape)]
+
     def test_one_box_per_column(self):
         for lam in [(3, 1), (4, 2, 1)]:
             for k in range(6):

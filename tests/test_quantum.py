@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from lgschubert.classical import classical_product, giambelli_check
-from lgschubert.partitions import all_strict_upto, dual, pfaffian_terms, rho, star
+from lgschubert.partitions import all_strict_upto, dual, is_strict, pfaffian_terms, rho, star
 from lgschubert.polyring import mul_into
 from lgschubert.qtilde import VerificationError, basis
 from lgschubert.quantum import (
@@ -14,6 +14,7 @@ from lgschubert.quantum import (
     giambelli_special,
     gw,
     line_count_check,
+    pieri_row,
     qlr_check,
     qprod_constants,
     qprod_pieri,
@@ -26,6 +27,7 @@ from lgschubert.quantum import (
     sigma_ij_product_check,
     vanishing_bounds,
 )
+from test_partitions import oracle_strips
 
 ENGINES = (qprod_constants, qprod_quotient, qprod_pieri)
 
@@ -103,6 +105,32 @@ class TestQuantumPieri:
         first[((3, 1), 0)] = 99
         first.pop(((2,), 1))
         assert quantum_pieri(x, 2, 3) == want
+
+
+def oracle_pieri_rows(n):
+    """Every ``pieri_row`` of D_n, built from the union-find strip oracle
+    filtered by strictness: the strict strips grown on lam by k boxes (cap
+    n) in step 0, and in step 1 each strict nu that lam grows from by
+    n + 1 - k boxes, in descending order of nu."""
+    classes = all_strict_upto(n)
+    grown = {(nu, j): [s for s in oracle_strips(nu, j, n) if is_strict(s.shape)]
+             for nu in classes for j in range(n + 2)}
+    rows = {}
+    for lam in classes:
+        for k in range(n + 1):
+            below = sorted(((nu, s.components - 1) for nu in classes
+                            for s in grown[nu, n + 1 - k] if s.shape == lam), reverse=True)
+            rows[lam, k] = (tuple(((s.shape, 0), s.off_first_column) for s in grown[lam, k])
+                            + tuple(((nu, 1), e) for nu, e in below))
+    return rows
+
+
+class TestPieriRow:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_strip_oracle(self, n):
+        """Every row, as the same tuple in the same order."""
+        for (lam, k), row in oracle_pieri_rows(n).items():
+            assert pieri_row(lam, k, n) == row, (lam, k)
 
 
 class TestGiambelliSpecial:
