@@ -20,7 +20,7 @@ import itertools
 from functools import cache
 from operator import add
 
-XPANSION_VAR_LIMIT = 8
+XPANSION_VAR_LIMIT = 9
 
 
 def check_var_limit(m: int) -> None:

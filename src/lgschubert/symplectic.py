@@ -10,14 +10,17 @@ element peeled at 1; c_double_prime follows with the swap divided
 difference and the sign-change one again on the element peeled at 2.  The
 three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
-one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, straighten
-(once per lam and decrement counts), and add x^prefix times the basis
-element on the remaining variables, peeled at 0.  The Pfaffian-style
-vanishings of c_prime and c_double_prime are alternating sums of products
-of their peeled forms.  Every check is an exact integer equality in a fixed
-small number m <= XPANSION_VAR_LIMIT (8) of variables (each m gives an
-independent check, since the identities are polynomial in x_1..x_m for
-every m).
+one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, bring the
+sequences to partitions with signs, and add x^prefix times the basis
+element on the remaining variables, peeled at 0.  When parts drop by 1 only
+(the extension and c_prime cases), only equal parts can invert, so each run
+of r equal parts with j of them lowered gives one block with the sign
+[r, j] at q = -1, and nothing is straightened; Lemma 2's decrements by 2
+straighten every pattern.  The Pfaffian-style vanishings of c_prime and
+c_double_prime are alternating sums of products of their peeled forms.
+Every check is an exact integer equality in a fixed small number
+m <= XPANSION_VAR_LIMIT (9) of variables (each m gives an independent
+check, since the identities are polynomial in x_1..x_m for every m).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import comb
+from typing import Iterator
 
 from .partitions import Partition, is_partition, is_strict, pfaffian_terms, straighten
 from .polyring import XPoly, add_into, check_var_limit, ddiff0, ddiff1prime, peel
@@ -74,11 +78,49 @@ def comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def _run_weight(r: int, j: int) -> int:
+    """The Gaussian binomial [r, j] at q = -1: the signed count of the 0/1
+    words of length r with j ones, each word signed by (-1) to the number of
+    ones before zeros.  It is 0 for even r and odd j, and C(r//2, j//2)
+    otherwise (Stanley, EC1 1.7)."""
+    if r % 2 == 0 and j % 2:
+        return 0
+    return comb(r // 2, j // 2)
+
+
+def _run_terms(runs: tuple[tuple[int, int], ...], ones: int) -> Iterator[tuple[int, Partition]]:
+    """(sign, parts) for lam given by its runs (value, length), one part
+    lowered by one in exactly ``ones`` of them: per run the number j of
+    lowered parts, the block a^(r-j) (a-1)^j with zeros dropped, and the
+    product of the run weights, nonzero ones only."""
+    if not runs:
+        if not ones:
+            yield 1, ()
+        return
+    (a, r), rest = runs[0], runs[1:]
+    for j in range(min(r, ones) + 1):
+        w = _run_weight(r, j)
+        if w:
+            block = (a,) * (r - j) + ((a - 1,) * j if a > 1 else ())
+            for sign, tail in _run_terms(rest, ones - j):
+                yield w * sign, block + tail
+
+
 @cache
 def _peel_terms(lam: Partition, ones: int, twos: int) -> tuple[tuple[int, Partition], ...]:
     """The sequences lam - delta, delta in {0,1,2}^len(lam) holding exactly
     ``ones`` ones and ``twos`` twos, straightened: pairs (sign, partition),
-    the signs of equal partitions summed and those that cancel dropped."""
+    the signs of equal partitions summed and those that cancel dropped.
+
+    With no twos, parts drop by at most 1, so only equal parts can invert
+    and lam - delta straightens run by run of equal parts: a run of r parts
+    equal to a with j of them lowered becomes a^(r-j) (a-1)^j, and its
+    C(r, j) patterns sum to the sign ``_run_weight(r, j)``.  Distinct
+    counts per run give distinct partitions, and nothing is straightened.
+    With twos, every pattern is straightened."""
+    if not twos:
+        runs = tuple((a, len(tuple(g))) for a, g in itertools.groupby(lam))
+        return tuple(_run_terms(runs, ones))
     out: dict[Partition, int] = {}
     ell = len(lam)
     for two in itertools.combinations(range(ell), twos):

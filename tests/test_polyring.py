@@ -139,9 +139,9 @@ class TestExpansion:
     def test_guard(self):
         """One guard, ``check_var_limit``, bounds every check built on the
         x-form, with one message."""
-        check_var_limit(8)
-        with pytest.raises(ValueError, match="^guarded to m <= 8, got 9$"):
-            check_var_limit(9)
+        check_var_limit(9)
+        with pytest.raises(ValueError, match="^guarded to m <= 9, got 10$"):
+            check_var_limit(10)
 
     @given(epolys(m=3, max_terms=3), epolys(m=3, max_terms=3))
     @settings(max_examples=50)

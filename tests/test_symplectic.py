@@ -1,5 +1,6 @@
 import itertools
 import re
+from math import comb
 
 import pytest
 
@@ -130,25 +131,33 @@ class TestIdentityVerifiers:
             c(lam, 3)
 
     def test_var_limit_guard(self):
-        with pytest.raises(ValueError, match="guarded to m <= 8, got 9"):
-            c_prime((1,), 9)
-        assert c_prime((1,), 8) == XPoly.one(8)
+        with pytest.raises(ValueError, match="guarded to m <= 9, got 10"):
+            c_prime((1,), 10)
+        assert c_prime((1,), 9) == XPoly.one(9)
+
+
+def straightened(lam, ones, twos) -> dict:
+    """The map partition -> summed sign of every lam - delta holding exactly
+    ``ones`` ones and ``twos`` twos, each pattern straightened afresh, the
+    signs that cancel dropped."""
+    ell = len(lam)
+    acc: dict = {}
+    for two in itertools.combinations(range(ell), twos):
+        for one in itertools.combinations([i for i in range(ell) if i not in two], ones):
+            sign, nu_hat = straighten([p - 2 * (i in two) - (i in one) for i, p in enumerate(lam)])
+            if sign:
+                add_into(acc, ((nu_hat, sign),))
+    return acc
 
 
 def full_peel(prefix, lam, ones, twos, m, k=1) -> XPoly:
     """Full-map oracle of one peeling step: x^prefix times k * sign times
     the basis element of each straightened lam - delta on x_{s+1}..x_m, as
-    one term map on x_1..x_m, every decremented sequence straightened
-    afresh."""
-    s, ell = len(prefix), len(lam)
+    one term map on x_1..x_m."""
+    s = len(prefix)
     acc: dict = {}
-    for two in itertools.combinations(range(ell), twos):
-        for one in itertools.combinations([i for i in range(ell) if i not in two], ones):
-            nu = [p - 2 * (i in two) - (i in one) for i, p in enumerate(lam)]
-            sign, nu_hat = straighten(nu)
-            if sign:
-                add_into(acc, ((prefix + e, c) for e, c in basis_x(nu_hat, m - s).terms.items()),
-                         k * sign)
+    for nu_hat, sign in straightened(lam, ones, twos).items():
+        add_into(acc, ((prefix + e, c) for e, c in basis_x(nu_hat, m - s).terms.items()), k * sign)
     return XPoly(m, acc)
 
 
@@ -305,6 +314,60 @@ class TestPeelKernel:
         assert all(e[0] != 5 for e in lhs)
         rhs[(5, 0, 0)] = 1
         assert lhs != rhs
+
+
+class TestRunRule:
+    """_peel_terms without twos straightens run by run of equal parts: the
+    straighten-every-pattern map is its oracle, and the run weight is the
+    signed count of 0/1 words."""
+
+    @pytest.fixture(autouse=True)
+    def clear_memos(self):
+        symplectic._peel_terms.cache_clear()
+        yield
+        symplectic._peel_terms.cache_clear()
+
+    def test_matches_straightening_every_pattern(self):
+        cases = [(lam, k) for w in range(15) for lam in enumerate_partitions(w, w)
+                 for k in range(len(lam) + 1)]
+        assert len(cases) == 3055
+        for lam, k in cases:
+            got = dict((nu, s) for s, nu in symplectic._peel_terms(lam, k, 0))
+            assert got == straightened(lam, k, 0), (lam, k)
+
+    def test_run_weight_counts_signed_words(self):
+        for r in range(11):
+            for j in range(r + 1):
+                words = (w for w in itertools.product((0, 1), repeat=r) if sum(w) == j)
+                want = sum((-1) ** sum(w[a] > w[b] for a, b in itertools.combinations(range(r), 2))
+                           for w in words)
+                assert symplectic._run_weight(r, j) == want, (r, j)
+
+    @pytest.mark.parametrize("weight", [
+        comb,
+        lambda r, j: comb(r // 2, j // 2),
+    ], ids=["unsigned", "no-zero-for-even-r-odd-j"])
+    def test_wrong_run_weight_fails_extension(self, monkeypatch, weight):
+        assert suites.suite_extension(4) == []
+        symplectic._peel_terms.cache_clear()
+        monkeypatch.setattr(symplectic, "_run_weight", weight)
+        assert suites.suite_extension(4)
+
+    def test_extension_and_cprime_never_straighten(self, monkeypatch):
+        """Only lem2, with its twos, still straightens; the counter sees its
+        calls, so a count of 0 is not vacuous."""
+        calls = []
+
+        def counted(seq):
+            calls.append(seq)
+            return straighten(seq)
+
+        monkeypatch.setattr(symplectic, "straighten", counted)
+        symplectic._peeled.cache_clear()
+        assert suites.suite_extension(4) == []
+        assert suites.suite_cprime_expansion(5) == []
+        assert calls == []
+        assert suites.suite_lem2(3) == [] and calls
 
 
 class TestPeelingChecksCanFail:
