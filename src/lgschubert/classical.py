@@ -9,7 +9,9 @@ equal pair, hence dies; a part > n dies by truncation).
 
 from __future__ import annotations
 
-from .partitions import Partition, dual, in_d, pfaffian_terms, require_dn, rho
+from functools import cache
+
+from .partitions import Partition, in_d, pfaffian_terms, require_dn, rho
 from .polyring import add_into
 from .qtilde import stable_expansion
 
@@ -22,8 +24,20 @@ def reduce_to_lg(expansion: dict[Partition, int], n: int) -> CohClass:
 
 
 def classical_product(lam: Partition, mu: Partition, n: int) -> CohClass:
-    """Product of two Schubert classes in H*(LG(n, 2n))."""
-    return reduce_to_lg(stable_expansion(require_dn(lam, n), require_dn(mu, n)), n)
+    """Product of two Schubert classes in H*(LG(n, 2n)).
+
+    Memoised per ordered pair and rank, like the stable expansion it
+    projects: (lam, mu) and (mu, lam) share one result, which callers must
+    not mutate."""
+    lam, mu = require_dn(lam, n), require_dn(mu, n)
+    if mu < lam:
+        lam, mu = mu, lam
+    return _lg_read(lam, mu, n)
+
+
+@cache
+def _lg_read(lam: Partition, mu: Partition, n: int) -> CohClass:
+    return reduce_to_lg(stable_expansion(lam, mu), n)
 
 
 def class_product(x: CohClass, y: CohClass, n: int) -> CohClass:
@@ -70,7 +84,6 @@ __all__ = [
     "CohClass",
     "class_product",
     "classical_product",
-    "dual",
     "giambelli_check",
     "integral",
     "poincare_pairing",

@@ -18,6 +18,11 @@ is dropped.  They still cross-check each other and route B in
 truncation, and B shares neither step.  Route B is the default of
 ``lgschubert product``; A and C cross-validate it, and C serves ``gw`` and
 ``table``.
+
+Route C reads each stable expansion once per rank: ``qprod_constants`` is
+memoised per ordered pair and rank, so ``gw``, the relation and closed-form
+checks and ``table`` share one validated product per pair, which no caller
+may mutate.
 """
 
 from __future__ import annotations
@@ -68,8 +73,20 @@ def _read_quantum(expansion: dict[Partition, int], n: int) -> QuantumClass:
 
 
 def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
-    """Quantum product read off the stable structure constants (route C)."""
-    return _read_quantum(stable_expansion(require_dn(lam, n), require_dn(mu, n)), n)
+    """Quantum product read off the stable structure constants (route C).
+
+    Memoised per ordered pair and rank, like the stable expansion it reads:
+    (lam, mu) and (mu, lam) share one validated result, which callers must
+    not mutate.  A read-out that raises is not memoised and raises again."""
+    lam, mu = require_dn(lam, n), require_dn(mu, n)
+    if mu < lam:
+        lam, mu = mu, lam
+    return _constants_read(lam, mu, n)
+
+
+@lru_cache(maxsize=None)
+def _constants_read(lam: Partition, mu: Partition, n: int) -> QuantumClass:
+    return _read_quantum(stable_expansion(lam, mu), n)
 
 
 def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
@@ -164,7 +181,7 @@ def relation_check(i: int, n: int) -> bool:
     sigma_i^2 + 2 sum_k (-1)^k sigma_{i+k} sigma_{i-k} = +-sigma_{2i-n-1} q."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}")
-    acc: QuantumClass = qprod_constants((i,), (i,), n)
+    acc: QuantumClass = dict(qprod_constants((i,), (i,), n))  # the read-out is shared
     for k in range(1, n - i + 1):
         if i - k < 0:
             break

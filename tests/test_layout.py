@@ -4,8 +4,9 @@ without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
 the x-expansion variables, each input rule is raised from one guard,
-``polyring.peel`` is the only x-variable form of an EPoly, and strips come
-strict out of their enumerator rather than through a filter."""
+``polyring.peel`` is the only x-variable form of an EPoly, strips come
+strict out of their enumerator rather than through a filter, and every
+functools memo is named in ``MEMOS``."""
 
 import ast
 import importlib
@@ -193,3 +194,47 @@ def test_one_guard_per_rule():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef) and node.name in ("check_var_limit", "require_dn")]
     assert sorted(defined) == ["partitions.require_dn", "polyring.check_var_limit"]
+
+
+# Every functools memo of the package, by module.  A memo keeps its results
+# for the life of the process and hands one object to every caller, so a new
+# one is named here; this is also the list a memo report reads.
+MEMOS = {
+    "classical": {"_lg_read"},
+    "cli": {"build_parser", "code_fingerprint"},
+    "partitions": {"_enum"},
+    "polyring": {"_peel_steps", "elementary_xpoly"},
+    "qtilde": {"_ordered_expansion", "basis"},
+    "quantum": {"_constants_read", "giambelli_special", "pieri_row"},
+    "symplectic": {"_peel_terms", "_peeled", "c_double_prime", "c_prime"},
+}
+MEMO_FACTORIES = {"cache", "lru_cache", "cached_property"}
+
+
+def _memo_factory(node) -> bool:
+    """Whether node names a functools memo factory, called or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in MEMO_FACTORIES
+
+
+def test_every_memo_is_named():
+    """The functions decorated with a functools memo, at any depth, are the
+    ones in MEMOS, and no factory is used any other way (``f = cache(g)``
+    would hide a memo from the first check)."""
+    found, stray = {}, []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _memo_factory(dec):
+                        found.setdefault(path.stem, set()).add(node.name)
+                        decorators.update(id(sub) for sub in ast.walk(dec))
+        stray += [f"{path.stem} line {node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and _memo_factory(node)
+                  and id(node) not in decorators]
+    assert found == MEMOS
+    assert stray == []

@@ -1,12 +1,23 @@
+import contextlib
 import functools
 import itertools
 
 import pytest
 
-from lgschubert.classical import classical_product, giambelli_check
-from lgschubert.partitions import all_strict_upto, dual, is_strict, pfaffian_terms, rho, star
+from lgschubert import classical, quantum, suites
+from lgschubert.classical import classical_product, giambelli_check, reduce_to_lg
+from lgschubert.partitions import (
+    all_strict_upto,
+    dual,
+    in_d,
+    is_strict,
+    pfaffian_terms,
+    prepend,
+    rho,
+    star,
+)
 from lgschubert.polyring import mul_into
-from lgschubert.qtilde import VerificationError, basis
+from lgschubert.qtilde import VerificationError, basis, stable_expansion
 from lgschubert.quantum import (
     _read_quantum,
     eightfold_check,
@@ -41,6 +52,95 @@ class TestRouteC:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             qprod_constants((3,), (1,), 2)
+
+
+def clear_product_memos():
+    """Empty the two read-out memos over the stable expansions: route C's
+    quantum read-out and the D_n projection behind ``classical_product``.
+    The next read then sees each expansion as it stands."""
+    quantum._constants_read.cache_clear()
+    classical._lg_read.cache_clear()
+
+
+@contextlib.contextmanager
+def poisoned(lam, mu, key, value):
+    """The memoised stable expansion of (lam, mu) with the coefficient at
+    key set to value, the read-out memos cleared on entry and on exit."""
+    expansion = stable_expansion(lam, mu)
+    kept = expansion[key]
+    expansion[key] = value
+    clear_product_memos()
+    try:
+        yield
+    finally:
+        expansion[key] = kept
+        clear_product_memos()
+
+
+class TestReadOutMemos:
+    def test_both_orders_share_one_result(self):
+        n = 3
+        for lam, mu in itertools.product(all_strict_upto(n), repeat=2):
+            assert qprod_constants(lam, mu, n) is qprod_constants(mu, lam, n)
+            assert classical_product(lam, mu, n) is classical_product(mu, lam, n)
+
+    def test_gw_equals_an_independent_read_of_the_expansion(self):
+        """Every admissible invariant of D_3 equals its coefficient read
+        straight off the stable expansion, past both memoised read-outs."""
+        n, nonzero = 3, 0
+        for lam, mu, nu in itertools.product(all_strict_upto(n), repeat=3):
+            excess = sum(lam) + sum(mu) + sum(nu) - n * (n + 1) // 2
+            if excess < 0 or excess % (n + 1):
+                continue
+            d = excess // (n + 1)
+            want = stable_expansion(lam, mu).get(prepend(n + 1, d, dual(nu, n)), 0) >> d
+            assert gw(lam, mu, nu, d, n) == want
+            nonzero += want != 0
+        assert nonzero
+
+    def test_suites_leave_every_cached_read_out_intact(self):
+        """After the suites that read either memo, every memoised read-out
+        still equals a fresh read of its expansion, so no caller mutated
+        the result it was handed (relation_check accumulates onto the
+        sigma_i^2 product, and must copy it first).  Each entry is visited:
+        the hits of the comparison count the memo's size."""
+        clear_product_memos()
+        for run in (suites.suite_relations, suites.suite_eightfold, suites.suite_vanishing,
+                    suites.suite_lines, suites.suite_engines_agree, suites.suite_qlr,
+                    suites.suite_fform, suites.suite_rho, suites.suite_sigma_ij,
+                    suites.suite_duality, suites.suite_giambelli_classical):
+            assert run(3) == [], run.__name__
+        # lines reads the classical product one rank up
+        for memo, read, top in ((quantum._constants_read, _read_quantum, 3),
+                                (classical._lg_read, reduce_to_lg, 4)):
+            size, hits = memo.cache_info().currsize, memo.cache_info().hits
+            assert size
+            for n in range(1, top + 1):
+                for lam, mu in itertools.product(all_strict_upto(n), repeat=2):
+                    if lam <= mu:
+                        assert memo(lam, mu, n) == read(stable_expansion(lam, mu), n), (lam, mu, n)
+            assert memo.cache_info().hits - hits == size
+
+    def test_a_warm_memo_cannot_mask_a_poisoned_constant(self):
+        """With the memos warm, one wrong classical coefficient in a stable
+        expansion reaches both suites once the read-outs are cleared."""
+        n, lam, mu = 3, (2,), (2, 1)
+        assert suites.suite_engines_agree(n) == [] and suites.suite_eightfold(n) == []
+        key = next(nu for nu in stable_expansion(lam, mu) if in_d(nu, n))
+        with poisoned(lam, mu, key, stable_expansion(lam, mu)[key] + 1):
+            for failures in (suites.suite_engines_agree(n), suites.suite_eightfold(n)):
+                assert any(f["n"] == n and {f["lam"], f["mu"]} == {lam, mu} for f in failures)
+        assert suites.suite_engines_agree(n) == []
+
+    def test_a_read_out_that_raises_is_not_memoised(self):
+        n, lam, mu = 3, (2,), (2, 1)
+        key = next(nu for nu in stable_expansion(lam, mu) if in_d(nu, n))
+        with poisoned(lam, mu, key, -1):
+            for pair in ((lam, mu), (mu, lam), (lam, mu)):
+                with pytest.raises(VerificationError):
+                    qprod_constants(*pair, n)
+            assert quantum._constants_read.cache_info().currsize == 0
+        assert qprod_constants(lam, mu, n) == _read_quantum(stable_expansion(lam, mu), n)
 
 
 class TestRouteA:
