@@ -21,7 +21,7 @@ from .qtilde import (
     pieri_strict,
     structure_constants,
 )
-from .classical import classical_product, giambelli_check, integral, reduce_to_lg, triple_number
+from .classical import classical_product, giambelli_check, integral, triple_number
 from .quantum import (
     eightfold_check,
     giambelli_special,

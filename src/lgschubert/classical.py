@@ -1,43 +1,25 @@
 """Classical cohomology of the Lagrangian Grassmannian LG(n, 2n).
 
 Classes are finite maps from strict partitions with parts <= n to integers.
-The ring is the quotient of the symmetric-function ring by the equal-pair
-relations, realized as plain key filtering: a basis element survives exactly
-when its index is strict with parts <= n (a non-strict index splits off an
-equal pair, hence dies; a part > n dies by truncation).
+The quantum ring is a deformation of this one over Z[q]: setting q = 0 gives
+back H*(LG(n, 2n)).  So the classical product is the q-degree-0 part of the
+route-C quantum product, and route C's one memoised read-out serves both
+rings; this module holds no memo of its own.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
-from .partitions import Partition, in_d, pfaffian_terms, require_dn, rho
+from .partitions import Partition, pfaffian_terms, require_dn, rho
 from .polyring import add_into
-from .qtilde import stable_expansion
+from .quantum import gw, qprod_constants
 
 CohClass = dict  # map Partition -> int
 
 
-def reduce_to_lg(expansion: dict[Partition, int], n: int) -> CohClass:
-    """Project a basis expansion onto the Schubert basis of LG(n, 2n)."""
-    return {lam: c for lam, c in expansion.items() if in_d(lam, n)}
-
-
 def classical_product(lam: Partition, mu: Partition, n: int) -> CohClass:
-    """Product of two Schubert classes in H*(LG(n, 2n)).
-
-    Memoised per ordered pair and rank, like the stable expansion it
-    projects: (lam, mu) and (mu, lam) share one result, which callers must
-    not mutate."""
-    lam, mu = require_dn(lam, n), require_dn(mu, n)
-    if mu < lam:
-        lam, mu = mu, lam
-    return _lg_read(lam, mu, n)
-
-
-@cache
-def _lg_read(lam: Partition, mu: Partition, n: int) -> CohClass:
-    return reduce_to_lg(stable_expansion(lam, mu), n)
+    """Product of two Schubert classes in H*(LG(n, 2n)): the q-degree-0
+    part of ``qprod_constants``, as a fresh dict."""
+    return {nu: c for (nu, d), c in qprod_constants(lam, mu, n).items() if d == 0}
 
 
 def class_product(x: CohClass, y: CohClass, n: int) -> CohClass:
@@ -68,6 +50,12 @@ def poincare_pairing(lam: Partition, mu: Partition, n: int) -> int:
     return integral(classical_product(lam, mu, n), n)
 
 
+def line_count_check(lam: Partition, mu: Partition, nu: Partition, n: int) -> bool:
+    """Twice a degree-one invariant equals the triple intersection number of
+    the same indices one rank up."""
+    return 2 * gw(lam, mu, nu, 1, n) == triple_number(lam, mu, nu, n + 1)
+
+
 def giambelli_check(lam: Partition, n: int) -> bool:
     """Check the Pfaffian expansion of a Schubert class into two-condition
     classes inside H*(LG(n, 2n)), for len(lam) >= 3."""
@@ -86,7 +74,7 @@ __all__ = [
     "classical_product",
     "giambelli_check",
     "integral",
+    "line_count_check",
     "poincare_pairing",
-    "reduce_to_lg",
     "triple_number",
 ]

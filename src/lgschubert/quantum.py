@@ -21,15 +21,15 @@ truncation, and B shares neither step.  Route B is the default of
 
 Route C reads each stable expansion once per rank: ``qprod_constants`` is
 memoised per ordered pair and rank, so ``gw``, the relation and closed-form
-checks and ``table`` share one validated product per pair, which no caller
-may mutate.
+checks, ``table`` and the classical ring (its q-degree-0 part, read in
+``classical``) share one validated product per pair, which no caller may
+mutate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .classical import triple_number
 from .partitions import (
     Partition,
     dual,
@@ -204,7 +204,6 @@ def eightfold_check(lam: Partition, mu: Partition, nu: Partition, d: int, n: int
     """Check the two-to-the-power scaling between the degree-d invariant of
     (lam, mu, nu) and the degree-(len(lam)-d) invariant of the starred and
     dualized triple; for d beyond len(lam) the invariant must vanish."""
-    lam, mu, nu = (require_dn(p, n) for p in (lam, mu, nu))
     if d > len(lam):
         return gw(lam, mu, nu, d, n) == 0
     e = len(lam) - d
@@ -223,12 +222,6 @@ def rho_product(lam: Partition, n: int) -> QuantumClass:
     if actual != expected:
         raise VerificationError(f"staircase product failed for {lam}, n={n}: {actual}")
     return expected
-
-
-def line_count_check(lam: Partition, mu: Partition, nu: Partition, n: int) -> bool:
-    """Twice a degree-one invariant equals the triple intersection number of
-    the same indices one rank up."""
-    return 2 * gw(lam, mu, nu, 1, n) == triple_number(lam, mu, nu, n + 1)
 
 
 def sigma_ij_product_check(i: int, j: int, n: int) -> bool:

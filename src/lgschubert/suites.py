@@ -204,7 +204,7 @@ def suite_lines(n: int) -> list[dict]:
         for mu in all_strict_upto(nn)
         for nu in all_strict_upto(nn)
         if sum(lam) + sum(mu) + sum(nu) == nn * (nn + 1) // 2 + nn + 1),
-        quantum.line_count_check)
+        classical.line_count_check)
 
 
 def suite_sigma_ij(n: int) -> list[dict]:

@@ -6,11 +6,16 @@ from lgschubert.classical import (
     giambelli_check,
     integral,
     poincare_pairing,
-    reduce_to_lg,
     triple_number,
 )
-from lgschubert.partitions import all_strict_upto, dual
+from lgschubert.partitions import all_strict_upto, dual, in_d
 from lgschubert.qtilde import pieri_strict, structure_constants
+
+
+def reduce_to_lg(expansion, n):
+    """Project a basis expansion onto the Schubert basis of LG(n, 2n): an
+    oracle for the classical product, which reads the quantum one instead."""
+    return {lam: c for lam, c in expansion.items() if in_d(lam, n)}
 
 
 class TestReduce:

@@ -5,8 +5,9 @@ multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
 the x-expansion variables, each input rule is raised from one guard,
 ``polyring.peel`` is the only x-variable form of an EPoly, strips come
-strict out of their enumerator rather than through a filter, and every
-functools memo is named in ``MEMOS``."""
+strict out of their enumerator rather than through a filter, the classical
+product has no read-out of its own beside route C's, and every functools
+memo is named in ``MEMOS``."""
 
 import ast
 import importlib
@@ -162,6 +163,34 @@ def test_strips_come_strict_out_of_the_enumerator():
     assert [f.name for f in enumerators if "is_strict" in names(f)] == []
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """Last dotted component of every module path imports or imports from,
+    plus the modules ``from . import`` brings in by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found.add((node.module or "").rsplit(".", 1)[-1])
+            if node.module in (None, "lgschubert"):
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return found
+
+
+def test_one_read_out_serves_both_rings():
+    """The classical product is the q-degree-0 part of route C's memoised
+    read-out, never a D_n filter of the stable expansion of its own:
+    ``quantum`` imports nothing from ``classical``, and ``classical``
+    imports nothing from ``qtilde`` and names no ``in_d``, so a second
+    read-out cannot come back."""
+    assert "classical" not in _imported_modules(PACKAGE_DIR / "quantum.py")
+    assert "qtilde" not in _imported_modules(PACKAGE_DIR / "classical.py")
+    tree = ast.parse((PACKAGE_DIR / "classical.py").read_text())
+    assert "in_d" not in ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                          | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+                          | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)})
+
+
 def test_one_variable_limit():
     """Exactly one module-level ``*VAR_LIMIT`` constant guards the
     x-expansion and every check built on it, so two bounds for one guard
@@ -200,7 +229,6 @@ def test_one_guard_per_rule():
 # for the life of the process and hands one object to every caller, so a new
 # one is named here; this is also the list a memo report reads.
 MEMOS = {
-    "classical": {"_lg_read"},
     "cli": {"build_parser", "code_fingerprint"},
     "partitions": {"_enum"},
     "polyring": {"_peel_steps", "elementary_xpoly"},

@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from lgschubert import classical, quantum, suites
-from lgschubert.classical import classical_product, giambelli_check, reduce_to_lg
+from lgschubert import quantum, suites
+from lgschubert.classical import classical_product, giambelli_check, line_count_check
 from lgschubert.partitions import (
     all_strict_upto,
     dual,
@@ -24,7 +24,6 @@ from lgschubert.quantum import (
     fform_check,
     giambelli_special,
     gw,
-    line_count_check,
     pieri_row,
     qlr_check,
     qprod_constants,
@@ -55,17 +54,16 @@ class TestRouteC:
 
 
 def clear_product_memos():
-    """Empty the two read-out memos over the stable expansions: route C's
-    quantum read-out and the D_n projection behind ``classical_product``.
-    The next read then sees each expansion as it stands."""
+    """Empty the one read-out memo over the stable expansions, route C's,
+    which also serves ``classical_product``.  The next read then sees each
+    expansion as it stands."""
     quantum._constants_read.cache_clear()
-    classical._lg_read.cache_clear()
 
 
 @contextlib.contextmanager
 def poisoned(lam, mu, key, value):
     """The memoised stable expansion of (lam, mu) with the coefficient at
-    key set to value, the read-out memos cleared on entry and on exit."""
+    key set to value, the read-out memo cleared on entry and on exit."""
     expansion = stable_expansion(lam, mu)
     kept = expansion[key]
     expansion[key] = value
@@ -82,11 +80,10 @@ class TestReadOutMemos:
         n = 3
         for lam, mu in itertools.product(all_strict_upto(n), repeat=2):
             assert qprod_constants(lam, mu, n) is qprod_constants(mu, lam, n)
-            assert classical_product(lam, mu, n) is classical_product(mu, lam, n)
 
     def test_gw_equals_an_independent_read_of_the_expansion(self):
         """Every admissible invariant of D_3 equals its coefficient read
-        straight off the stable expansion, past both memoised read-outs."""
+        straight off the stable expansion, past the memoised read-out."""
         n, nonzero = 3, 0
         for lam, mu, nu in itertools.product(all_strict_upto(n), repeat=3):
             excess = sum(lam) + sum(mu) + sum(nu) - n * (n + 1) // 2
@@ -99,7 +96,7 @@ class TestReadOutMemos:
         assert nonzero
 
     def test_suites_leave_every_cached_read_out_intact(self):
-        """After the suites that read either memo, every memoised read-out
+        """After the suites that read the memo, every memoised read-out
         still equals a fresh read of its expansion, so no caller mutated
         the result it was handed (relation_check accumulates onto the
         sigma_i^2 product, and must copy it first).  Each entry is visited:
@@ -110,20 +107,19 @@ class TestReadOutMemos:
                     suites.suite_fform, suites.suite_rho, suites.suite_sigma_ij,
                     suites.suite_duality, suites.suite_giambelli_classical):
             assert run(3) == [], run.__name__
-        # lines reads the classical product one rank up
-        for memo, read, top in ((quantum._constants_read, _read_quantum, 3),
-                                (classical._lg_read, reduce_to_lg, 4)):
-            size, hits = memo.cache_info().currsize, memo.cache_info().hits
-            assert size
-            for n in range(1, top + 1):
-                for lam, mu in itertools.product(all_strict_upto(n), repeat=2):
-                    if lam <= mu:
-                        assert memo(lam, mu, n) == read(stable_expansion(lam, mu), n), (lam, mu, n)
-            assert memo.cache_info().hits - hits == size
+        # lines reads the quantum product one rank up, through the classical one
+        memo = quantum._constants_read
+        size, hits = memo.cache_info().currsize, memo.cache_info().hits
+        assert size
+        for n in range(1, 5):
+            for lam, mu in itertools.product(all_strict_upto(n), repeat=2):
+                if lam <= mu:
+                    assert memo(lam, mu, n) == _read_quantum(stable_expansion(lam, mu), n), (lam, mu, n)
+        assert memo.cache_info().hits - hits == size
 
     def test_a_warm_memo_cannot_mask_a_poisoned_constant(self):
         """With the memos warm, one wrong classical coefficient in a stable
-        expansion reaches both suites once the read-outs are cleared."""
+        expansion reaches both suites once the read-out is cleared."""
         n, lam, mu = 3, (2,), (2, 1)
         assert suites.suite_engines_agree(n) == [] and suites.suite_eightfold(n) == []
         key = next(nu for nu in stable_expansion(lam, mu) if in_d(nu, n))
@@ -345,15 +341,13 @@ class TestEngineAgreement:
                 assert qprod_quotient(lam, mu, n) == c
                 assert qprod_pieri(lam, mu, n) == c
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_classical_part_is_deformation(self, n):
+        """H* is QH* at q = 0.  ``classical_product`` reads route C, so it
+        is held against route B, which shares no code with it."""
         for lam in all_strict_upto(n):
             for mu in all_strict_upto(n):
-                q0 = {
-                    nu: c
-                    for (nu, d), c in qprod_constants(lam, mu, n).items()
-                    if d == 0
-                }
+                q0 = {nu: c for (nu, d), c in qprod_pieri(lam, mu, n).items() if d == 0}
                 assert q0 == classical_product(lam, mu, n)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -531,10 +525,11 @@ def test_quantum_json_round_trip():
     lambda bad: qprod_quotient((1,), bad, 3),
     lambda bad: classical_product(bad, (1,), 3),
     lambda bad: gw(bad, (1,), (1,), 0, 3),
+    lambda bad: eightfold_check(bad, (1,), (1,), 0, 3),
     lambda bad: dual(bad, 3),
     lambda bad: giambelli_check(bad + (5, 4), 5),
-], ids=["pieri-lam", "pieri-mu", "constants", "quotient", "classical", "gw", "dual",
-        "giambelli"])
+], ids=["pieri-lam", "pieri-mu", "constants", "quotient", "classical", "gw", "eightfold",
+        "dual", "giambelli"])
 def test_non_partition_indices_are_usage_errors(call, bad):
     """An unsorted index, a zero part or a negative part is no element of
     D_n, whichever entry point it reaches: the one D_n guard raises, where
