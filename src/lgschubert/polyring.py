@@ -20,7 +20,7 @@ import itertools
 from functools import cache
 from operator import add
 
-XPANSION_VAR_LIMIT = 9
+XPANSION_VAR_LIMIT = 10
 
 
 def check_var_limit(m: int) -> None:
@@ -187,18 +187,6 @@ class XPoly(_SparsePoly):
         return "XPoly(" + " + ".join(bits) + ")"
 
 
-def swap_vars(f: XPoly, i: int) -> XPoly:
-    """The substitution exchanging x_i and x_{i+1} (1-indexed)."""
-    if not 1 <= i < f.m:
-        raise ValueError(f"cannot swap x_{i}, x_{i + 1} with m={f.m}")
-    out = {}
-    for mono, c in f.terms.items():
-        e = list(mono)
-        e[i - 1], e[i] = e[i], e[i - 1]
-        out[tuple(e)] = c
-    return XPoly(f.m, out)
-
-
 def ddiff0(f: XPoly) -> XPoly:
     """Divided difference (f - f(-x_1)) / (2 x_1).
 
@@ -257,32 +245,28 @@ def peel(p: EPoly, s: int) -> XPoly:
     e_i is the sum over subsets T of {1..s} with i - m + s <= |T| <= i of
     x^T e'_{i-|T|}, and the e'_j are algebraically independent, so two
     polynomials are equal exactly when their peeled forms are.  A divided
-    difference in x_1..x_s acts on the first s exponents alone.  The
-    e-monomials are multiplied out by a Horner scheme: the terms led by
-    generator i, with that i removed, are peeled the same way and then
-    multiplied by e_i peeled, so monomials with a common leading part share
-    one multiplication by it.
+    difference in x_1..x_s acts on the first s exponents alone.  Each
+    e-monomial is the direct product of its generators' peeled forms (the
+    x-identity checks peel elements of at most two rows, so monomials of at
+    most two generators); a monomial holding a generator above m is zero.
     """
     m = p.m
     if m is None or not 0 <= s <= m:
         raise ValueError(f"cannot peel {s} of {m} variables")
     steps = _peel_steps(m, s)
-    one = (0,) * m
-
-    def horner(terms: dict) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        led: dict[int, dict] = {}
-        for mono, c in terms.items():
-            if mono:
-                led.setdefault(mono[0], {})[mono[1:]] = c
-            else:
-                out[one] = c
-        for i, tail in led.items():
-            if i in steps:
-                mul_into(out, horner(tail), steps[i], 1, _x_mono_mul)
-        return out
-
-    return XPoly(m, horner(p.terms))
+    out: dict[tuple[int, ...], int] = {}
+    for mono, c in p.terms.items():
+        if mono and mono[0] > m:
+            continue  # mono[0] is its largest generator, and e_i = 0 for i > m
+        acc = {(0,) * m: c}
+        for i in mono[:-1]:
+            acc, prev = {}, acc
+            mul_into(acc, prev, steps[i], 1, _x_mono_mul)
+        if mono:
+            mul_into(out, acc, steps[mono[-1]], 1, _x_mono_mul)
+        else:
+            add_into(out, acc.items())
+    return XPoly(m, out)
 
 
 @cache

@@ -5,8 +5,10 @@ Every side of every check is one polynomial in x_1..x_m in one exact form:
 the basis element peeled at s (``polyring.peel``), in x_1..x_s and the
 elementary symmetric functions e'_1..e'_{m-s} of x_{s+1}..x_m, which are
 algebraically independent, so two sides agree exactly when their term maps
-do.  c_prime applies the sign-change divided difference to the basis
-element peeled at 1; c_double_prime follows with the swap divided
+do.  Only elements of at most two rows are peeled from their e-form; a
+longer one follows the recursion of ``qtilde.basis`` on peeled forms
+(``_peeled``).  c_prime applies the sign-change divided difference to the
+basis element peeled at 1; c_double_prime follows with the swap divided
 difference and the sign-change one again on the element peeled at 2.  The
 three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
@@ -19,14 +21,13 @@ of r equal parts with j of them lowered gives one block with the sign
 straighten every pattern.  The Pfaffian-style vanishings of c_prime and
 c_double_prime are alternating sums of products of their peeled forms.
 Every check is an exact integer equality in a fixed small number
-m <= XPANSION_VAR_LIMIT (9) of variables (each m gives an independent
+m <= XPANSION_VAR_LIMIT (10) of variables (each m gives an independent
 check, since the identities are polynomial in x_1..x_m for every m).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from math import comb
 from typing import Iterator
@@ -40,8 +41,20 @@ from .qtilde import basis
 def _peeled(lam: Partition, m: int, s: int) -> XPoly:
     """The basis element of lam in m variables peeled at s.  Memoized per
     (lam, m, s); the result is shared by every caller and must not be
-    mutated."""
-    return peel(basis(lam, m), s)
+    mutated.
+
+    Peeling and truncation are ring homomorphisms, so the peeled form
+    follows the recursion of ``qtilde.basis`` on peeled forms: at most two
+    rows are ``peel(basis(lam, m), s)``, a longer partition with an equal
+    pair (i, i) is the product of the peeled pair and the peeled rest, and
+    any other longer one is the alternating last-column sum of products of
+    peeled pairs and rests.  No e-form of more than two rows is built."""
+    if len(lam) <= 2:
+        return peel(basis(lam, m), s)
+    for j in range(len(lam) - 1):
+        if lam[j] == lam[j + 1]:
+            return _peeled(lam[j:j + 2], m, s) * _peeled(lam[:j] + lam[j + 2:], m, s)
+    return XPoly(m, _pfaffian_sum(_peeled, lam, m, s))
 
 
 @cache
@@ -182,12 +195,12 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     return c_prime(lam, m).terms == rhs
 
 
-def _pfaffian_sum(c, lam: Partition, m: int) -> dict[tuple[int, ...], int]:
-    """The alternating sum of c(pair) * c(rest) over the last-column terms
-    of lam, as a term map."""
+def _pfaffian_sum(c, lam: Partition, *args) -> dict[tuple[int, ...], int]:
+    """The alternating sum of c(pair, *args) * c(rest, *args) over the
+    last-column terms of lam, as a term map."""
     acc: dict[tuple[int, ...], int] = {}
     for sign, pair, rest in pfaffian_terms(lam):
-        add_into(acc, (c(pair, m) * c(rest, m)).terms.items(), sign)
+        add_into(acc, (c(pair, *args) * c(rest, *args)).terms.items(), sign)
     return acc
 
 
@@ -246,16 +259,3 @@ def dawson(p: int, q: int) -> bool:
     if (p + q) % 2:
         return lhs == 0
     return lhs == (-1) ** q * comb0(p, (p + q) // 2)
-
-
-def em_recursion_final(r: int, s: int) -> Fraction:
-    """Final coefficient of the rational recursion attached to an even pair
-    r >= s >= 0: e_u = 1 and e_m = C(2m, m-u) - (2m/(v+2-m)) e_{m-1} with
-    u = (r-s)/2 and v = (r+s)/2; the returned e_{v+1} should vanish."""
-    if r < s or r % 2 or s % 2:
-        raise ValueError("need even r >= s >= 0")
-    u, v = (r - s) // 2, (r + s) // 2
-    e = Fraction(1)
-    for mm in range(u + 1, v + 2):
-        e = comb(2 * mm, mm - u) - Fraction(2 * mm, v + 2 - mm) * e
-    return e

@@ -294,10 +294,10 @@ class TestVerify:
         memos = (symplectic._peeled, symplectic.c_prime, symplectic.c_double_prime)
         for memo in memos:
             memo.cache_clear()
-        code, out, err = run(capsys, "verify", suite, "--m", "10")
+        code, out, err = run(capsys, "verify", suite, "--m", "11")
         assert code == 2
         assert out == ""
-        assert err == "error: guarded to m <= 9, got 10\n"
+        assert err == "error: guarded to m <= 10, got 11\n"
         assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
 
     def test_failing_report_bytes(self, capsys, monkeypatch):

@@ -13,7 +13,6 @@ from lgschubert.polyring import (
     ddiff1prime,
     elementary_xpoly,
     peel,
-    swap_vars,
 )
 from lgschubert.qtilde import basis
 
@@ -23,6 +22,18 @@ M = 3
 def negate_first(f: XPoly) -> XPoly:
     """The substitution x_1 -> -x_1."""
     return XPoly(f.m, {mono: (-c if mono[0] % 2 else c) for mono, c in f.terms.items()})
+
+
+def swap_vars(f: XPoly, i: int) -> XPoly:
+    """The substitution exchanging x_i and x_{i+1} (1-indexed)."""
+    if not 1 <= i < f.m:
+        raise ValueError(f"cannot swap x_{i}, x_{i + 1} with m={f.m}")
+    out = {}
+    for mono, c in f.terms.items():
+        e = list(mono)
+        e[i - 1], e[i] = e[i], e[i - 1]
+        out[tuple(e)] = c
+    return XPoly(f.m, out)
 
 
 def is_symmetric(f: XPoly) -> bool:
@@ -139,9 +150,9 @@ class TestExpansion:
     def test_guard(self):
         """One guard, ``check_var_limit``, bounds every check built on the
         x-form, with one message."""
-        check_var_limit(9)
-        with pytest.raises(ValueError, match="^guarded to m <= 9, got 10$"):
-            check_var_limit(10)
+        check_var_limit(10)
+        with pytest.raises(ValueError, match="^guarded to m <= 10, got 11$"):
+            check_var_limit(11)
 
     @given(epolys(m=3, max_terms=3), epolys(m=3, max_terms=3))
     @settings(max_examples=50)

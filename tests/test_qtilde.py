@@ -4,7 +4,7 @@ import pytest
 
 from lgschubert import qtilde as qtilde_module
 from lgschubert.partitions import enumerate_partitions, is_strict, pfaffian_terms
-from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, peel, swap_vars
+from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, peel
 from lgschubert.qtilde import (
     basis,
     expand_in_basis,
@@ -16,7 +16,7 @@ from lgschubert.qtilde import (
     verify_qtilde_properties,
 )
 from lgschubert.symplectic import verify_extension_formula
-from test_polyring import basis_x
+from test_polyring import basis_x, swap_vars
 
 
 def E(m, **monos):

@@ -1,13 +1,14 @@
 import itertools
 import re
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from lgschubert import suites, symplectic
+from lgschubert import qtilde as qtilde_module, suites, symplectic
 from lgschubert.partitions import all_strict_upto, enumerate_partitions, pfaffian_terms, straighten
-from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, swap_vars
-from lgschubert.qtilde import qtilde
+from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, peel
+from lgschubert.qtilde import basis, qtilde
 from lgschubert.symplectic import (
     _peel_into,
     _pfaffian_sum,
@@ -15,14 +16,13 @@ from lgschubert.symplectic import (
     c_prime,
     comb0,
     dawson,
-    em_recursion_final,
     verify_cprime_expansion,
     verify_extension_formula,
     verify_lem2,
     verify_pfaffian_identity_double_prime,
     verify_pfaffian_identity_prime,
 )
-from test_polyring import basis_x, per_monomial, unpeel
+from test_polyring import basis_x, per_monomial, swap_vars, unpeel
 
 
 def on_tail(f: XPoly, s: int) -> XPoly:
@@ -131,9 +131,9 @@ class TestIdentityVerifiers:
             c(lam, 3)
 
     def test_var_limit_guard(self):
-        with pytest.raises(ValueError, match="guarded to m <= 9, got 10"):
-            c_prime((1,), 10)
-        assert c_prime((1,), 9) == XPoly.one(9)
+        with pytest.raises(ValueError, match="guarded to m <= 10, got 11"):
+            c_prime((1,), 11)
+        assert c_prime((1,), 10) == XPoly.one(10)
 
 
 def straightened(lam, ones, twos) -> dict:
@@ -316,6 +316,40 @@ class TestPeelKernel:
         assert lhs != rhs
 
 
+class TestPeeledRecursion:
+    """``_peeled`` follows the recursion of ``qtilde.basis`` on peeled
+    forms; the oracle peels the whole e-form of the basis element."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_equals_peeling_the_basis_element(self, m):
+        # non-strict partitions too: the extension suite peels them
+        for w in range(2 * m + 1):
+            for lam in enumerate_partitions(w, m):
+                for s in range(min(m, 2) + 1):
+                    assert symplectic._peeled(lam, m, s) == peel(basis(lam, m), s), (lam, s)
+
+    def test_suites_build_no_multi_row_e_form(self, monkeypatch):
+        """Every basis element the five x-identity suites ask for, directly
+        or through the recursion of ``basis`` itself, has at most two rows,
+        and the spy sees every entry of the ``basis`` memo."""
+        real = qtilde_module.basis
+        seen = set()
+
+        def spy(lam, m):
+            seen.add((lam, m))
+            return real(lam, m)
+
+        monkeypatch.setattr(symplectic, "basis", spy)
+        monkeypatch.setattr(qtilde_module, "basis", spy)
+        for memo in (real, symplectic._peeled, symplectic.c_prime, symplectic.c_double_prime):
+            memo.cache_clear()
+        for suite in (suites.suite_extension, suites.suite_cprime_expansion, suites.suite_lem2,
+                      suites.suite_pfaffian_prime, suites.suite_pfaffian_double_prime):
+            assert suite(6) == []
+        assert seen and max(len(lam) for lam, _ in seen) == 2
+        assert real.cache_info().currsize == len(seen)
+
+
 class TestRunRule:
     """_peel_terms without twos straightens run by run of equal parts: the
     straighten-every-pattern map is its oracle, and the run weight is the
@@ -448,6 +482,19 @@ class TestDawson:
         assert comb0(3, 4) == 0
         assert comb0(-1, 0) == 0
         assert comb0(4, 2) == 6
+
+
+def em_recursion_final(r: int, s: int) -> Fraction:
+    """Final coefficient of the rational recursion attached to an even pair
+    r >= s >= 0: e_u = 1 and e_m = C(2m, m-u) - (2m/(v+2-m)) e_{m-1} with
+    u = (r-s)/2 and v = (r+s)/2; the returned e_{v+1} should vanish."""
+    if r < s or r % 2 or s % 2:
+        raise ValueError("need even r >= s >= 0")
+    u, v = (r - s) // 2, (r + s) // 2
+    e = Fraction(1)
+    for mm in range(u + 1, v + 2):
+        e = comb(2 * mm, mm - u) - Fraction(2 * mm, v + 2 - mm) * e
+    return e
 
 
 class TestRecursionCoefficients:
