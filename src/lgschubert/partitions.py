@@ -18,7 +18,7 @@ enumerator, not a filter after it.
 from __future__ import annotations
 
 from functools import cache
-from operator import gt
+from operator import ge, gt
 from typing import Iterable, Iterator, NamedTuple
 
 Partition = tuple[int, ...]
@@ -27,7 +27,15 @@ Partition = tuple[int, ...]
 def is_partition(parts: Iterable[int]) -> bool:
     """True for a weakly decreasing sequence of positive integers."""
     t = tuple(parts)
-    return all(x > 0 for x in t) and all(t[i] >= t[i + 1] for i in range(len(t) - 1))
+    return (not t or t[-1] > 0) and all(map(ge, t, t[1:]))
+
+
+def require_partition(parts: Iterable[int]) -> Partition:
+    """parts as a tuple, if it is a partition; ValueError otherwise."""
+    lam = tuple(parts)
+    if not is_partition(lam):
+        raise ValueError(f"{lam} is not a partition")
+    return lam
 
 
 def is_strict(lam: Partition) -> bool:

@@ -5,10 +5,19 @@ truncated to e_i = 0 for i > m when a variable count m is set; XPoly is an
 ordinary integer polynomial in x_1, ..., x_m.  Coefficients are Python ints,
 so arithmetic is exact at any size.
 
-E-monomials are weakly decreasing tuples of generator indices (the empty
-tuple is 1); x-monomials are exponent tuples of fixed length m.  The one
-passage from e to x is ``peel``: it writes an EPoly in m variables in
-x_1, ..., x_s and the elementary symmetric functions e'_1, ..., e'_{m-s} of
+An e-monomial is one int, its packed exponent vector (Monagan and Pearce,
+CASC 2007), in fields of E_FIELD_BITS = 16 bits: field 0, the low bits,
+holds the weight, and field i (bits 16i to 16i + 15) the multiplicity of
+e_i; the monomial 1 is 0.  The product of two e-monomials is then their
+sum, and "no generator above m" is one comparison with ``e_key_bound(m)``.
+A weight that would not fit its field raises rather than carries (every
+multiplicity is at most the weight, so no other field can overflow
+first).  Only this module reads or writes the fields; other modules
+convert term maps through ``pack_e`` and ``unpack_e``.
+
+X-monomials are exponent tuples of fixed length m.  The one passage from
+e to x is ``peel``: it writes an EPoly in m variables in x_1, ..., x_s
+and the elementary symmetric functions e'_1, ..., e'_{m-s} of
 x_{s+1}, ..., x_m, through e_i = sum over T in {1..s} of x^T e'_{i-|T|}.
 The e'_j are algebraically independent, so this form is exact and expands
 nothing in the trailing variables; at s = m it is the full x-expansion.
@@ -22,6 +31,9 @@ from operator import add
 
 XPANSION_VAR_LIMIT = 10
 
+E_FIELD_BITS = 16
+E_WEIGHT_MASK = (1 << E_FIELD_BITS) - 1
+
 
 def check_var_limit(m: int) -> None:
     """Reject variable counts above XPANSION_VAR_LIMIT, the bound of every
@@ -30,11 +42,62 @@ def check_var_limit(m: int) -> None:
         raise ValueError(f"guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
 
 
-def _e_mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b, reverse=True))
+def _check_weight(w: int) -> None:
+    """Reject an e-monomial weight that does not fit the weight field, the
+    one bound of the packed key."""
+    if w > E_WEIGHT_MASK:
+        raise ValueError(f"e-monomial weight {w} exceeds {E_WEIGHT_MASK}")
 
 
-def _x_mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def pack_e(terms: dict) -> dict[int, int]:
+    """A term map keyed by e-monomials written as tuples of generator
+    indices (positive, in any order), rekeyed by packed e-monomials; terms
+    that pack to one key add up, and sums of zero drop."""
+    out: dict[int, int] = {}
+    for parts, c in terms.items():
+        key = _pack(parts)
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def unpack_e(terms: dict[int, int]) -> dict[tuple[int, ...], int]:
+    """A term map keyed by packed e-monomials, rekeyed by the weakly
+    decreasing tuples of their generator indices."""
+    return {_gens(key): c for key, c in terms.items()}
+
+
+def _pack(parts) -> int:
+    """The packed key of the e-monomial with these generator indices."""
+    w = key = 0
+    for i in parts:
+        if i < 1:
+            raise ValueError(f"generator indices must be positive, got {i}")
+        w += i
+        key += 1 << E_FIELD_BITS * i
+    _check_weight(w)
+    return key | w
+
+
+def _gens(key: int) -> tuple[int, ...]:
+    """The generator indices of a packed e-monomial, weakly decreasing."""
+    parts: list[int] = []
+    key >>= E_FIELD_BITS
+    i = 1
+    while key:
+        parts += [i] * (key & E_WEIGHT_MASK)
+        key >>= E_FIELD_BITS
+        i += 1
+    return tuple(reversed(parts))
+
+
+def e_key_bound(m: int) -> int:
+    """The packed e-monomials with no generator above m are those below
+    this bound."""
+    return 1 << E_FIELD_BITS * (m + 1)
+
+
+def x_mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two x-monomials: their exponent vectors added."""
     return tuple(map(add, a, b))
 
 
@@ -49,10 +112,13 @@ def add_into(out: dict, items, k: int = 1) -> None:
             out.pop(mono, None)
 
 
-def mul_into(out: dict, a: dict, b: dict, k: int, mono_mul=_e_mono_mul) -> None:
+def mul_into(out: dict, a: dict, b: dict, k: int, mono_mul=add) -> None:
     """Add k * a * b into ``out`` in place, for term maps with nonzero
     coefficients and k != 0, multiplying monomials with ``mono_mul`` (the
-    e-monomial product by default); ``a`` is the outer loop."""
+    e-monomial product, integer addition, by default, with the weight of
+    the heaviest product checked first); ``a`` is the outer loop."""
+    if mono_mul is add and a and b:
+        _check_weight(max(map(E_WEIGHT_MASK.__and__, a)) + max(map(E_WEIGHT_MASK.__and__, b)))
     for ma, ca in a.items():
         ca *= k
         for mb, cb in b.items():
@@ -72,7 +138,7 @@ class _SparsePoly:
 
     __slots__ = ("m", "terms")
 
-    def __init__(self, m, terms: dict[tuple[int, ...], int]):
+    def __init__(self, m, terms: dict):
         self.m = m
         self.terms = terms
 
@@ -111,7 +177,7 @@ class _SparsePoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
+        out: dict = {}
         mul_into(out, a, b, 1, mono_mul)
         return type(self)(self.m, out)
 
@@ -126,14 +192,14 @@ class EPoly(_SparsePoly):
     """Sparse integer polynomial in the graded generators e_1, e_2, ...
 
     ``m`` is the truncation level (e_i = 0 for i > m); ``m = None`` means no
-    truncation.
+    truncation.  Terms are keyed by packed e-monomials.
     """
 
     __slots__ = ()
 
     @staticmethod
     def one(m: int | None) -> "EPoly":
-        return EPoly(m, {(): 1})
+        return EPoly(m, {0: 1})
 
     @staticmethod
     def gen(i: int, m: int | None) -> "EPoly":
@@ -144,10 +210,10 @@ class EPoly(_SparsePoly):
             return EPoly.one(m)
         if m is not None and i > m:
             return EPoly.zero(m)
-        return EPoly(m, {(i,): 1})
+        return EPoly(m, {_pack((i,)): 1})
 
     def __mul__(self, other):
-        return self._mul(other, _e_mono_mul)
+        return self._mul(other, add)
 
     __rmul__ = __mul__
 
@@ -155,9 +221,9 @@ class EPoly(_SparsePoly):
         if not self.terms:
             return "EPoly(0)"
         bits = []
-        for mono in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[mono]
-            name = "*".join(f"e{i}" for i in mono) if mono else "1"
+        for key in sorted(self.terms, key=lambda k: (k & E_WEIGHT_MASK, _gens(k)), reverse=True):
+            c = self.terms[key]
+            name = "*".join(f"e{i}" for i in _gens(key)) or "1"
             bits.append(f"{c}*{name}")
         return "EPoly(" + " + ".join(bits) + ")"
 
@@ -172,7 +238,7 @@ class XPoly(_SparsePoly):
         return XPoly(m, {(0,) * m: 1})
 
     def __mul__(self, other):
-        return self._mul(other, _x_mono_mul)
+        return self._mul(other, x_mono_mul)
 
     __rmul__ = __mul__
 
@@ -254,16 +320,18 @@ def peel(p: EPoly, s: int) -> XPoly:
     if m is None or not 0 <= s <= m:
         raise ValueError(f"cannot peel {s} of {m} variables")
     steps = _peel_steps(m, s)
+    bound = e_key_bound(m)
     out: dict[tuple[int, ...], int] = {}
-    for mono, c in p.terms.items():
-        if mono and mono[0] > m:
-            continue  # mono[0] is its largest generator, and e_i = 0 for i > m
+    for key, c in p.terms.items():
+        if key >= bound:
+            continue  # it holds a generator above m, and e_i = 0 for i > m
+        mono = _gens(key)
         acc = {(0,) * m: c}
         for i in mono[:-1]:
             acc, prev = {}, acc
-            mul_into(acc, prev, steps[i], 1, _x_mono_mul)
+            mul_into(acc, prev, steps[i], 1, x_mono_mul)
         if mono:
-            mul_into(out, acc, steps[mono[-1]], 1, _x_mono_mul)
+            mul_into(out, acc, steps[mono[-1]], 1, x_mono_mul)
         else:
             add_into(out, acc.items())
     return XPoly(m, out)

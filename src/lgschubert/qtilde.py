@@ -25,9 +25,21 @@ from .partitions import (
     is_partition,
     is_strict,
     pfaffian_terms,
+    require_partition,
     straighten,
 )
-from .polyring import XPANSION_VAR_LIMIT, EPoly, add_into, elementary_xpoly, mul_into, peel
+from .polyring import (
+    E_WEIGHT_MASK,
+    XPANSION_VAR_LIMIT,
+    EPoly,
+    add_into,
+    e_key_bound,
+    elementary_xpoly,
+    mul_into,
+    pack_e,
+    peel,
+    unpack_e,
+)
 
 
 class VerificationError(Exception):
@@ -39,21 +51,24 @@ def basis(lam: Partition, m: int | None) -> EPoly:
     """Basis element of a partition in m variables, untruncated for m = None.
 
     Memoized per (lam, m); the result is shared by every caller and must not
-    be mutated.  Untruncated, at most two parts (i, j) give
+    be mutated.  A memo miss checks that lam is a partition.  Untruncated,
+    at most two parts (i, j) give
     e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}, whose monomials are
-    pairwise distinct.  A longer partition with an equal pair (i, i) is the
-    product of basis((i, i)) and the basis element of the rest (the
-    equal-pair property, check (e) of ``verify_qtilde_properties``); a
-    longer strict partition is the Pfaffian expansion along the last
-    column.  Truncation e_i -> 0 for i > m is a ring homomorphism, so the
-    truncated element drops the monomials of the untruncated one whose top
-    part exceeds m.
+    pairwise distinct, packed by ``polyring.pack_e``.  A longer
+    partition with an equal pair (i, i) is the product of basis((i, i)) and
+    the basis element of the rest (the equal-pair property, check (e) of
+    ``verify_qtilde_properties``); a longer strict partition is the
+    Pfaffian expansion along the last column.  Truncation e_i -> 0 for
+    i > m is a ring homomorphism, so the truncated element keeps the
+    monomials of the untruncated one with no generator above m: the packed
+    keys below ``polyring.e_key_bound(m)``.
     """
+    lam = require_partition(lam)
     if m is not None:
-        return EPoly(m, {mono: c for mono, c in basis(lam, None).terms.items()
-                         if not mono or mono[0] <= m})
+        bound = e_key_bound(m)
+        return EPoly(m, {key: c for key, c in basis(lam, None).terms.items() if key < bound})
     if len(lam) > 2:
-        acc: dict[tuple[int, ...], int] = {}
+        acc: dict[int, int] = {}
         for j in range(len(lam) - 1):
             if lam[j] == lam[j + 1]:
                 mul_into(acc, basis(lam[j:j + 2], None).terms,
@@ -63,8 +78,8 @@ def basis(lam: Partition, m: int | None) -> EPoly:
             mul_into(acc, basis(pair, None).terms, basis(rest, None).terms, sign)
         return EPoly(None, acc)
     i, j = lam + (0,) * (2 - len(lam))
-    return EPoly(None, {tuple(p for p in (i + k, j - k) if p): 2 * (-1) ** k if k else 1
-                        for k in range(j + 1)})
+    return EPoly(None, pack_e({tuple(p for p in (i + k, j - k) if p): 2 * (-1) ** k if k else 1
+                               for k in range(j + 1)}))
 
 
 def qtilde(nu, m: int) -> EPoly:
@@ -83,43 +98,57 @@ def qtilde(nu, m: int) -> EPoly:
 
 
 def expand_in_basis(f: EPoly) -> dict[Partition, int]:
-    """Integer coordinates of f in the basis {qtilde(lam)}.
+    """Integer coordinates of f in the basis {qtilde(lam)}, keyed by
+    partitions.
 
-    Works weight by weight: partitions of each weight are peeled in ascending
-    lexicographic order, so each subtraction only disturbs lex-higher
-    monomials.  Unit pivots and a zero final residual are asserted; a failure
-    of either would mean the unitriangularity the basis guarantees is broken.
+    Works weight by weight, grouping the packed terms of f by their weight
+    field: partitions of each weight are peeled in ascending lexicographic
+    order, so each subtraction only disturbs lex-higher monomials, and each
+    partition's pivot monomial e_lam is looked up by its packed key from
+    the memo ``_partition_keys``.  Unit pivots and a zero final residual
+    are asserted; a failure of either would mean the unitriangularity the
+    basis guarantees is broken.
     """
     coeffs: dict[Partition, int] = {}
-    by_weight: dict[int, dict[tuple[int, ...], int]] = {}
-    for mono, c in f.terms.items():
-        by_weight.setdefault(sum(mono), {})[mono] = c
+    by_weight: dict[int, dict[int, int]] = {}
+    for key, c in f.terms.items():
+        by_weight.setdefault(key & E_WEIGHT_MASK, {})[key] = c
     for w in sorted(by_weight):
         residual = by_weight[w]
         if w == 0:
-            coeffs[()] = residual[()]
+            coeffs[()] = residual[0]
             continue
-        for lam in reversed(enumerate_partitions(w, min(f.m, w) if f.m is not None else w)):
-            c = residual.get(lam)
+        for lam, key in _partition_keys(w, min(f.m, w) if f.m is not None else w):
+            c = residual.get(key)
             if not c:
                 continue
             q = basis(lam, f.m)
-            if q.terms.get(lam, 0) != 1:
+            if q.terms.get(key, 0) != 1:
                 raise VerificationError(f"non-unit pivot for {lam}")
-            # the unit pivot cancels residual[lam] along with the rest
+            # the unit pivot cancels residual[key] along with the rest
             add_into(residual, q.terms.items(), -c)
             coeffs[lam] = c
         if residual:
-            raise VerificationError(f"nonzero residual at weight {w}: {residual}")
+            raise VerificationError(f"nonzero residual at weight {w}: {unpack_e(residual)}")
     return coeffs
+
+
+@cache
+def _partition_keys(w: int, cap: int) -> tuple[tuple[Partition, int], ...]:
+    """The partitions of w with parts at most cap, in ascending
+    lexicographic order, each with the packed key of its e-monomial."""
+    lams = enumerate_partitions(w, cap)[::-1]
+    return tuple(zip(lams, pack_e(dict.fromkeys(lams, 1))))
 
 
 def stable_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Memoized basis expansion of the untruncated product of two basis
     elements.  EPoly multiplication is commutative, so the pair is put in
     order before the memo lookup and (lam, mu) and (mu, lam) share one
-    expansion.  The result is shared by every caller and must not be
-    mutated; ``structure_constants`` validates its input and copies."""
+    expansion.  Each factor must be a partition (``require_partition``).
+    The result is shared by every caller and must not be mutated;
+    ``structure_constants`` copies it."""
+    lam, mu = require_partition(lam), require_partition(mu)
     if mu < lam:
         lam, mu = mu, lam
     return _ordered_expansion(lam, mu)
@@ -134,10 +163,6 @@ def structure_constants(lam: Partition, mu: Partition) -> dict[Partition, int]:
     """Expansion coefficients of qtilde(lam) * qtilde(mu) in the basis,
     computed with enough variables (|lam| + |mu|) that no basis element is
     truncated; the coefficients are then independent of the variable count."""
-    lam, mu = tuple(lam), tuple(mu)
-    for p in (lam, mu):
-        if not is_partition(p):
-            raise ValueError(f"{p} is not a partition")
     return dict(stable_expansion(lam, mu))
 
 
@@ -156,7 +181,7 @@ def pieri_strict(lam: Partition, k: int) -> dict[Partition, int]:
 def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
     """The structure constant e(lam, mu; nu) rescaled by
     2**(len(lam) + len(mu) - len(nu)); exact divisibility is asserted."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    lam, mu, nu = (require_partition(p) for p in (lam, mu, nu))
     e = stable_expansion(lam, mu).get(nu, 0)
     if e == 0:
         return 0
@@ -209,7 +234,7 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
                 merged = tuple(sorted(lam + (i, i), reverse=True))
                 # one Pfaffian step, so that the check does not restate the
                 # equal-pair split that basis itself takes
-                lhs: dict[tuple[int, ...], int] = {}
+                lhs: dict[int, int] = {}
                 for sign, pair, rest in pfaffian_terms(merged):
                     mul_into(lhs, basis(pair, m).terms, basis(rest, m).terms, sign)
                 rhs = basis((i, i), m) * qtilde(lam, m)

@@ -43,7 +43,7 @@ from .partitions import (
     shrink_strips,
     star,
 )
-from .polyring import add_into
+from .polyring import add_into, unpack_e
 from .qtilde import VerificationError, basis, expand_in_basis, f_constant, stable_expansion
 
 QuantumClass = dict  # map (Partition, d) -> int
@@ -128,12 +128,13 @@ def giambelli_special(mu: Partition, n: int) -> dict:
     q-power), whose quantum evaluation is the Schubert class of mu, for mu
     of at most two rows: the basis element of mu in n variables, plus
     (-1)^(n+1-i) q sigma_{i+j-n-1} when mu = (i, j) has i + j > n (the
-    quantum two-condition Giambelli formula).  The result is shared by
-    every caller and must not be mutated."""
+    quantum two-condition Giambelli formula); the packed e-monomials of the
+    basis element are decoded once, here, by ``polyring.unpack_e``.  The
+    result is shared by every caller and must not be mutated."""
     mu = require_dn(mu, n)
     if len(mu) > 2:
         raise ValueError(f"{mu} has more than two rows")
-    terms = {(mono, 0): c for mono, c in basis(mu, n).terms.items()}
+    terms = {(mono, 0): c for mono, c in unpack_e(basis(mu, n).terms).items()}
     s = sum(mu) - n - 1
     if s >= 0:
         terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - mu[0])

@@ -32,8 +32,24 @@ from functools import cache
 from math import comb
 from typing import Iterator
 
-from .partitions import Partition, is_partition, is_strict, pfaffian_terms, straighten
-from .polyring import XPoly, add_into, check_var_limit, ddiff0, ddiff1prime, peel
+from .partitions import (
+    Partition,
+    is_partition,
+    is_strict,
+    pfaffian_terms,
+    require_partition,
+    straighten,
+)
+from .polyring import (
+    XPoly,
+    add_into,
+    check_var_limit,
+    ddiff0,
+    ddiff1prime,
+    mul_into,
+    peel,
+    x_mono_mul,
+)
 from .qtilde import basis
 
 
@@ -61,9 +77,7 @@ def _peeled(lam: Partition, m: int, s: int) -> XPoly:
 def c_prime(lam: Partition, m: int) -> XPoly:
     """First divided difference of the basis element of lam in m variables,
     peeled at 1: exponent 0 is that of x_1, exponent j that of e'_j."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
+    lam = require_partition(lam)
     if len(lam) < 1:
         raise ValueError("need a nonempty partition")
     check_var_limit(m)
@@ -75,9 +89,7 @@ def c_double_prime(lam: Partition, m: int) -> XPoly:
     """Triple divided difference of the basis element of lam in m variables,
     peeled at 2: exponents 0 and 1 are those of x_1 and x_2, exponent
     j + 1 that of e'_j."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
+    lam = require_partition(lam)
     if len(lam) < 2:
         raise ValueError("need at least two parts")
     check_var_limit(m)
@@ -170,9 +182,7 @@ def verify_extension_formula(lam: Partition, m: int) -> bool:
     x_2..x_m over index sequences obtained by decrementing k parts of lam
     by one.  Non-partition sequences enter through signed straightening.
     Both sides are compared peeled at 1."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"{lam} is not a partition")
+    lam = require_partition(lam)
     check_var_limit(m)
     rhs: dict[tuple[int, ...], int] = {}
     for k in range(len(lam) + 1):
@@ -197,10 +207,14 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
 
 def _pfaffian_sum(c, lam: Partition, *args) -> dict[tuple[int, ...], int]:
     """The alternating sum of c(pair, *args) * c(rest, *args) over the
-    last-column terms of lam, as a term map."""
+    last-column terms of lam, as a term map, each product accumulated
+    straight into the sum (the shorter factor the outer loop)."""
     acc: dict[tuple[int, ...], int] = {}
     for sign, pair, rest in pfaffian_terms(lam):
-        add_into(acc, (c(pair, *args) * c(rest, *args)).terms.items(), sign)
+        a, b = c(pair, *args).terms, c(rest, *args).terms
+        if len(a) > len(b):
+            a, b = b, a
+        mul_into(acc, a, b, sign, x_mono_mul)
     return acc
 
 

@@ -4,6 +4,7 @@ without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
 the x-expansion variables, each input rule is raised from one guard,
+only ``polyring`` knows the layout of a packed e-monomial,
 ``polyring.peel`` is the only x-variable form of an EPoly, strips come
 strict out of their enumerator rather than through a filter, the classical
 product has no read-out of its own beside route C's, and every functools
@@ -177,6 +178,14 @@ def _imported_modules(path: Path) -> set[str]:
     return found
 
 
+def _names(path: Path) -> set[str]:
+    """Every name, attribute and imported name in a module's source."""
+    tree = ast.parse(path.read_text())
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)})
+
+
 def test_one_read_out_serves_both_rings():
     """The classical product is the q-degree-0 part of route C's memoised
     read-out, never a D_n filter of the stable expansion of its own:
@@ -185,10 +194,7 @@ def test_one_read_out_serves_both_rings():
     read-out cannot come back."""
     assert "classical" not in _imported_modules(PACKAGE_DIR / "quantum.py")
     assert "qtilde" not in _imported_modules(PACKAGE_DIR / "classical.py")
-    tree = ast.parse((PACKAGE_DIR / "classical.py").read_text())
-    assert "in_d" not in ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-                          | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
-                          | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)})
+    assert "in_d" not in _names(PACKAGE_DIR / "classical.py")
 
 
 def test_one_variable_limit():
@@ -212,17 +218,33 @@ def _raises_carrying(phrase: str) -> list[str]:
                    and phrase in sub.value for sub in ast.walk(node))]
 
 
+GUARDS = {"does not index a Schubert class": "partitions.require_dn",
+          "is not a partition": "partitions.require_partition",
+          "guarded to m <=": "polyring.check_var_limit",
+          "e-monomial weight": "polyring._check_weight"}
+
+
 def test_one_guard_per_rule():
-    """The D_n rule and the variable limit are each raised from one place,
-    by one function defined once, so copies of either guard cannot come
-    back."""
-    for phrase in ("does not index a Schubert class", "guarded to m <="):
+    """The D_n rule, the partition rule, the variable limit and the weight
+    bound of a packed e-monomial are each raised from one place, by one
+    function defined once, so copies of a guard cannot come back."""
+    for phrase in GUARDS:
         found = _raises_carrying(phrase)
-        assert len(found) == 1, found
+        assert len(found) == 1, (phrase, found)
+    names = {guard.split(".")[1] for guard in GUARDS.values()}
     defined = [f"{path.stem}.{node.name}" for path in MODULES
                for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.FunctionDef) and node.name in ("check_var_limit", "require_dn")]
-    assert sorted(defined) == ["partitions.require_dn", "polyring.check_var_limit"]
+               if isinstance(node, ast.FunctionDef) and node.name in names]
+    assert sorted(defined) == sorted(GUARDS.values())
+
+
+def test_only_polyring_knows_the_key_layout():
+    """The field width of a packed e-monomial is named in ``polyring``
+    alone; other modules convert through ``pack_e`` and ``unpack_e`` and
+    truncate through ``e_key_bound``, and no tuple e-monomial product is
+    left."""
+    assert [path.stem for path in MODULES if "E_FIELD_BITS" in _names(path)] == ["polyring"]
+    assert [path.stem for path in MODULES if "_e_mono_mul" in _names(path)] == []
 
 
 # Every functools memo of the package, by module.  A memo keeps its results
@@ -232,7 +254,7 @@ MEMOS = {
     "cli": {"build_parser", "code_fingerprint"},
     "partitions": {"_enum"},
     "polyring": {"_peel_steps", "elementary_xpoly"},
-    "qtilde": {"_ordered_expansion", "basis"},
+    "qtilde": {"_ordered_expansion", "_partition_keys", "basis"},
     "quantum": {"_constants_read", "giambelli_special", "pieri_row"},
     "symplectic": {"_peel_terms", "_peeled", "c_double_prime", "c_prime"},
 }

@@ -5,14 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from lgschubert.partitions import enumerate_partitions
 from lgschubert.polyring import (
+    E_WEIGHT_MASK,
     EPoly,
     XPoly,
     add_into,
     check_var_limit,
     ddiff0,
     ddiff1prime,
+    e_key_bound,
     elementary_xpoly,
+    mul_into,
+    pack_e,
     peel,
+    unpack_e,
 )
 from lgschubert.qtilde import basis
 
@@ -45,13 +50,22 @@ def xmono(*exps, m=M, c=1):
     return XPoly(m, {tuple(exps) + (0,) * (m - len(exps)): c})
 
 
+def E(m, terms):
+    """An EPoly from a map of generator-index tuples to coefficients."""
+    return EPoly(m, pack_e(terms))
+
+
+def key(parts) -> int:
+    """The packed key of one e-monomial."""
+    (k,) = pack_e({tuple(parts): 1})
+    return k
+
+
 def epolys(m=3, max_terms=4):
     monos = st.lists(
         st.integers(min_value=1, max_value=m), min_size=0, max_size=3
     ).map(lambda parts: tuple(sorted(parts, reverse=True)))
-    return st.dictionaries(monos, st.integers(-5, 5), max_size=max_terms).map(
-        lambda d: EPoly(m, {k: v for k, v in d.items() if v})
-    )
+    return st.dictionaries(monos, st.integers(-5, 5), max_size=max_terms).map(lambda d: E(m, d))
 
 
 def xpolys(m=3, deg=4, max_terms=5):
@@ -65,7 +79,7 @@ def per_monomial(p: EPoly) -> XPoly:
     """Oracle for the x-expansion: the sum over the e-monomials of p of the
     product of one elementary_xpoly factor per part."""
     out: dict = {}
-    for mono, c in p.terms.items():
+    for mono, c in unpack_e(p.terms).items():
         add_into(out, x_monomial(mono, p.m).terms.items(), c)
     return XPoly(p.m, out)
 
@@ -88,10 +102,10 @@ def basis_x(lam, m: int) -> XPoly:
 class TestEPolyArithmetic:
     def test_basic_identities(self):
         e1, e2 = EPoly.gen(1, 3), EPoly.gen(2, 3)
-        assert e1 * e1 == EPoly(3, {(1, 1): 1})
+        assert e1 * e1 == E(3, {(1, 1): 1})
         assert e2 + e2.scale(-1) == EPoly.zero(3)
         p = e1 * e2 - EPoly.gen(3, 3).scale(2)
-        assert p.scale(3) == EPoly(3, {(2, 1): 3, (3,): -6})
+        assert p.scale(3) == E(3, {(2, 1): 3, (3,): -6})
 
     def test_truncation_kills_high_generators(self):
         assert EPoly.gen(3, 2) == EPoly.zero(2)
@@ -103,13 +117,74 @@ class TestEPolyArithmetic:
     def test_cancelled_cross_terms_are_not_stored(self):
         # (e2 + e1)(e2 - e1) = e2^2 - e1^2: the two e2 e1 terms cancel
         e1, e2 = EPoly.gen(1, 3), EPoly.gen(2, 3)
-        assert ((e2 + e1) * (e2 - e1)).terms == {(2, 2): 1, (1, 1): -1}
+        assert (e2 + e1) * (e2 - e1) == E(3, {(2, 2): 1, (1, 1): -1})
 
     @given(epolys(), epolys(), epolys())
     def test_ring_laws(self, a, b, c):
         assert a * b == b * a
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
+
+
+GENERATOR_LISTS = st.lists(st.integers(min_value=1, max_value=12), max_size=8)
+
+
+class TestPackedKey:
+    """An e-monomial is one int: its weight in the low field, the
+    multiplicity of e_i in field i."""
+
+    @given(GENERATOR_LISTS, st.integers(-3, 3))
+    def test_round_trip(self, parts, c):
+        assert unpack_e(pack_e({tuple(parts): c})) == ({tuple(sorted(parts, reverse=True)): c}
+                                                      if c else {})
+        assert key(parts) & E_WEIGHT_MASK == sum(parts)
+
+    @given(GENERATOR_LISTS, GENERATOR_LISTS)
+    def test_product_is_the_multiset_union(self, a, b):
+        assert key(a) + key(b) == key(a + b)
+
+    def test_orders_of_one_monomial_add_up(self):
+        assert pack_e({(1, 2): 1, (2, 1): 2, (3,): 4}) == {key((2, 1)): 3, key((3,)): 4}
+        assert pack_e({(1, 2): 1, (2, 1): -1}) == {}
+
+    def test_one_and_generators(self):
+        assert EPoly.one(None).terms == {key(()): 1} == {0: 1}
+        for i in (1, 2, 7):
+            assert EPoly.gen(i, None).terms == {key((i,)): 1}
+
+    @given(GENERATOR_LISTS, st.integers(min_value=0, max_value=13))
+    def test_truncation_is_one_comparison(self, parts, m):
+        """A key lies below ``e_key_bound(m)`` exactly when the top part of
+        its monomial is at most m."""
+        assert (key(parts) < e_key_bound(m)) == (max(parts, default=0) <= m)
+
+    def test_weight_overflow_raises_instead_of_carrying(self):
+        """Two EPolys of weight 40,000: the product's weight, 80,000, does
+        not fit the weight field, and the multiplication raises rather than
+        carry into the multiplicity of e_1.  The same guard bounds packing
+        and the generators; weight 65,535 still fits."""
+        e = EPoly.gen(40000, None)
+        assert unpack_e(e.terms) == {(40000,): 1}
+        for lhs, rhs in [(e, e), (e, e + EPoly.one(None)),
+                         (E(None, {(1,) * 40000: 1}), E(None, {(20000, 20000): 2}))]:
+            with pytest.raises(ValueError, match="^e-monomial weight 80000 exceeds 65535$"):
+                lhs * rhs
+            with pytest.raises(ValueError, match="exceeds 65535"):
+                mul_into({}, lhs.terms, rhs.terms, 1)
+        assert unpack_e(pack_e({(65535,): 1})) == {(65535,): 1}
+        with pytest.raises(ValueError, match="^e-monomial weight 65536 exceeds 65535$"):
+            EPoly.gen(65536, None)
+        with pytest.raises(ValueError, match="exceeds 65535"):
+            pack_e({(40000, 30000): 1})
+
+    def test_rejects_nonpositive_generators(self):
+        for parts in [(0,), (2, -1)]:
+            with pytest.raises(ValueError, match="must be positive"):
+                pack_e({parts: 1})
+
+    def test_repr(self):
+        assert repr(E(3, {(2, 1): 1, (3,): -2, (): 5})) == "EPoly(-2*e3 + 1*e2*e1 + 5*1)"
+        assert repr(EPoly.zero(3)) == "EPoly(0)"
 
 
 class TestXPolyArithmetic:
@@ -144,7 +219,7 @@ class TestExpansion:
 
     def test_power_sum_combination(self):
         # e1^2 - 2 e2 expands to x1^2 + x2^2
-        p = EPoly(2, {(1, 1): 1, (2,): -2})
+        p = E(2, {(1, 1): 1, (2,): -2})
         assert peel(p, 2) == xmono(2, m=2) + xmono(0, 2, m=2)
 
     def test_guard(self):
@@ -175,11 +250,11 @@ class TestExpansion:
         per part.  Beside the drawn terms every case holds the empty
         monomial, a repeated part and a hand-built term led by e_{gens+1},
         which expands to zero."""
-        terms = dict(data.draw(epolys(m=gens, max_terms=6)).terms)
+        terms = unpack_e(data.draw(epolys(m=gens, max_terms=6)).terms)
         terms.setdefault((), 3)
         terms.setdefault((gens, gens), -1)
         terms[(gens + 1, 1)] = data.draw(st.sampled_from((-2, 1)))
-        p = EPoly(gens, terms)
+        p = E(gens, terms)
         want = per_monomial(p)
         for s in range(gens + 1):
             assert unpeel(peel(p, s), s) == want, s
@@ -191,7 +266,7 @@ class TestExpansion:
     def test_exponents_beyond_one_byte(self, terms):
         """Exponents above 255 (e_1^300; e_2^130 e_1^140, on two variables)
         come out exact, with no width or range limit on an exponent."""
-        p = EPoly(2, terms)
+        p = E(2, terms)
         got = peel(p, 1)
         assert max(max(mono) for mono in got.terms) > 255
         assert unpeel(got, 1) == per_monomial(p)
@@ -207,8 +282,8 @@ class TestExpansion:
     def test_no_variables(self):
         # m = 0: a constant stays on the empty exponent vector, and every
         # generator expands to zero
-        assert peel(EPoly(0, {(): 7}), 0).terms == {(): 7}
-        assert peel(EPoly(0, {(): -2, (1,): 5, (2, 1): 1}), 0).terms == {(): -2}
+        assert peel(E(0, {(): 7}), 0).terms == {(): 7}
+        assert peel(E(0, {(): -2, (1,): 5, (2, 1): 1}), 0).terms == {(): -2}
 
 
 def unpeel(f: XPoly, s: int) -> XPoly:
@@ -247,11 +322,11 @@ class TestPeel:
         # e_3(x_1, x_2, x_3) = x_1 x_2 e'_1, and e_1^2 = (x_1 + x_2 + e'_1)^2
         assert peel(EPoly.gen(3, 3), 2).terms == {(1, 1, 1): 1}
         e1 = xmono(1) + xmono(0, 1) + xmono(0, 0, 1)
-        assert peel(EPoly(3, {(1, 1): 1}), 2) == e1 * e1
+        assert peel(E(3, {(1, 1): 1}), 2) == e1 * e1
         # at s = 0 each e-monomial is its own exponent vector of the e'_j
-        assert peel(EPoly(3, {(3, 1, 1): 4, (): -1}), 0).terms == {(2, 0, 1): 4, (0, 0, 0): -1}
+        assert peel(E(3, {(3, 1, 1): 4, (): -1}), 0).terms == {(2, 0, 1): 4, (0, 0, 0): -1}
         # a hand-built term led by e_{m+1} peels to zero
-        assert not peel(EPoly(2, {(3, 1): 1}), 1)
+        assert not peel(E(2, {(3, 1): 1}), 1)
 
     def test_rejects_bad_counts(self):
         for p, s in [(EPoly.gen(1, 2), 3), (EPoly.gen(1, 2), -1), (EPoly.gen(1, None), 0)]:

@@ -4,7 +4,7 @@ import pytest
 
 from lgschubert import qtilde as qtilde_module
 from lgschubert.partitions import enumerate_partitions, is_strict, pfaffian_terms
-from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, peel
+from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, pack_e, peel, unpack_e
 from lgschubert.qtilde import (
     basis,
     expand_in_basis,
@@ -23,9 +23,8 @@ def E(m, **monos):
     """Shorthand: E(3, e21=1, e3=-2) = e2*e1 - 2*e3."""
     terms = {}
     for name, c in monos.items():
-        mono = tuple(sorted((int(ch) for ch in name[1:]), reverse=True))
-        terms[mono] = c
-    return EPoly(m, terms)
+        terms[tuple(int(ch) for ch in name[1:])] = c
+    return EPoly(m, pack_e(terms))
 
 
 class TestPairs:
@@ -45,8 +44,9 @@ class TestBasis:
             for lam in enumerate_partitions(w, w):
                 full = basis(lam, None)
                 for m in range(1, 7):
-                    kept = {mono: c for mono, c in full.terms.items() if not mono or mono[0] <= m}
-                    assert basis(lam, m) == EPoly(m, kept)
+                    kept = {mono: c for mono, c in unpack_e(full.terms).items()
+                            if max(mono, default=0) <= m}
+                    assert basis(lam, m) == EPoly(m, pack_e(kept))
                     if len(lam) > 2:
                         acc = EPoly.zero(m)
                         for sign, pair, rest in pfaffian_terms(lam):
@@ -288,6 +288,37 @@ class TestFConstant:
                     assert f_constant(lam, mu, nu) >= 0
 
 
+class TestPartitionGuard:
+    """Every public entry point that reads a partition raises the one
+    usage error of ``partitions.require_partition`` for a sequence that is
+    not one, before packing could fold (1, 2) and (2, 1) together, and
+    never the VerificationError that means the theory broke."""
+
+    @pytest.mark.parametrize("bad", [(1, 2), (0,), (2, 0), (-1,)])
+    @pytest.mark.parametrize("call", [
+        lambda bad: basis(bad, None),
+        lambda bad: basis(bad, 3),
+        lambda bad: stable_expansion(bad, (1,)),
+        lambda bad: stable_expansion((1,), bad),
+        lambda bad: structure_constants(bad, (1,)),
+        lambda bad: structure_constants((1,), bad),
+        lambda bad: f_constant(bad, (1,), (1,)),
+        lambda bad: f_constant((1,), bad, (1,)),
+        lambda bad: f_constant((1,), (1,), bad),
+    ], ids=["basis", "basis-m", "stable-lam", "stable-mu", "constants-lam", "constants-mu",
+            "f-lam", "f-mu", "f-nu"])
+    def test_rejects_non_partitions(self, call, bad):
+        with pytest.raises(ValueError, match=" is not a partition$"):
+            call(bad)
+
+    def test_reported_cases(self):
+        with pytest.raises(ValueError, match=r"^\(1, 2\) is not a partition$"):
+            f_constant((1, 2), (1,), (3, 1))
+        with pytest.raises(ValueError, match=r"^\(0,\) is not a partition$"):
+            f_constant((0,), (1,), (1,))
+        assert f_constant((2, 1), (1,), (3, 1)) == f_constant((1,), (2, 1), (3, 1))
+
+
 class TestVerifiers:
     @pytest.mark.parametrize("m,wmax", [(2, 6), (3, 8)])
     def test_properties_pass(self, m, wmax):
@@ -305,7 +336,7 @@ class TestVerifiers:
             p = real(lam, m)
             if m is None and len(lam) > 2 and not is_strict(lam):
                 bumped = (lam[0] + 1,) + lam[1:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
-                return p + EPoly(None, {bumped: 1})
+                return p + EPoly(None, pack_e({bumped: 1}))
             return p
 
         real.cache_clear()

@@ -16,7 +16,7 @@ from lgschubert.partitions import (
     rho,
     star,
 )
-from lgschubert.polyring import mul_into
+from lgschubert.polyring import mul_into, unpack_e
 from lgschubert.qtilde import VerificationError, basis, stable_expansion
 from lgschubert.quantum import (
     _read_quantum,
@@ -275,7 +275,7 @@ def symbolic_giambelli(mu, n):
         return {(mu, 0): 1}
     if len(mu) == 2:
         i, j = mu
-        terms = {(mono, 0): c for mono, c in basis(mu, n).terms.items()}
+        terms = {(mono, 0): c for mono, c in unpack_e(basis(mu, n).terms).items()}
         s = i + j - n - 1
         if s >= 0:
             terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
