@@ -17,6 +17,8 @@ back-substitution in ``expand_in_basis``.
 from __future__ import annotations
 
 from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .partitions import (
     Partition,
@@ -141,12 +143,12 @@ def _partition_keys(w: int, cap: int) -> tuple[tuple[Partition, int], ...]:
     return tuple(zip(lams, pack_e(dict.fromkeys(lams, 1))))
 
 
-def stable_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
+def stable_expansion(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """Memoized basis expansion of the untruncated product of two basis
     elements.  EPoly multiplication is commutative, so the pair is put in
     order before the memo lookup and (lam, mu) and (mu, lam) share one
     expansion.  Each factor must be a partition (``require_partition``).
-    The result is shared by every caller and must not be mutated;
+    The result is shared by every caller, read-only;
     ``structure_constants`` copies it."""
     lam, mu = require_partition(lam), require_partition(mu)
     if mu < lam:
@@ -155,8 +157,8 @@ def stable_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
 
 
 @cache
-def _ordered_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    return expand_in_basis(basis(lam, None) * basis(mu, None))
+def _ordered_expansion(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+    return MappingProxyType(expand_in_basis(basis(lam, None) * basis(mu, None)))
 
 
 def structure_constants(lam: Partition, mu: Partition) -> dict[Partition, int]:

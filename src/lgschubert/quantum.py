@@ -22,13 +22,24 @@ truncation, and B shares neither step.  Route B is the default of
 Route C reads each stable expansion once per rank: ``qprod_constants`` is
 memoised per ordered pair and rank, so ``gw``, the relation and closed-form
 checks, ``table`` and the classical ring (its q-degree-0 part, read in
-``classical``) share one validated product per pair, which no caller may
-mutate.
+``classical``) share one validated product per pair, a read-only mapping.
+
+Route B runs on subset bitmasks.  A class nu in D_n is a subset of {1..n},
+the mask with bit p - 1 set for each part p, and the class (nu, d) is the
+int key mask | d << n: q^e adds e << n and the q-degree is key >> n.  One
+memoised row per (mask, k, n) holds the Pieri terms (key, 2^e), and one
+fold, ``_fold``, applies rows to int-keyed classes, so a term costs one int
+addition and one multiplication.  Only this module knows the layout:
+``quantum_pieri``, ``pieri_row`` and ``qprod_pieri`` keep (partition, d)
+classes, encoded at their edge (each partition in D_n, each d >= 0) and
+decoded once at the end.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .partitions import (
     Partition,
@@ -49,7 +60,7 @@ from .qtilde import VerificationError, basis, expand_in_basis, f_constant, stabl
 QuantumClass = dict  # map (Partition, d) -> int
 
 
-def _read_quantum(expansion: dict[Partition, int], n: int) -> QuantumClass:
+def _read_quantum(expansion: Mapping[Partition, int], n: int) -> QuantumClass:
     """Quantum product read off a basis expansion: each index ((n+1)^d, nu)
     with nu in D_n contributes its coefficient divided by 2^d in q-degree d,
     and every other index is dropped.  The coefficient must be a nonnegative
@@ -72,12 +83,12 @@ def _read_quantum(expansion: dict[Partition, int], n: int) -> QuantumClass:
     return out
 
 
-def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
+def qprod_constants(lam: Partition, mu: Partition, n: int) -> Mapping:
     """Quantum product read off the stable structure constants (route C).
 
     Memoised per ordered pair and rank, like the stable expansion it reads:
-    (lam, mu) and (mu, lam) share one validated result, which callers must
-    not mutate.  A read-out that raises is not memoised and raises again."""
+    (lam, mu) and (mu, lam) share one validated result, read-only.  A
+    read-out that raises is not memoised and raises again."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
     if mu < lam:
         lam, mu = mu, lam
@@ -85,8 +96,8 @@ def qprod_constants(lam: Partition, mu: Partition, n: int) -> QuantumClass:
 
 
 @lru_cache(maxsize=None)
-def _constants_read(lam: Partition, mu: Partition, n: int) -> QuantumClass:
-    return _read_quantum(stable_expansion(lam, mu), n)
+def _constants_read(lam: Partition, mu: Partition, n: int) -> Mapping:
+    return MappingProxyType(_read_quantum(stable_expansion(lam, mu), n))
 
 
 def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
@@ -96,7 +107,80 @@ def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     return _read_quantum(expand_in_basis(basis(lam, n + 1) * basis(mu, n + 1)), n)
 
 
+def _mask_of(lam: Partition) -> int:
+    """The subset of {1..n} that lam in D_n is, as a bitmask: bit p - 1 is
+    set for each part p."""
+    mask = 0
+    for p in lam:
+        mask |= 1 << (p - 1)
+    return mask
+
+
+def _parts_of(mask: int) -> Partition:
+    """The strict partition whose parts are the set bits of mask, each bit
+    p - 1 giving the part p, largest first."""
+    parts = []
+    while mask:
+        p = mask.bit_length()
+        parts.append(p)
+        mask ^= 1 << (p - 1)
+    return tuple(parts)
+
+
+def _class_of(key: int, n: int) -> tuple[Partition, int]:
+    """The class (nu, d) of the int key mask(nu) | d << n."""
+    return _parts_of(key & ((1 << n) - 1)), key >> n
+
+
+def _encode(x: QuantumClass, k: int, n: int) -> dict[int, int]:
+    """x with each class (lam, d) keyed by the int mask(lam) | d << n, ready
+    for a Pieri step by k.  ValueError unless 0 <= k <= n, each lam lies in
+    D_n and each d >= 0: a part above n, or a negative d, would alias into
+    another key."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= {n}, got {k}")
+    out = {}
+    for (lam, d), c in x.items():
+        if d < 0:
+            raise ValueError(f"negative q-degree {d} at {lam}")
+        out[_mask_of(require_dn(lam, n)) | d << n] = c
+    return out
+
+
 @lru_cache(maxsize=None)
+def _row(mask: int, k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Terms (mask(nu) | step << n, 2**e) of sigma_k * sigma_lam for the
+    class lam of mask, in the order and with the exponents of ``pieri_row``,
+    so that a term shifted by q^d is one int addition.  sigma_0 is the unit:
+    its row is the class itself, with no strip enumerated."""
+    if not k:
+        return ((mask, 1),)
+    lam, q = _parts_of(mask), 1 << n
+    return tuple((_mask_of(s.shape), 1 << s.off_first_column)
+                 for s in grow_strips(lam, k, cap=n, strict=True)) + tuple(
+        (_mask_of(nu) | q, 1 << (comps - 1)) for nu, comps in shrink_strips(lam, n + 1 - k))
+
+
+def _fold(out: dict[int, int], x: dict[int, int], k: int, n: int,
+          scale: int = 1, qp: int = 0) -> dict[int, int]:
+    """Add scale * q^qp * sigma_k * x into the int-keyed ``out`` in place,
+    one ``_row`` per class of the int-keyed x, dropping classes that cancel
+    to zero; return out."""
+    low, shift = (1 << n) - 1, qp << n
+    get = out.get
+    for key, c in x.items():
+        base = (key & ~low) + shift
+        c *= scale
+        for nu, m in _row(key & low, k, n):
+            nu += base
+            v = get(nu, 0) + c * m
+            if v:
+                out[nu] = v
+            else:
+                out.pop(nu, None)
+    return out
+
+
 def pieri_row(lam: Partition, k: int, n: int) -> tuple:
     """Terms ((nu, q-step), e) of sigma_k * sigma_lam, each worth 2**e.
 
@@ -105,32 +189,27 @@ def pieri_row(lam: Partition, k: int, n: int) -> tuple:
     column.  Quantum part (step 1): the strict sub-partitions a horizontal
     strip of size n + 1 - k below, e being components - 1.  Both come
     strict out of the strip enumerator, which builds no other shape.  The
-    row is shared by every caller and must not be mutated."""
-    return tuple(((s.shape, 0), s.off_first_column)
-                 for s in grow_strips(lam, k, cap=n, strict=True)) + tuple(
-        ((nu, 1), comps - 1) for nu, comps in shrink_strips(lam, n + 1 - k))
+    decoded view of the memoised row that route B folds."""
+    (mask,) = _encode({(lam, 0): 1}, k, n)
+    return tuple((_class_of(key, n), m.bit_length() - 1) for key, m in _row(mask, k, n))
 
 
 def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
     """Multiply a quantum class by the special class of degree k, 0 <= k <= n,
-    one memoised ``pieri_row`` per term."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= {n}, got {k}")
-    out: QuantumClass = {}
-    for (lam, d), c in x.items():
-        add_into(out, (((nu, d + s), c << e) for (nu, s), e in pieri_row(lam, k, n)))
-    return out
+    through route B's fold: x encoded (each class in D_n, each q-degree
+    >= 0), folded and decoded."""
+    return {_class_of(key, n): c for key, c in _fold({}, _encode(x, k, n), k, n).items()}
 
 
 @lru_cache(maxsize=None)
-def giambelli_special(mu: Partition, n: int) -> dict:
+def giambelli_special(mu: Partition, n: int) -> Mapping:
     """Polynomial in the special classes and q, keyed by (special indices,
     q-power), whose quantum evaluation is the Schubert class of mu, for mu
     of at most two rows: the basis element of mu in n variables, plus
     (-1)^(n+1-i) q sigma_{i+j-n-1} when mu = (i, j) has i + j > n (the
     quantum two-condition Giambelli formula); the packed e-monomials of the
     basis element are decoded once, here, by ``polyring.unpack_e``.  The
-    result is shared by every caller and must not be mutated."""
+    result is shared by every caller, read-only."""
     mu = require_dn(mu, n)
     if len(mu) > 2:
         raise ValueError(f"{mu} has more than two rows")
@@ -138,7 +217,7 @@ def giambelli_special(mu: Partition, n: int) -> dict:
     s = sum(mu) - n - 1
     if s >= 0:
         terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - mu[0])
-    return terms
+    return MappingProxyType(terms)
 
 
 def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
@@ -146,25 +225,29 @@ def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     (route B): for mu the factor of fewer rows, sigma_mu sigma_lam sums
     sign * sigma_pair (sigma_rest sigma_lam) over ``pfaffian_terms(mu)``
     down to the unit class, each pair folding the Pieri rule over its
-    ``giambelli_special`` monomials, each rest formed once per call."""
+    ``giambelli_special`` monomials, each rest formed once per call.  The
+    classes stay int-keyed until the product is decoded; a monomial's last
+    Pieri step (the identity step k = 0 for the unit) folds straight into
+    the sum."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
     if len(mu) > len(lam):  # the product commutes: expand the shorter factor
         lam, mu = mu, lam
-    memo: dict[Partition, QuantumClass] = {(): {(lam, 0): 1}}
+    memo: dict[Partition, dict[int, int]] = {(): {_mask_of(lam): 1}}
 
-    def times_lam(part: Partition) -> QuantumClass:
+    def times_lam(part: Partition) -> dict[int, int]:
         if part not in memo:
             memo[part] = out = {}
             for sign, pair, rest in pfaffian_terms(part):
                 inner = times_lam(rest)
                 for (indices, qp), c in giambelli_special(pair, n).items():
+                    *steps, last = indices or (0,)  # stored descending; fold order is fixed
                     cls = inner
-                    for k in indices:  # stored descending; fold order is fixed
-                        cls = quantum_pieri(cls, k, n)
-                    add_into(out, (((nu, d + qp), v) for (nu, d), v in cls.items()), sign * c)
+                    for k in steps:
+                        cls = _fold({}, cls, k, n)
+                    _fold(out, cls, last, n, sign * c, qp)
         return memo[part]
 
-    return times_lam(mu)
+    return {_class_of(key, n): c for key, c in times_lam(mu).items()}
 
 
 def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:
@@ -182,7 +265,7 @@ def relation_check(i: int, n: int) -> bool:
     sigma_i^2 + 2 sum_k (-1)^k sigma_{i+k} sigma_{i-k} = +-sigma_{2i-n-1} q."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}")
-    acc: QuantumClass = dict(qprod_constants((i,), (i,), n))  # the read-out is shared
+    acc: QuantumClass = dict(qprod_constants((i,), (i,), n))  # the read-out is read-only
     for k in range(1, n - i + 1):
         if i - k < 0:
             break

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,25 @@ class TestProduct:
                 ((), ("--engine", "pieri"), ("--engine", "constants"))}
         assert len(outs) == 1
         assert build_parser().parse_args(argv).engine == "pieri"
+
+    @pytest.mark.parametrize("lam", [(), (4, 2), (6, 3, 1), (7, 5, 3, 1), (7, 6, 5, 4, 3, 2, 1)],
+                             ids=partition_to_str)
+    def test_route_b_matches_the_benchmark_digests(self, capsys, lam):
+        """``product --engine pieri --json --n 7`` of lam against every mu of
+        D_7, byte for byte as in the benchmark's reference: the first 8 hex
+        digits of the sha256 of stdout, row lam, columns in
+        ``all_strict_upto(7)`` order."""
+        ref = json.loads((Path(cli.__file__).parents[2] / "bench" / "ref" / "pieri_n7.json")
+                         .read_text())
+        classes = all_strict_upto(7)
+        assert (ref["n"], ref["engine"], ref["order"]) == (7, "pieri", "all_strict_upto")
+        digests = ""
+        for mu in classes:
+            code, out, _ = run(capsys, "product", "--engine", "pieri", "--json", "--n", "7",
+                               "--lambda", partition_to_str(lam), "--mu", partition_to_str(mu))
+            assert code == 0
+            digests += hashlib.sha256(out.encode()).hexdigest()[:8]
+        assert digests == ref["rows"][classes.index(lam)]
 
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(

@@ -4,7 +4,8 @@ without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
 the x-expansion variables, each input rule is raised from one guard,
-only ``polyring`` knows the layout of a packed e-monomial,
+only ``polyring`` knows the layout of a packed e-monomial and only
+``quantum`` that of route B's int keys,
 ``polyring.peel`` is the only x-variable form of an EPoly, strips come
 strict out of their enumerator rather than through a filter, the classical
 product has no read-out of its own beside route C's, and every functools
@@ -221,13 +222,15 @@ def _raises_carrying(phrase: str) -> list[str]:
 GUARDS = {"does not index a Schubert class": "partitions.require_dn",
           "is not a partition": "partitions.require_partition",
           "guarded to m <=": "polyring.check_var_limit",
-          "e-monomial weight": "polyring._check_weight"}
+          "e-monomial weight": "polyring._check_weight",
+          "negative q-degree": "quantum._encode"}
 
 
 def test_one_guard_per_rule():
-    """The D_n rule, the partition rule, the variable limit and the weight
-    bound of a packed e-monomial are each raised from one place, by one
-    function defined once, so copies of a guard cannot come back."""
+    """The D_n rule, the partition rule, the variable limit, the weight
+    bound of a packed e-monomial and the q-degree rule of route B's int
+    keys are each raised from one place, by one function defined once, so
+    copies of a guard cannot come back."""
     for phrase in GUARDS:
         found = _raises_carrying(phrase)
         assert len(found) == 1, (phrase, found)
@@ -247,6 +250,17 @@ def test_only_polyring_knows_the_key_layout():
     assert [path.stem for path in MODULES if "_e_mono_mul" in _names(path)] == []
 
 
+MASK_HELPERS = {"_mask_of", "_parts_of", "_class_of"}
+
+
+def test_only_quantum_knows_the_mask_layout():
+    """Route B's int keys (a class of D_n as a subset bitmask, its q-degree
+    above bit n) are built and read by helpers that only ``quantum`` names;
+    every other module sees (partition, d) classes."""
+    assert [path.stem for path in MODULES if MASK_HELPERS & _names(path)] == ["quantum"]
+    assert MASK_HELPERS <= _names(PACKAGE_DIR / "quantum.py")
+
+
 # Every functools memo of the package, by module.  A memo keeps its results
 # for the life of the process and hands one object to every caller, so a new
 # one is named here; this is also the list a memo report reads.
@@ -255,7 +269,7 @@ MEMOS = {
     "partitions": {"_enum"},
     "polyring": {"_peel_steps", "elementary_xpoly"},
     "qtilde": {"_ordered_expansion", "_partition_keys", "basis"},
-    "quantum": {"_constants_read", "giambelli_special", "pieri_row"},
+    "quantum": {"_constants_read", "_row", "giambelli_special"},
     "symplectic": {"_peel_terms", "_peeled", "c_double_prime", "c_prime"},
 }
 MEMO_FACTORIES = {"cache", "lru_cache", "cached_property"}

@@ -3,8 +3,9 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
-from lgschubert import quantum, suites
+from lgschubert import qtilde, quantum, suites
 from lgschubert.classical import classical_product, giambelli_check, line_count_check
 from lgschubert.partitions import (
     all_strict_upto,
@@ -62,16 +63,22 @@ def clear_product_memos():
 
 @contextlib.contextmanager
 def poisoned(lam, mu, key, value):
-    """The memoised stable expansion of (lam, mu) with the coefficient at
-    key set to value, the read-out memo cleared on entry and on exit."""
-    expansion = stable_expansion(lam, mu)
-    kept = expansion[key]
-    expansion[key] = value
+    """The stable expansion of (lam, mu) served with the coefficient at key
+    set to value: ``qtilde._ordered_expansion`` is patched to return a
+    changed copy of the memoised (read-only) expansion for that pair, and
+    the read-out memo is cleared on entry and on exit."""
+    pair, memo = tuple(sorted((lam, mu))), qtilde._ordered_expansion
+
+    def patched(a, b):
+        expansion = memo(a, b)
+        return {**expansion, key: value} if (a, b) == pair else expansion
+
     clear_product_memos()
     try:
-        yield
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qtilde, "_ordered_expansion", patched)
+            yield
     finally:
-        expansion[key] = kept
         clear_product_memos()
 
 
@@ -139,6 +146,27 @@ class TestReadOutMemos:
         assert qprod_constants(lam, mu, n) == _read_quantum(stable_expansion(lam, mu), n)
 
 
+class TestReadOnlyMemos:
+    """The dict memos hand one object to every caller, so a write into it
+    raises rather than reaching the next caller."""
+
+    @pytest.mark.parametrize("result", [
+        lambda: stable_expansion((2,), (2, 1)),
+        lambda: qprod_constants((2,), (2, 1), 3),
+        lambda: giambelli_special((3, 2), 3),
+    ], ids=["_ordered_expansion", "_constants_read", "giambelli_special"])
+    def test_a_write_into_a_memo_result_raises(self, result):
+        memo = result()
+        key = next(iter(memo))
+        with pytest.raises(TypeError):
+            memo[key] = 0
+        with pytest.raises(TypeError):
+            del memo[key]
+        with pytest.raises(TypeError):
+            memo["new"] = 1
+        assert result() is memo and memo[key]
+
+
 class TestRouteA:
     def test_examples(self):
         assert qprod_quotient((2,), (2,), 2) == {((1,), 1): 1}
@@ -193,6 +221,20 @@ class TestQuantumPieri:
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
             quantum_pieri({((1,), 0): 1}, 3, 2)
+        with pytest.raises(ValueError):
+            pieri_row((1,), 3, 2)
+
+    @pytest.mark.parametrize("cls", [((5,), 0), ((2, 2), 0), ((0,), 0), ((1, 2), 0),
+                                     ((2,), -1)])
+    def test_rejects_a_class_outside_d_n(self, cls):
+        """A part above n would alias into the q-degree of its int key, and
+        a repeated, zero or unsorted part or a negative q-degree into
+        another class, so each is refused at the edge."""
+        with pytest.raises(ValueError):
+            quantum_pieri({cls: 1}, 1, 3)
+        if cls[1] == 0:
+            with pytest.raises(ValueError):
+                pieri_row(cls[0], 1, 3)
 
     def test_mutating_a_result_leaves_the_memo_clean(self):
         x = {((3, 1), 0): 1}
@@ -201,6 +243,28 @@ class TestQuantumPieri:
         first[((3, 1), 0)] = 99
         first.pop(((2,), 1))
         assert quantum_pieri(x, 2, 3) == want
+
+
+class TestSubsetKeys:
+    """Route B's int keys: a class of D_n is a subset of {1..n}, bit p - 1
+    for the part p, and the q-degree sits above bit n."""
+
+    @given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.integers(1, n)), st.integers(0, 20))))
+    def test_round_trip(self, case):
+        n, parts, d = case
+        lam = tuple(sorted(parts, reverse=True))
+        mask = quantum._mask_of(lam)
+        assert mask < 1 << n
+        assert quantum._parts_of(mask) == lam
+        assert quantum._mask_of(quantum._parts_of(mask)) == mask
+        (key,) = quantum._encode({(lam, d): 1}, 0, n)
+        assert key >> n == d
+        assert quantum._class_of(key, n) == (lam, d)
+
+    def test_every_mask_of_d_n(self):
+        n = 6
+        assert sorted(map(quantum._mask_of, all_strict_upto(n))) == list(range(1 << n))
 
 
 def oracle_pieri_rows(n):
