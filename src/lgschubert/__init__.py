@@ -8,7 +8,6 @@ from .partitions import (
     grow_strips,
     prepend,
     rho,
-    shrink_strips,
     star,
     straighten,
 )

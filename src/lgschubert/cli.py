@@ -23,7 +23,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import quantum
-from .classical import classical_product
 from .partitions import all_strict_upto, partition_from_str, partition_to_str
 from .quantum import quantum_from_json, quantum_to_json
 from .suites import DEFAULT_SAMPLE_SEED, SUITES
@@ -69,19 +68,18 @@ def _format_quantum(cls) -> str:
 def cmd_product(args) -> int:
     lam = partition_from_str(args.lam)
     mu = partition_from_str(args.mu)
-    if args.ring == "classical":
-        coeffs = classical_product(lam, mu, args.n)
+    cls = ENGINES[args.engine](lam, mu, args.n)
+    if args.ring == "classical":  # H* is QH* at q = 0
+        coeffs = {nu: c for (nu, d), c in cls.items() if d == 0}
         if args.json:
             out = {partition_to_str(k): v for k, v in sorted(coeffs.items(), reverse=True)}
             print(json.dumps(out))
         else:
             print(_format_classical(coeffs))
+    elif args.json:
+        print(json.dumps(quantum_to_json(cls)))
     else:
-        cls = ENGINES[args.engine](lam, mu, args.n)
-        if args.json:
-            print(json.dumps(quantum_to_json(cls)))
-        else:
-            print(_format_quantum(cls))
+        print(_format_quantum(cls))
     return 0
 
 

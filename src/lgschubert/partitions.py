@@ -8,11 +8,11 @@ Diagrams use matrix convention: box (r, c) sits in row r, column c, occupying
 the unit square [c-1, c] x [r-1, r].  Two boxes of a skew diagram are
 connected when they share an edge or a vertex.  The skew diagrams counted
 here are horizontal strips, whose components are runs of touching rows read
-off the interlacing inequalities, with no flood-fill over boxes.  Strips
-added to lam and strips removed from it come from one enumerator of the
-vectors between two interlacing bounds; the two directions differ only in
-the bounds.  Strictness, where it is asked for, is one more bound inside that
-enumerator, not a filter after it.
+off the interlacing inequalities, with no flood-fill over boxes.  One
+enumerator, ``grow_strips``, walks the strips added to lam; the quantum
+Pieri rule needs no walk of strips removed from lam, because it reads its
+q-terms off the strips that reach column n + 1.  Strictness, where it is
+asked for, is one more bound inside that enumerator, not a filter after it.
 """
 
 from __future__ import annotations
@@ -145,36 +145,6 @@ def _strip_counts(outer: Partition, inner: Partition) -> tuple[int, int]:
     return comps, comps - col1
 
 
-def _interlaced(lo: tuple[int, ...], hi: tuple[int, ...], total: int,
-                strict: bool = False) -> list[Partition]:
-    """The vectors v with lo <= v <= hi componentwise and sum v = total, in
-    descending lexicographic order, each with a final zero dropped.  Only
-    the last lower bound may be 0, so a zero can only end v.  Each entry
-    ranges over what leaves the rest of the sum within the bounds of the
-    entries after it.
-
-    Both callers interlace, lo_i = hi_{i+1}, so v_{i+1} <= v_i already
-    holds, and v is strict exactly when v_{i+1} <= v_i - 1.  With strict,
-    that is one more upper bound on each entry, carried down from the one
-    before it; only the last entry may be 0, and it is dropped when it is
-    nonzero and not below its predecessor.  A strict branch can then end
-    without a vector, but none that is not strict is ever built."""
-    rows = len(hi)
-    floor = [sum(lo[i:]) for i in range(rows + 1)]
-    ceil = [sum(hi[i:]) for i in range(rows + 1)]
-    gap = 1 if strict else 0
-
-    def tails(i: int, remaining: int, top: int) -> list[Partition]:
-        if i >= rows - 1:  # the last entry, if any, takes what remains
-            return [(remaining,) if remaining else ()] if remaining <= top else []
-        return [(v,) + tail
-                for v in range(min(hi[i], top, remaining - floor[i + 1]),
-                               max(lo[i], remaining - ceil[i + 1]) - 1, -1)
-                for tail in tails(i + 1, remaining - v, v - gap)]
-
-    return tails(0, total, total) if floor[0] <= total <= ceil[0] else []
-
-
 def grow_strips(lam: Partition, k: int, cap: int | None = None,
                 strict: bool = False) -> list[Strip]:
     """All partitions mu >= lam with |mu| = |lam| + k and mu/lam a horizontal
@@ -182,28 +152,36 @@ def grow_strips(lam: Partition, k: int, cap: int | None = None,
     descending lexicographic order; with strict, only the strict mu.
 
     Interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... characterizes the
-    horizontal-strip extensions; at most one row beyond lam can gain boxes.
-    Strictness is the bound mu_{i+1} <= mu_i - 1 inside the enumeration,
-    where only the row beyond lam may stay 0, so no other shape is built.
+    horizontal-strip extensions, so mu_i lies between lam_i and lam_{i-1},
+    with cap (or |mu|) above mu_1 and 0 under the one row beyond lam that
+    can gain boxes.  Each entry ranges over what leaves the rest of the sum
+    within the bounds of the entries after it, whose sum runs from
+    lam_{i+1} + lam_{i+2} + ... up to lam_i + lam_{i+1} + ...
+
+    Interlacing already gives mu_{i+1} <= mu_i, and strictness is the one
+    more upper bound mu_{i+1} <= mu_i - 1, carried down from each entry to
+    the next; only the row beyond lam may stay 0, and a shape is dropped
+    when that row is nonzero and not below the one before it.  A strict
+    branch can then end without a shape, but no shape that is not strict
+    is ever built.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     total = sum(lam) + k
-    return [Strip(mu, *_strip_counts(mu, lam)) for mu in
-            _interlaced(lam + (0,), (total if cap is None else cap,) + lam, total, strict)]
+    hi = (total if cap is None else cap,) + lam
+    below = [sum(lam[i:]) for i in range(len(lam) + 1)]
+    last, gap = len(lam), 1 if strict else 0
 
+    def tails(i: int, remaining: int, top: int) -> list[Partition]:
+        if i == last:  # the row beyond lam takes what remains
+            return [(remaining,) if remaining else ()] if remaining <= top else []
+        return [(v,) + tail
+                for v in range(min(hi[i], top, remaining - below[i + 1]),
+                               max(lam[i], remaining - below[i]) - 1, -1)
+                for tail in tails(i + 1, remaining - v, v - gap)]
 
-def shrink_strips(lam: Partition, k: int) -> list[tuple[Partition, int]]:
-    """All strict nu <= lam with |nu| = |lam| - k and lam/nu a horizontal
-    strip, each with the number of connected components of lam/nu, in
-    descending lexicographic order of nu.  Interlacing lam_1 >= nu_1 >=
-    lam_2 >= nu_2 >= ... >= nu_ell >= 0 characterizes the strips, and
-    strictness is the bound nu_{i+1} <= nu_i - 1 inside the enumeration,
-    where only the last entry nu_ell may be 0, so no other nu is built."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return [(nu, _strip_counts(lam, nu)[0])
-            for nu in _interlaced((lam + (0,))[1:], lam, sum(lam) - k, strict=True)]
+    shapes = tails(0, total, total) if total <= hi[0] + below[0] else []
+    return [Strip(mu, *_strip_counts(mu, lam)) for mu in shapes]
 
 
 @cache

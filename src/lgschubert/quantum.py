@@ -13,9 +13,12 @@ A quantum class is a finite map (strict partition with parts <= n, q-degree)
 
 Routes C and A share one read-out, ``_read_quantum``: the index
 ((n+1)^d, nu) with nu in D_n gives q^d sigma_nu / 2^d, and every other index
-is dropped.  They still cross-check each other and route B in
-``engines-agree``: C forms the product untruncated, A forms it after
-truncation, and B shares neither step.  Route B is the default of
+is dropped.  Route B's Pieri rows read their q-terms the same way, off the
+classical Pieri rule for the basis: a strict strip that grows lam to
+(n + 1, nu) gives q sigma_nu, at half the weight of its strip.  The three
+still cross-check each other in ``engines-agree``: C forms the product
+untruncated, A forms it after truncation, and B forms neither, only one
+strip walk per Pieri row.  Route B is the default of
 ``lgschubert product``; A and C cross-validate it, and C serves ``gw`` and
 ``table``.
 
@@ -51,7 +54,6 @@ from .partitions import (
     prepend,
     require_dn,
     rho,
-    shrink_strips,
     star,
 )
 from .polyring import add_into, unpack_e
@@ -152,13 +154,18 @@ def _row(mask: int, k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Terms (mask(nu) | step << n, 2**e) of sigma_k * sigma_lam for the
     class lam of mask, in the order and with the exponents of ``pieri_row``,
     so that a term shifted by q^d is one int addition.  sigma_0 is the unit:
-    its row is the class itself, with no strip enumerated."""
+    its row is the class itself, with no strip enumerated.
+
+    One strip walk, capped at n + 1, gives the whole row.  A shape (n + 1,
+    nu) is the index ((n+1)^1, nu) of the read-out, q sigma_nu / 2, and its
+    mask is already the key of (nu, 1): the part n + 1 sets bit n, which is
+    q.  Those shapes lead the walk's descending order and go last here."""
     if not k:
         return ((mask, 1),)
-    lam, q = _parts_of(mask), 1 << n
-    return tuple((_mask_of(s.shape), 1 << s.off_first_column)
-                 for s in grow_strips(lam, k, cap=n, strict=True)) + tuple(
-        (_mask_of(nu) | q, 1 << (comps - 1)) for nu, comps in shrink_strips(lam, n + 1 - k))
+    strips = grow_strips(_parts_of(mask), k, cap=n + 1, strict=True)
+    lead = sum(s.shape[0] > n for s in strips)
+    return tuple((_mask_of(s.shape), 1 << s.off_first_column) for s in strips[lead:]) + tuple(
+        (_mask_of(s.shape), 1 << (s.off_first_column - 1)) for s in strips[:lead])
 
 
 def _fold(out: dict[int, int], x: dict[int, int], k: int, n: int,
@@ -182,14 +189,17 @@ def _fold(out: dict[int, int], x: dict[int, int], k: int, n: int,
 
 
 def pieri_row(lam: Partition, k: int, n: int) -> tuple:
-    """Terms ((nu, q-step), e) of sigma_k * sigma_lam, each worth 2**e.
+    """Terms ((nu, q-step), e) of sigma_k * sigma_lam, each worth 2**e:
+    the strict horizontal strips of k boxes grown on lam with first part at
+    most n + 1, e counting the strip components off the first column.
 
-    Classical part (step 0): the strict horizontal-strip extensions inside
-    the Schubert range, e counting the strip components off the first
-    column.  Quantum part (step 1): the strict sub-partitions a horizontal
-    strip of size n + 1 - k below, e being components - 1.  Both come
-    strict out of the strip enumerator, which builds no other shape.  The
-    decoded view of the memoised row that route B folds."""
+    Classical part (step 0, first): the shapes nu inside the Schubert range.
+    Quantum part (step 1, after it): each shape (n + 1, nu), read as
+    q sigma_nu with e one less, as the read-out of routes A and C reads the
+    index (n + 1, nu); equivalently, lam is nu plus a horizontal strip of
+    n + 1 - k boxes with e + 1 components.  Both parts come strict out of
+    one strip walk, which builds no other shape, each in descending order
+    of nu.  The decoded view of the memoised row that route B folds."""
     (mask,) = _encode({(lam, 0): 1}, k, n)
     return tuple((_class_of(key, n), m.bit_length() - 1) for key, m in _row(mask, k, n))
 

@@ -104,6 +104,17 @@ class TestProduct:
         assert code == 0
         assert out.strip() == "2*s[2]"
 
+    @pytest.mark.parametrize("engine", ["constants", "quotient", "pieri"])
+    def test_classical_runs_the_chosen_engine(self, capsys, monkeypatch, engine):
+        """The classical ring prints the q-degree-0 part of the product of
+        the engine --engine names (here s[3,2,1] + 2*s[2]*q), and that
+        engine is the one that runs."""
+        calls, real = [], cli.ENGINES[engine]
+        monkeypatch.setitem(cli.ENGINES, engine, lambda *args: calls.append(args) or real(*args))
+        code, out, _ = run(capsys, "product", "--ring", "classical", "--n", "3",
+                           "--lambda", "3,1", "--mu", "2", "--engine", engine)
+        assert (code, out, calls) == (0, "s[3,2,1]\n", [((3, 1), (2,), 3)])
+
     def test_quantum_json(self, capsys):
         code, out, _ = run(
             capsys, "product", "--ring", "quantum", "--n", "2",

@@ -7,9 +7,9 @@ the x-expansion variables, each input rule is raised from one guard,
 only ``polyring`` knows the layout of a packed e-monomial and only
 ``quantum`` that of route B's int keys,
 ``polyring.peel`` is the only x-variable form of an EPoly, strips come
-strict out of their enumerator rather than through a filter, the classical
-product has no read-out of its own beside route C's, and every functools
-memo is named in ``MEMOS``."""
+strict out of their one enumerator rather than through a filter, the
+classical product has no read-out of its own beside route C's, and every
+functools memo is named in ``MEMOS``."""
 
 import ast
 import importlib
@@ -117,8 +117,9 @@ def test_readme_lists_every_suite():
 
 
 # Spans whose function is gone from the package: bench/run.py reads each as
-# 0 until the benchmark names its successor (``polyring.peel``).
-RETIRED_SPANS = {"polyring.epoly_to_xpoly"}
+# 0 until the benchmark names its successor (``polyring.peel``) or drops it
+# (``partitions.shrink_strips``, whose q-terms ``grow_strips`` now walks).
+RETIRED_SPANS = {"polyring.epoly_to_xpoly", "partitions.shrink_strips"}
 
 
 def test_benchmark_span_names_resolve():
@@ -149,20 +150,22 @@ def test_benchmark_span_names_resolve():
 
 
 def test_strips_come_strict_out_of_the_enumerator():
-    """Strictness is a bound inside ``partitions._interlaced``, never a
-    filter after it: ``quantum`` does not name ``is_strict`` at all, and
-    neither strip enumerator calls it, so discarded shapes cannot come back
+    """``partitions.grow_strips`` is the one strip enumerator: no removed-
+    strip walk (``shrink_strips``) or shared helper (``_interlaced``) is
+    left beside it, and strictness is a bound inside it, never a filter
+    after it: ``quantum`` does not name ``is_strict`` at all, and
+    ``grow_strips`` does not call it, so discarded shapes cannot come back
     as a second path."""
     def names(tree):
         return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
             alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
 
     assert "is_strict" not in names(ast.parse((PACKAGE_DIR / "quantum.py").read_text()))
-    enumerators = [node for node in ast.parse((PACKAGE_DIR / "partitions.py").read_text()).body
+    enumerators = [node for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.FunctionDef)
                    and node.name in ("_interlaced", "grow_strips", "shrink_strips")]
-    assert len(enumerators) == 3
-    assert [f.name for f in enumerators if "is_strict" in names(f)] == []
+    assert [f.name for f in enumerators] == ["grow_strips"]
+    assert "is_strict" not in names(enumerators[0])
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -18,7 +18,6 @@ from lgschubert.partitions import (
     prepend,
     require_dn,
     rho,
-    shrink_strips,
     star,
     straighten,
 )
@@ -202,43 +201,6 @@ class TestGrowStrips:
                         cols.extend(range(base + 1, part + 1))
                     assert len(cols) == len(set(cols))
                     assert s.off_first_column <= s.components
-
-
-class TestShrinkStrips:
-    def test_examples(self):
-        assert shrink_strips((2,), 1) == [((1,), 1)]
-        assert shrink_strips((3, 1), 2) == [((2,), 2)]
-        assert shrink_strips((3, 2), 0) == [((3, 2), 0)]
-
-    def test_adjoint_to_grow(self):
-        """nu appears below lam iff lam appears above nu, with matching strip."""
-        strict = [lam for lam in all_strict_upto(4)]
-        for lam in strict:
-            for k in range(sum(lam) + 1):
-                below = {nu for nu, _ in shrink_strips(lam, k)}
-                for nu in strict:
-                    if sum(nu) != sum(lam) - k:
-                        continue
-                    above = {
-                        s.shape
-                        for s in grow_strips(nu, k, cap=lam[0] if lam else None)
-                    }
-                    assert (nu in below) == (lam in above)
-
-
-    def test_components_against_oracle(self):
-        """Each (nu, components) equals what the union-find oracle counts on
-        the extension of nu by the same strip, and every strict nu below lam
-        is listed."""
-        for lam in all_strict_upto(5):
-            for k in range(sum(lam) + 1):
-                want = sorted(
-                    ((nu, s.components)
-                     for nu in enumerate_partitions(sum(lam) - k, sum(lam) - k, strict=True)
-                     for s in oracle_strips(nu, k, lam[0] if lam else None)
-                     if s.shape == lam),
-                    reverse=True)
-                assert shrink_strips(lam, k) == want
 
 
 class TestEnumerate:

@@ -286,7 +286,7 @@ def oracle_pieri_rows(n):
 
 
 class TestPieriRow:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_the_strip_oracle(self, n):
         """Every row, as the same tuple in the same order."""
         for (lam, k), row in oracle_pieri_rows(n).items():
