@@ -9,17 +9,18 @@ the unit square [c-1, c] x [r-1, r].  Two boxes of a skew diagram are
 connected when they share an edge or a vertex.  The skew diagrams counted
 here are horizontal strips, whose components are runs of touching rows read
 off the interlacing inequalities, with no flood-fill over boxes.  One
-enumerator, ``grow_strips``, walks the strips added to lam; the quantum
-Pieri rule needs no walk of strips removed from lam, because it reads its
-q-terms off the strips that reach column n + 1.  Strictness, where it is
-asked for, is one more bound inside that enumerator, not a filter after it.
+enumerator, ``grow_strips``, walks the strips added to lam and hands each
+its Pieri weight, counted while the walk descends; the quantum Pieri rule
+needs no walk of strips removed from lam, because it reads its q-terms off
+the strips that reach column n + 1.  Strictness, where it is asked for, is
+one more bound inside that enumerator, not a filter after it.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from operator import ge, gt
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
 
@@ -41,6 +42,14 @@ def require_partition(parts: Iterable[int]) -> Partition:
 def is_strict(lam: Partition) -> bool:
     """True if all parts are distinct."""
     return len(set(lam)) == len(lam)
+
+
+def require_strict(parts: Iterable[int]) -> Partition:
+    """parts as a tuple, if it is a strict partition; ValueError otherwise."""
+    lam = tuple(parts)
+    if not (is_partition(lam) and is_strict(lam)):
+        raise ValueError(f"{lam} is not a strict partition")
+    return lam
 
 
 def in_d(lam: Partition, n: int) -> bool:
@@ -120,36 +129,13 @@ def pfaffian_terms(lam: Partition) -> Iterator[tuple[int, Partition, Partition]]
         yield (-1 if j % 2 else 1), ((a, b) if b else (a,)), seq[:j] + seq[j + 1 : r - 1]
 
 
-class Strip(NamedTuple):
-    """A horizontal-strip extension together with its component counts."""
-
-    shape: Partition
-    components: int
-    off_first_column: int
-
-
-def _strip_counts(outer: Partition, inner: Partition) -> tuple[int, int]:
-    """Components of the horizontal strip outer/inner, and how many of them
-    miss column 1.  Row r holds columns inner_r + 1 .. outer_r, and
-    interlacing gives outer_{r+1} <= inner_r, so two nonempty rows touch
-    exactly when they are adjacent and outer_{r+1} = inner_r; a component
-    meets column 1 only through a row whose inner part is 0."""
-    inner = inner + (0,) * (len(outer) - len(inner))
-    comps = col1 = 0
-    for r, (o, i) in enumerate(zip(outer, inner)):
-        if o > i:
-            if r == 0 or o != inner[r - 1] or outer[r - 1] == inner[r - 1]:
-                comps += 1
-            if i == 0:
-                col1 = 1
-    return comps, comps - col1
-
-
 def grow_strips(lam: Partition, k: int, cap: int | None = None,
-                strict: bool = False) -> list[Strip]:
-    """All partitions mu >= lam with |mu| = |lam| + k and mu/lam a horizontal
-    strip (at most one box per column), optionally with mu_1 <= cap, in
-    descending lexicographic order; with strict, only the strict mu.
+                strict: bool = False) -> list[tuple[Partition, int]]:
+    """The Pieri terms (mu, 2**N) of lam and k: all partitions mu >= lam
+    with |mu| = |lam| + k and mu/lam a horizontal strip (at most one box per
+    column), optionally with mu_1 <= cap, in descending lexicographic order,
+    N counting the components of mu/lam that miss column 1; with strict,
+    only the strict mu.
 
     Interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... characterizes the
     horizontal-strip extensions, so mu_i lies between lam_i and lam_{i-1},
@@ -164,6 +150,15 @@ def grow_strips(lam: Partition, k: int, cap: int | None = None,
     when that row is nonzero and not below the one before it.  A strict
     branch can then end without a shape, but no shape that is not strict
     is ever built.
+
+    Row i of the strip holds columns lam_i + 1 .. mu_i, and interlacing
+    gives mu_{i+1} <= lam_i, so a row that gains boxes touches the row
+    above exactly when that row gained boxes too and mu_{i+1} = lam_i.  The
+    weight is counted on the way down: a row that gains boxes doubles it
+    unless it touches the row above.  The row beyond lam is the only one
+    that reaches column 1; it opens no component of its own, and it halves
+    the weight when it joins the component above, which then meets
+    column 1.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -171,17 +166,25 @@ def grow_strips(lam: Partition, k: int, cap: int | None = None,
     hi = (total if cap is None else cap,) + lam
     below = [sum(lam[i:]) for i in range(len(lam) + 1)]
     last, gap = len(lam), 1 if strict else 0
+    out: list[tuple[Partition, int]] = []
 
-    def tails(i: int, remaining: int, top: int) -> list[Partition]:
+    def walk(i: int, head: Partition, remaining: int, top: int, weight: int, touch: int) -> None:
+        # touch is lam_{i-1} when row i - 1 gained boxes, else -1
         if i == last:  # the row beyond lam takes what remains
-            return [(remaining,) if remaining else ()] if remaining <= top else []
-        return [(v,) + tail
-                for v in range(min(hi[i], top, remaining - below[i + 1]),
-                               max(lam[i], remaining - below[i]) - 1, -1)
-                for tail in tails(i + 1, remaining - v, v - gap)]
+            if remaining <= top:
+                out.append((head + (remaining,), weight >> (remaining == touch))
+                           if remaining else (head, weight))
+            return
+        low = lam[i]
+        for v in range(min(hi[i], top, remaining - below[i + 1]), max(low, remaining - below[i]) - 1,
+                       -1):
+            grows = v > low
+            walk(i + 1, head + (v,), remaining - v, v - gap, weight << (grows and v != touch),
+                 low if grows else -1)
 
-    shapes = tails(0, total, total) if total <= hi[0] + below[0] else []
-    return [Strip(mu, *_strip_counts(mu, lam)) for mu in shapes]
+    if total <= hi[0] + below[0]:
+        walk(0, (), total, total, 1, -1)
+    return out
 
 
 @cache

@@ -1,10 +1,12 @@
 """The Schur-Q-style basis of the ring of symmetric functions in elementary
-generators: the memoized basis(lam, m) (pair formula, equal-pair split and
-Pfaffian recursion, truncated to m variables by filtering), expansion in
-the basis, stable structure constants (memoized once per unordered pair,
-the ring being commutative), the power-of-two Pieri rule, and the checks of
-the defining properties of the family.  Their one x-variable check reads
-the basis element through ``polyring.peel``; the peeling identities of the
+generators: the memoized basis(lam, m) (pair formula, then the one
+recursion ``expand_rows``, equal-pair split or the Pfaffian sum
+``pfaffian_sum``, which the peeled forms of ``symplectic`` follow too;
+truncated to m variables by filtering), expansion in the basis, stable
+structure constants (memoized once per unordered pair, the ring being
+commutative), the power-of-two Pieri rule, and the checks of the defining
+properties of the family.  Their one x-variable check reads the basis
+element through ``polyring.peel``; the peeling identities of the
 x-expansion are checked in ``symplectic``.
 
 A basis element qtilde(lam) is attached to every partition lam; for strict
@@ -17,6 +19,7 @@ back-substitution in ``expand_in_basis``.
 from __future__ import annotations
 
 from functools import cache
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -24,10 +27,9 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     grow_strips,
-    is_partition,
-    is_strict,
     pfaffian_terms,
     require_partition,
+    require_strict,
     straighten,
 )
 from .polyring import (
@@ -56,32 +58,50 @@ def basis(lam: Partition, m: int | None) -> EPoly:
     be mutated.  A memo miss checks that lam is a partition.  Untruncated,
     at most two parts (i, j) give
     e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}, whose monomials are
-    pairwise distinct, packed by ``polyring.pack_e``.  A longer
-    partition with an equal pair (i, i) is the product of basis((i, i)) and
-    the basis element of the rest (the equal-pair property, check (e) of
-    ``verify_qtilde_properties``); a longer strict partition is the
-    Pfaffian expansion along the last column.  Truncation e_i -> 0 for
-    i > m is a ring homomorphism, so the truncated element keeps the
-    monomials of the untruncated one with no generator above m: the packed
-    keys below ``polyring.e_key_bound(m)``.
+    pairwise distinct, packed by ``polyring.pack_e``; a longer partition
+    follows ``expand_rows``.  Truncation e_i -> 0 for i > m is a ring
+    homomorphism, so the truncated element keeps the monomials of the
+    untruncated one with no generator above m: the packed keys below
+    ``polyring.e_key_bound(m)``.
     """
     lam = require_partition(lam)
     if m is not None:
         bound = e_key_bound(m)
         return EPoly(m, {key: c for key, c in basis(lam, None).terms.items() if key < bound})
     if len(lam) > 2:
-        acc: dict[int, int] = {}
-        for j in range(len(lam) - 1):
-            if lam[j] == lam[j + 1]:
-                mul_into(acc, basis(lam[j:j + 2], None).terms,
-                         basis(lam[:j] + lam[j + 2:], None).terms, 1)
-                return EPoly(None, acc)
-        for sign, pair, rest in pfaffian_terms(lam):
-            mul_into(acc, basis(pair, None).terms, basis(rest, None).terms, sign)
-        return EPoly(None, acc)
+        return EPoly(None, expand_rows(basis, lam, None))
     i, j = lam + (0,) * (2 - len(lam))
     return EPoly(None, pack_e({tuple(p for p in (i + k, j - k) if p): 2 * (-1) ** k if k else 1
                                for k in range(j + 1)}))
+
+
+def pfaffian_sum(c, lam: Partition, *args, mono_mul=add) -> dict:
+    """The alternating sum of c(pair, *args) * c(rest, *args) over
+    ``pfaffian_terms(lam)``, as a term map, each product accumulated
+    straight into the sum by ``mul_into`` with the monomial product
+    ``mono_mul`` (the shorter factor the outer loop).  c returns a
+    polynomial of either model."""
+    acc: dict = {}
+    for sign, pair, rest in pfaffian_terms(lam):
+        a, b = c(pair, *args).terms, c(rest, *args).terms
+        if len(a) > len(b):
+            a, b = b, a
+        mul_into(acc, a, b, sign, mono_mul)
+    return acc
+
+
+def expand_rows(c, lam: Partition, *args, mono_mul=add) -> dict:
+    """The term map of the element of lam, three or more parts, from the
+    elements c(nu, *args) of shorter partitions: a partition with an equal
+    pair (i, i) is the product of the element of the pair and that of the
+    rest (the equal-pair property, check (e) of
+    ``verify_qtilde_properties``), any other the Pfaffian expansion along
+    the last column, ``pfaffian_sum``.  The one recursion of ``basis`` on
+    e-forms and of ``symplectic`` on peeled forms."""
+    for j in range(len(lam) - 1):
+        if lam[j] == lam[j + 1]:
+            return (c(lam[j:j + 2], *args) * c(lam[:j] + lam[j + 2:], *args)).terms
+    return pfaffian_sum(c, lam, *args, mono_mul=mono_mul)
 
 
 def qtilde(nu, m: int) -> EPoly:
@@ -171,13 +191,9 @@ def structure_constants(lam: Partition, mu: Partition) -> dict[Partition, int]:
 def pieri_strict(lam: Partition, k: int) -> dict[Partition, int]:
     """Product of qtilde(lam), lam strict, with the degree-k generator:
     sum over horizontal-strip extensions mu of 2**N(lam, mu) qtilde(mu),
-    N counting components of mu/lam that avoid the first column."""
-    lam = tuple(lam)
-    if not is_partition(lam) or not is_strict(lam):
-        raise ValueError(f"{lam} is not a strict partition")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return {s.shape: 1 << s.off_first_column for s in grow_strips(lam, k)}
+    N counting components of mu/lam that avoid the first column: the Pieri
+    terms of ``grow_strips``, for k >= 0 and a strict lam."""
+    return dict(grow_strips(require_strict(lam), k))
 
 
 def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -236,11 +252,8 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
                 merged = tuple(sorted(lam + (i, i), reverse=True))
                 # one Pfaffian step, so that the check does not restate the
                 # equal-pair split that basis itself takes
-                lhs: dict[int, int] = {}
-                for sign, pair, rest in pfaffian_terms(merged):
-                    mul_into(lhs, basis(pair, m).terms, basis(rest, m).terms, sign)
                 rhs = basis((i, i), m) * qtilde(lam, m)
-                if lhs != rhs.terms:
+                if pfaffian_sum(basis, merged, m) != rhs.terms:
                     failures.append({"check": "e", "lam": lam, "i": i, "m": m})
     return failures
 

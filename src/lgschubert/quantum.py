@@ -40,7 +40,7 @@ decoded once at the end.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -97,7 +97,7 @@ def qprod_constants(lam: Partition, mu: Partition, n: int) -> Mapping:
     return _constants_read(lam, mu, n)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _constants_read(lam: Partition, mu: Partition, n: int) -> Mapping:
     return MappingProxyType(_read_quantum(stable_expansion(lam, mu), n))
 
@@ -149,23 +149,24 @@ def _encode(x: QuantumClass, k: int, n: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def _row(mask: int, k: int, n: int) -> tuple[tuple[int, int], ...]:
     """Terms (mask(nu) | step << n, 2**e) of sigma_k * sigma_lam for the
     class lam of mask, in the order and with the exponents of ``pieri_row``,
     so that a term shifted by q^d is one int addition.  sigma_0 is the unit:
     its row is the class itself, with no strip enumerated.
 
-    One strip walk, capped at n + 1, gives the whole row.  A shape (n + 1,
-    nu) is the index ((n+1)^1, nu) of the read-out, q sigma_nu / 2, and its
-    mask is already the key of (nu, 1): the part n + 1 sets bit n, which is
-    q.  Those shapes lead the walk's descending order and go last here."""
+    One strip walk, capped at n + 1, gives the whole row, each shape with
+    its Pieri weight.  A shape (n + 1, nu) is the index ((n+1)^1, nu) of the
+    read-out, q sigma_nu / 2, so its weight is halved, and its mask is
+    already the key of (nu, 1): the part n + 1 sets bit n, which is q.
+    Those shapes lead the walk's descending order and go last here."""
     if not k:
         return ((mask, 1),)
-    strips = grow_strips(_parts_of(mask), k, cap=n + 1, strict=True)
-    lead = sum(s.shape[0] > n for s in strips)
-    return tuple((_mask_of(s.shape), 1 << s.off_first_column) for s in strips[lead:]) + tuple(
-        (_mask_of(s.shape), 1 << (s.off_first_column - 1)) for s in strips[:lead])
+    terms = grow_strips(_parts_of(mask), k, cap=n + 1, strict=True)
+    lead = sum(mu[0] > n for mu, _ in terms)
+    return tuple((_mask_of(mu), w) for mu, w in terms[lead:]) + tuple(
+        (_mask_of(mu), w >> 1) for mu, w in terms[:lead])
 
 
 def _fold(out: dict[int, int], x: dict[int, int], k: int, n: int,
@@ -211,7 +212,7 @@ def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
     return {_class_of(key, n): c for key, c in _fold({}, _encode(x, k, n), k, n).items()}
 
 
-@lru_cache(maxsize=None)
+@cache
 def giambelli_special(mu: Partition, n: int) -> Mapping:
     """Polynomial in the special classes and q, keyed by (special indices,
     q-power), whose quantum evaluation is the Schubert class of mu, for mu

@@ -32,25 +32,17 @@ from functools import cache
 from math import comb
 from typing import Iterator
 
-from .partitions import (
-    Partition,
-    is_partition,
-    is_strict,
-    pfaffian_terms,
-    require_partition,
-    straighten,
-)
+from .partitions import Partition, require_partition, require_strict, straighten
 from .polyring import (
     XPoly,
     add_into,
     check_var_limit,
     ddiff0,
     ddiff1prime,
-    mul_into,
     peel,
     x_mono_mul,
 )
-from .qtilde import basis
+from .qtilde import basis, expand_rows, pfaffian_sum
 
 
 @cache
@@ -61,16 +53,12 @@ def _peeled(lam: Partition, m: int, s: int) -> XPoly:
 
     Peeling and truncation are ring homomorphisms, so the peeled form
     follows the recursion of ``qtilde.basis`` on peeled forms: at most two
-    rows are ``peel(basis(lam, m), s)``, a longer partition with an equal
-    pair (i, i) is the product of the peeled pair and the peeled rest, and
-    any other longer one is the alternating last-column sum of products of
-    peeled pairs and rests.  No e-form of more than two rows is built."""
+    rows are ``peel(basis(lam, m), s)``, and a longer partition is
+    ``qtilde.expand_rows`` over peeled forms.  No e-form of more than two
+    rows is built."""
     if len(lam) <= 2:
         return peel(basis(lam, m), s)
-    for j in range(len(lam) - 1):
-        if lam[j] == lam[j + 1]:
-            return _peeled(lam[j:j + 2], m, s) * _peeled(lam[:j] + lam[j + 2:], m, s)
-    return XPoly(m, _pfaffian_sum(_peeled, lam, m, s))
+    return XPoly(m, expand_rows(_peeled, lam, m, s, mono_mul=x_mono_mul))
 
 
 @cache
@@ -195,9 +183,9 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     sum over odd-size subsets S of rows, of x_1^(|S|-1) times the basis
     element on x_2..x_m indexed by lam minus the indicator of S.  Both sides
     are compared peeled at 1."""
-    lam = tuple(lam)
-    if not (is_partition(lam) and is_strict(lam) and lam):
-        raise ValueError(f"{lam} must be a nonempty strict partition")
+    lam = require_strict(lam)
+    if not lam:
+        raise ValueError("need a nonempty partition")
     check_var_limit(m)
     rhs: dict[tuple[int, ...], int] = {}
     for k in range(1, len(lam) + 1, 2):
@@ -205,38 +193,25 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     return c_prime(lam, m).terms == rhs
 
 
-def _pfaffian_sum(c, lam: Partition, *args) -> dict[tuple[int, ...], int]:
-    """The alternating sum of c(pair, *args) * c(rest, *args) over the
-    last-column terms of lam, as a term map, each product accumulated
-    straight into the sum (the shorter factor the outer loop)."""
-    acc: dict[tuple[int, ...], int] = {}
-    for sign, pair, rest in pfaffian_terms(lam):
-        a, b = c(pair, *args).terms, c(rest, *args).terms
-        if len(a) > len(b):
-            a, b = b, a
-        mul_into(acc, a, b, sign, x_mono_mul)
-    return acc
-
-
 def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:
     """Alternating sum of products of c_prime values over last-column pair
     removals vanishes, for strict lam of length >= 3."""
-    lam = tuple(lam)
-    if not (is_partition(lam) and is_strict(lam) and len(lam) >= 3):
-        raise ValueError(f"{lam} must be strict of length >= 3")
+    lam = require_strict(lam)
+    if len(lam) < 3:
+        raise ValueError(f"{lam} must have length >= 3")
     check_var_limit(m)
-    return not _pfaffian_sum(c_prime, lam, m)
+    return not pfaffian_sum(c_prime, lam, m, mono_mul=x_mono_mul)
 
 
 def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
     """Same alternating vanishing for c_double_prime, for strict lam of even
     length >= 4."""
-    lam = tuple(lam)
+    lam = require_strict(lam)
     ell = len(lam)
-    if not (is_partition(lam) and is_strict(lam) and ell >= 4 and ell % 2 == 0):
-        raise ValueError(f"{lam} must be strict of even length >= 4")
+    if ell < 4 or ell % 2:
+        raise ValueError(f"{lam} must have even length >= 4")
     check_var_limit(m)
-    return not _pfaffian_sum(c_double_prime, lam, m)
+    return not pfaffian_sum(c_double_prime, lam, m, mono_mul=x_mono_mul)
 
 
 def verify_lem2(lam: Partition, m: int) -> bool:
@@ -246,10 +221,10 @@ def verify_lem2(lam: Partition, m: int) -> bool:
     weighted basis elements on x_3..x_m, indexed by sequences obtained by
     decrementing parts of lam by 0, 1, or 2.  Both sides are compared
     peeled at 2."""
-    lam = tuple(lam)
+    lam = require_strict(lam)
     ell = len(lam)
-    if not (is_partition(lam) and is_strict(lam) and ell >= 2 and ell % 2 == 0):
-        raise ValueError(f"{lam} must be strict of even positive length")
+    if ell < 2 or ell % 2:
+        raise ValueError(f"{lam} must have even positive length")
     check_var_limit(m)
     rhs: dict[tuple[int, ...], int] = {}
     for r in range(0, ell, 2):

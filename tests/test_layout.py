@@ -168,6 +168,26 @@ def test_strips_come_strict_out_of_the_enumerator():
     assert "is_strict" not in names(enumerators[0])
 
 
+def test_one_pfaffian_sum():
+    """``qtilde.pfaffian_sum`` is the one loop that multiplies out the terms
+    of ``pfaffian_terms`` with ``mul_into``; the basis recursion, its peeled
+    twin and every Pfaffian check call it, so no module writes the sum out
+    again."""
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for loop in ast.walk(func):
+                if (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                        and getattr(loop.iter.func, "id", None) == "pfaffian_terms"
+                        and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "mul_into"
+                                for n in ast.walk(loop))):
+                    found.append(f"{path.stem}.{func.name}")
+    assert found == ["qtilde.pfaffian_sum"]
+
+
 def _imported_modules(path: Path) -> set[str]:
     """Last dotted component of every module path imports or imports from,
     plus the modules ``from . import`` brings in by name."""
@@ -224,16 +244,17 @@ def _raises_carrying(phrase: str) -> list[str]:
 
 GUARDS = {"does not index a Schubert class": "partitions.require_dn",
           "is not a partition": "partitions.require_partition",
+          "is not a strict partition": "partitions.require_strict",
           "guarded to m <=": "polyring.check_var_limit",
           "e-monomial weight": "polyring._check_weight",
           "negative q-degree": "quantum._encode"}
 
 
 def test_one_guard_per_rule():
-    """The D_n rule, the partition rule, the variable limit, the weight
-    bound of a packed e-monomial and the q-degree rule of route B's int
-    keys are each raised from one place, by one function defined once, so
-    copies of a guard cannot come back."""
+    """The D_n rule, the partition and strict-partition rules, the variable
+    limit, the weight bound of a packed e-monomial and the q-degree rule of
+    route B's int keys are each raised from one place, by one function
+    defined once, so copies of a guard cannot come back."""
     for phrase in GUARDS:
         found = _raises_carrying(phrase)
         assert len(found) == 1, (phrase, found)

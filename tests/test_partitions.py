@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lgschubert.partitions import (
-    Strip,
     all_strict_upto,
     dual,
     enumerate_partitions,
@@ -125,7 +124,9 @@ class TestPfaffianTerms:
 def oracle_strips(lam, k, cap):
     """Brute-force horizontal-strip oracle: filter every partition of the
     target weight by containment and the one-box-per-column test, then count
-    components by explicit pairwise adjacency (union-find)."""
+    components by explicit pairwise adjacency (union-find); each strip mu
+    gives the Pieri term (mu, 2**N), N counting the components that miss
+    column 1."""
     found = []
     w = sum(lam) + k
     for mu in enumerate_partitions(w, cap if cap is not None else w):
@@ -156,23 +157,16 @@ def oracle_strips(lam, k, cap):
                 parent[find(i)] = find(j)
         roots = {find(i) for i in range(len(boxes))}
         col1_roots = {find(i) for i, b in enumerate(boxes) if b[1] == 1}
-        found.append(Strip(mu, len(roots), len(roots - col1_roots)))
-    found.sort(key=lambda s: s.shape, reverse=True)
+        found.append((mu, 1 << len(roots - col1_roots)))
+    found.sort(reverse=True)
     return found
 
 
 class TestGrowStrips:
     def test_examples(self):
-        assert grow_strips((2,), 2, 3) == [
-            Strip((3, 1), 2, 1),
-            Strip((2, 2), 1, 0),
-        ]
-        assert grow_strips((), 0) == [Strip((), 0, 0)]
-        assert grow_strips((2, 1), 1, 3) == [
-            Strip((3, 1), 1, 1),
-            Strip((2, 2), 1, 1),
-            Strip((2, 1, 1), 1, 0),
-        ]
+        assert grow_strips((2,), 2, 3) == [((3, 1), 2), ((2, 2), 1)]
+        assert grow_strips((), 0) == [((), 1)]
+        assert grow_strips((2, 1), 1, 3) == [((3, 1), 2), ((2, 2), 2), ((2, 1, 1), 1)]
 
     @pytest.mark.parametrize("cap", [None, 3, 5])
     def test_against_oracle(self, cap):
@@ -184,23 +178,22 @@ class TestGrowStrips:
     @pytest.mark.parametrize("cap", [None, 3, 5])
     def test_strict_is_the_filtered_enumeration(self, cap):
         """The strict bound inside the enumerator keeps exactly the strict
-        shapes of the full enumeration, counts included, in the same order."""
+        shapes of the full enumeration, weights included, in the same order."""
         shapes = set(all_strict_upto(7)).union(*(enumerate_partitions(w, w) for w in range(7)))
         for lam in shapes:
             for k in range(10):
                 assert grow_strips(lam, k, cap, strict=True) == [
-                    s for s in grow_strips(lam, k, cap) if is_strict(s.shape)]
+                    s for s in grow_strips(lam, k, cap) if is_strict(s[0])]
 
     def test_one_box_per_column(self):
         for lam in [(3, 1), (4, 2, 1)]:
             for k in range(6):
-                for s in grow_strips(lam, k):
+                for mu, _ in grow_strips(lam, k):
                     cols = []
-                    for r, part in enumerate(s.shape, 1):
+                    for r, part in enumerate(mu, 1):
                         base = lam[r - 1] if r <= len(lam) else 0
                         cols.extend(range(base + 1, part + 1))
                     assert len(cols) == len(set(cols))
-                    assert s.off_first_column <= s.components
 
 
 class TestEnumerate:

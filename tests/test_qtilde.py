@@ -265,8 +265,10 @@ class TestPieri:
                     assert pieri_strict(lam, k) == rhs
 
     def test_rejects_non_strict(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\(2, 2\) is not a strict partition$"):
             pieri_strict((2, 2), 1)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            pieri_strict((2, 1), -1)
 
 
 class TestFConstant:

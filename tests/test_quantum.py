@@ -271,16 +271,19 @@ def oracle_pieri_rows(n):
     """Every ``pieri_row`` of D_n, built from the union-find strip oracle
     filtered by strictness: the strict strips grown on lam by k boxes (cap
     n) in step 0, and in step 1 each strict nu that lam grows from by
-    n + 1 - k boxes, in descending order of nu."""
+    n + 1 - k boxes, in descending order of nu, with e one less than the
+    components of lam/nu.  Those are the N components of its Pieri term
+    (lam, 2**N) that miss column 1, and one more when lam is longer than nu,
+    since then the strip reaches column 1."""
     classes = all_strict_upto(n)
-    grown = {(nu, j): [s for s in oracle_strips(nu, j, n) if is_strict(s.shape)]
+    grown = {(nu, j): [(mu, w) for mu, w in oracle_strips(nu, j, n) if is_strict(mu)]
              for nu in classes for j in range(n + 2)}
     rows = {}
     for lam in classes:
         for k in range(n + 1):
-            below = sorted(((nu, s.components - 1) for nu in classes
-                            for s in grown[nu, n + 1 - k] if s.shape == lam), reverse=True)
-            rows[lam, k] = (tuple(((s.shape, 0), s.off_first_column) for s in grown[lam, k])
+            below = sorted(((nu, w.bit_length() - 2 + (len(lam) > len(nu))) for nu in classes
+                            for mu, w in grown[nu, n + 1 - k] if mu == lam), reverse=True)
+            rows[lam, k] = (tuple(((mu, 0), w.bit_length() - 1) for mu, w in grown[lam, k])
                             + tuple(((nu, 1), e) for nu, e in below))
     return rows
 

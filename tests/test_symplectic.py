@@ -7,11 +7,10 @@ import pytest
 
 from lgschubert import qtilde as qtilde_module, suites, symplectic
 from lgschubert.partitions import all_strict_upto, enumerate_partitions, pfaffian_terms, straighten
-from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, peel
+from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, peel, x_mono_mul
 from lgschubert.qtilde import basis, qtilde
 from lgschubert.symplectic import (
     _peel_into,
-    _pfaffian_sum,
     c_double_prime,
     c_prime,
     comb0,
@@ -130,6 +129,21 @@ class TestIdentityVerifiers:
         with pytest.raises(ValueError, match=f"^{re.escape(str(lam))} is not a partition$"):
             c(lam, 3)
 
+    @pytest.mark.parametrize("verify", [verify_cprime_expansion, verify_pfaffian_identity_prime,
+                                        verify_pfaffian_identity_double_prime, verify_lem2])
+    @pytest.mark.parametrize("lam", [(4, 4, 2, 1), (1, 2, 3, 4), (4, 3, 2, 0)])
+    def test_strict_checks_reject_non_strict(self, verify, lam):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(lam))} is not a strict partition$"):
+            verify(lam, 4)
+
+    @pytest.mark.parametrize("verify,lam", [
+        (verify_cprime_expansion, ()), (verify_pfaffian_identity_prime, (2, 1)),
+        (verify_pfaffian_identity_double_prime, (3, 2, 1)), (verify_lem2, (3, 2, 1)),
+    ])
+    def test_strict_checks_keep_their_length_rules(self, verify, lam):
+        with pytest.raises(ValueError, match="length|nonempty"):
+            verify(lam, 4)
+
     def test_var_limit_guard(self):
         with pytest.raises(ValueError, match="guarded to m <= 10, got 11"):
             c_prime((1,), 11)
@@ -246,7 +260,8 @@ class TestFullMapOracle:
         vanishes, and its products of peeled forms map back to the sum of
         products of the full maps."""
         for lam, m in strict_cases(lo, 5, keep):
-            got = _pfaffian_sum(lambda nu, m: c(nu, m) + XPoly.one(m), lam, m)
+            got = qtilde_module.pfaffian_sum(lambda nu, m: c(nu, m) + XPoly.one(m), lam, m,
+                                             mono_mul=x_mono_mul)
             want = full_pfaffian_sum(lambda nu, m: full(nu, m) + XPoly.one(m), lam, m)
             assert want and unpeel(XPoly(m, got), s) == want, (lam, m)
 
