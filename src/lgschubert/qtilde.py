@@ -19,7 +19,6 @@ back-substitution in ``expand_in_basis``.
 from __future__ import annotations
 
 from functools import cache
-from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -54,8 +53,8 @@ class VerificationError(Exception):
 def basis(lam: Partition, m: int | None) -> EPoly:
     """Basis element of a partition in m variables, untruncated for m = None.
 
-    Memoized per (lam, m); the result is shared by every caller and must not
-    be mutated.  A memo miss checks that lam is a partition.  Untruncated,
+    Memoized per (lam, m); the result is shared by every caller, its terms
+    read-only.  A memo miss checks that lam is a partition.  Untruncated,
     at most two parts (i, j) give
     e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}, whose monomials are
     pairwise distinct, packed by ``polyring.pack_e``; a longer partition
@@ -75,22 +74,21 @@ def basis(lam: Partition, m: int | None) -> EPoly:
                                for k in range(j + 1)}))
 
 
-def pfaffian_sum(c, lam: Partition, *args, mono_mul=add) -> dict:
+def pfaffian_sum(c, lam: Partition, *args) -> dict:
     """The alternating sum of c(pair, *args) * c(rest, *args) over
     ``pfaffian_terms(lam)``, as a term map, each product accumulated
-    straight into the sum by ``mul_into`` with the monomial product
-    ``mono_mul`` (the shorter factor the outer loop).  c returns a
-    polynomial of either model."""
+    straight into the sum by ``mul_into`` (the shorter factor the outer
+    loop).  c returns a polynomial of either model."""
     acc: dict = {}
     for sign, pair, rest in pfaffian_terms(lam):
         a, b = c(pair, *args).terms, c(rest, *args).terms
         if len(a) > len(b):
             a, b = b, a
-        mul_into(acc, a, b, sign, mono_mul)
+        mul_into(acc, a, b, sign)
     return acc
 
 
-def expand_rows(c, lam: Partition, *args, mono_mul=add) -> dict:
+def expand_rows(c, lam: Partition, *args) -> Mapping:
     """The term map of the element of lam, three or more parts, from the
     elements c(nu, *args) of shorter partitions: a partition with an equal
     pair (i, i) is the product of the element of the pair and that of the
@@ -101,7 +99,7 @@ def expand_rows(c, lam: Partition, *args, mono_mul=add) -> dict:
     for j in range(len(lam) - 1):
         if lam[j] == lam[j + 1]:
             return (c(lam[j:j + 2], *args) * c(lam[:j] + lam[j + 2:], *args)).terms
-    return pfaffian_sum(c, lam, *args, mono_mul=mono_mul)
+    return pfaffian_sum(c, lam, *args)
 
 
 def qtilde(nu, m: int) -> EPoly:
@@ -236,8 +234,7 @@ def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
                 failures.append({"check": "b", "lam": lam, "m": m})
     if m <= XPANSION_VAR_LIMIT:
         for i in range(1, min(m, wmax // 2) + 1):
-            squares = {tuple(2 * e for e in mono): c
-                       for mono, c in elementary_xpoly(i, m).terms.items()}
+            squares = {2 * key: c for key, c in elementary_xpoly(i, m).terms.items()}
             if peel(basis((i, i), m), m).terms != squares:
                 failures.append({"check": "c", "i": i, "m": m})
     for w in range(max(0, wmax - m) + 1):

@@ -56,7 +56,7 @@ from .partitions import (
     rho,
     star,
 )
-from .polyring import add_into, unpack_e
+from .polyring import add_into
 from .qtilde import VerificationError, basis, expand_in_basis, f_constant, stable_expansion
 
 QuantumClass = dict  # map (Partition, d) -> int
@@ -216,18 +216,20 @@ def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
 def giambelli_special(mu: Partition, n: int) -> Mapping:
     """Polynomial in the special classes and q, keyed by (special indices,
     q-power), whose quantum evaluation is the Schubert class of mu, for mu
-    of at most two rows: the basis element of mu in n variables, plus
-    (-1)^(n+1-i) q sigma_{i+j-n-1} when mu = (i, j) has i + j > n (the
-    quantum two-condition Giambelli formula); the packed e-monomials of the
-    basis element are decoded once, here, by ``polyring.unpack_e``.  The
-    result is shared by every caller, read-only."""
+    of at most two rows: the quantum two-condition Giambelli formula, for
+    mu = (i, j), sigma_i sigma_j + 2 sum_{k=1}^{j} (-1)^k sigma_{i+k}
+    sigma_{j-k} with sigma_k = 0 for k > n, plus (-1)^(n+1-i) q
+    sigma_{i+j-n-1} when i + j > n.  The result is shared by every caller,
+    read-only."""
     mu = require_dn(mu, n)
     if len(mu) > 2:
         raise ValueError(f"{mu} has more than two rows")
-    terms = {(mono, 0): c for mono, c in unpack_e(basis(mu, n).terms).items()}
-    s = sum(mu) - n - 1
+    i, j = mu + (0,) * (2 - len(mu))
+    terms = {(tuple(p for p in (i + k, j - k) if p), 0): 2 * (-1) ** k if k else 1
+             for k in range(min(j, n - i) + 1)}
+    s = i + j - n - 1
     if s >= 0:
-        terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - mu[0])
+        terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
     return MappingProxyType(terms)
 
 

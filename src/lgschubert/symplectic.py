@@ -14,12 +14,15 @@ three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
 one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, bring the
 sequences to partitions with signs, and add x^prefix times the basis
-element on the remaining variables, peeled at 0.  When parts drop by 1 only
-(the extension and c_prime cases), only equal parts can invert, so each run
-of r equal parts with j of them lowered gives one block with the sign
-[r, j] at q = -1, and nothing is straightened; Lemma 2's decrements by 2
-straighten every pattern.  The Pfaffian-style vanishings of c_prime and
-c_double_prime are alternating sums of products of their peeled forms.
+element on the remaining variables, peeled at 0.  Every term map here is
+keyed by ``polyring``'s packed monomials, whose layout this module never
+reads: ``polyring.times_x`` moves the keys of that element up past the
+prefix.  When parts drop by 1 only (the extension and c_prime cases), only
+equal parts can invert, so each run of r equal parts with j of them
+lowered gives one block with the sign [r, j] at q = -1, and nothing is
+straightened; Lemma 2's decrements by 2 straighten every pattern.  The
+Pfaffian-style vanishings of c_prime and c_double_prime are alternating
+sums of products of their peeled forms.
 Every check is an exact integer equality in a fixed small number
 m <= XPANSION_VAR_LIMIT (10) of variables (each m gives an independent
 check, since the identities are polynomial in x_1..x_m for every m).
@@ -33,23 +36,14 @@ from math import comb
 from typing import Iterator
 
 from .partitions import Partition, require_partition, require_strict, straighten
-from .polyring import (
-    XPoly,
-    add_into,
-    check_var_limit,
-    ddiff0,
-    ddiff1prime,
-    peel,
-    x_mono_mul,
-)
+from .polyring import XPoly, add_into, check_var_limit, ddiff0, ddiff1prime, peel, times_x
 from .qtilde import basis, expand_rows, pfaffian_sum
 
 
 @cache
 def _peeled(lam: Partition, m: int, s: int) -> XPoly:
-    """The basis element of lam in m variables peeled at s.  Memoized per
-    (lam, m, s); the result is shared by every caller and must not be
-    mutated.
+    """The basis element of lam in m variables peeled at s, memoized per
+    (lam, m, s).
 
     Peeling and truncation are ring homomorphisms, so the peeled form
     follows the recursion of ``qtilde.basis`` on peeled forms: at most two
@@ -58,13 +52,13 @@ def _peeled(lam: Partition, m: int, s: int) -> XPoly:
     rows is built."""
     if len(lam) <= 2:
         return peel(basis(lam, m), s)
-    return XPoly(m, expand_rows(_peeled, lam, m, s, mono_mul=x_mono_mul))
+    return XPoly(m, expand_rows(_peeled, lam, m, s))
 
 
 @cache
 def c_prime(lam: Partition, m: int) -> XPoly:
     """First divided difference of the basis element of lam in m variables,
-    peeled at 1: exponent 0 is that of x_1, exponent j that of e'_j."""
+    peeled at 1: position 0 is x_1, position j is e'_j."""
     lam = require_partition(lam)
     if len(lam) < 1:
         raise ValueError("need a nonempty partition")
@@ -75,8 +69,8 @@ def c_prime(lam: Partition, m: int) -> XPoly:
 @cache
 def c_double_prime(lam: Partition, m: int) -> XPoly:
     """Triple divided difference of the basis element of lam in m variables,
-    peeled at 2: exponents 0 and 1 are those of x_1 and x_2, exponent
-    j + 1 that of e'_j."""
+    peeled at 2: positions 0 and 1 are x_1 and x_2, position j + 1 is
+    e'_j."""
     lam = require_partition(lam)
     if len(lam) < 2:
         raise ValueError("need at least two parts")
@@ -160,8 +154,7 @@ def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, tw
     a term map in the layout of an element in m variables peeled at s.
     Sequences of sign 0 drop."""
     for sign, nu in _peel_terms(lam, ones, twos):
-        add_into(out, ((prefix + e, c) for e, c in _peeled(nu, m - len(prefix), 0).terms.items()),
-                 k * sign)
+        add_into(out, times_x(prefix, _peeled(nu, m - len(prefix), 0).terms), k * sign)
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:
@@ -172,7 +165,7 @@ def verify_extension_formula(lam: Partition, m: int) -> bool:
     Both sides are compared peeled at 1."""
     lam = require_partition(lam)
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], int] = {}
+    rhs: dict[int, int] = {}
     for k in range(len(lam) + 1):
         _peel_into(rhs, (k,), lam, k, 0, m)
     return _peeled(lam, m, 1).terms == rhs
@@ -187,7 +180,7 @@ def verify_cprime_expansion(lam: Partition, m: int) -> bool:
     if not lam:
         raise ValueError("need a nonempty partition")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], int] = {}
+    rhs: dict[int, int] = {}
     for k in range(1, len(lam) + 1, 2):
         _peel_into(rhs, (k - 1,), lam, k, 0, m)
     return c_prime(lam, m).terms == rhs
@@ -200,7 +193,7 @@ def verify_pfaffian_identity_prime(lam: Partition, m: int) -> bool:
     if len(lam) < 3:
         raise ValueError(f"{lam} must have length >= 3")
     check_var_limit(m)
-    return not pfaffian_sum(c_prime, lam, m, mono_mul=x_mono_mul)
+    return not pfaffian_sum(c_prime, lam, m)
 
 
 def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
@@ -211,7 +204,7 @@ def verify_pfaffian_identity_double_prime(lam: Partition, m: int) -> bool:
     if ell < 4 or ell % 2:
         raise ValueError(f"{lam} must have even length >= 4")
     check_var_limit(m)
-    return not pfaffian_sum(c_double_prime, lam, m, mono_mul=x_mono_mul)
+    return not pfaffian_sum(c_double_prime, lam, m)
 
 
 def verify_lem2(lam: Partition, m: int) -> bool:
@@ -226,7 +219,7 @@ def verify_lem2(lam: Partition, m: int) -> bool:
     if ell < 2 or ell % 2:
         raise ValueError(f"{lam} must have even positive length")
     check_var_limit(m)
-    rhs: dict[tuple[int, ...], int] = {}
+    rhs: dict[int, int] = {}
     for r in range(0, ell, 2):
         for s in range(0, r + 1, 2):
             for b in range(0, (r + s + 3) // 2 + 1):

@@ -4,8 +4,9 @@ without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
 the x-expansion variables, each input rule is raised from one guard,
-only ``polyring`` knows the layout of a packed e-monomial and only
-``quantum`` that of route B's int keys,
+only ``polyring`` knows the layout of a packed monomial of either model
+and only ``quantum`` that of route B's int keys, route B reaches no
+polynomial arithmetic,
 ``polyring.peel`` is the only x-variable form of an EPoly, strips come
 strict out of their one enumerator rather than through a filter, the
 classical product has no read-out of its own beside route C's, and every
@@ -265,13 +266,82 @@ def test_one_guard_per_rule():
     assert sorted(defined) == sorted(GUARDS.values())
 
 
-def test_only_polyring_knows_the_key_layout():
-    """The field width of a packed e-monomial is named in ``polyring``
-    alone; other modules convert through ``pack_e`` and ``unpack_e`` and
-    truncate through ``e_key_bound``, and no tuple e-monomial product is
-    left."""
+def _keywords(path: Path) -> set[str]:
+    """The keyword names passed in the calls of a module."""
+    return {kw.arg for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+            for kw in node.keywords}
+
+
+def test_only_polyring_knows_the_key_layout(monkeypatch):
+    """Both polynomial models key their terms by packed monomials whose
+    field width is named in ``polyring`` alone; other modules convert
+    through ``pack_e``, ``unpack_e``, ``pack_x`` and ``unpack_x``, truncate
+    through ``e_key_bound`` and put x^prefix before a peeled form through
+    ``times_x``.  No tuple monomial product and no monomial-product
+    parameter is left, no module outside ``polyring`` hands ``XPoly`` a
+    term map it spelled out itself, and every XPoly that the x-identity
+    suites and check (c) build, their memos emptied first, is keyed by
+    ints."""
     assert [path.stem for path in MODULES if "E_FIELD_BITS" in _names(path)] == ["polyring"]
-    assert [path.stem for path in MODULES if "_e_mono_mul" in _names(path)] == []
+    assert [path.stem for path in MODULES
+            if {"_e_mono_mul", "x_mono_mul", "mono_mul"} & _names(path)] == []
+    assert [path.stem for path in MODULES if "mono_mul" in _keywords(path)] == []
+    spelled = [f"{path.stem} line {node.lineno}" for path in MODULES if path.stem != "polyring"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "XPoly"
+               and any(isinstance(arg, (ast.Dict, ast.DictComp)) for arg in node.args)]
+    assert spelled == []
+
+    from lgschubert import polyring, qtilde, symplectic
+
+    keys = []
+    init = polyring.XPoly.__init__
+
+    def spy(self, m, terms):
+        keys.extend(terms)
+        init(self, m, terms)
+
+    monkeypatch.setattr(polyring.XPoly, "__init__", spy)
+    for memo in (symplectic._peeled, symplectic.c_prime, symplectic.c_double_prime,
+                 polyring.elementary_xpoly, polyring._peel_steps):
+        memo.cache_clear()
+    for suite in (suites.suite_extension, suites.suite_cprime_expansion, suites.suite_lem2,
+                  suites.suite_pfaffian_prime, suites.suite_pfaffian_double_prime):
+        assert suite(4) == []
+    assert qtilde.verify_qtilde_properties(4, 8) == []
+    assert keys and all(type(key) is int for key in keys)
+
+
+def _keywords(path: Path) -> set[str]:
+    """The keyword names passed in the calls of a module."""
+    return {kw.arg for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+            for kw in node.keywords}
+
+
+ROUTE_B = ("_row", "_fold", "qprod_pieri", "giambelli_special")
+
+
+def test_route_b_reaches_no_polynomial_arithmetic():
+    """Route B is the paper's quantum Pieri rule and two-row Giambelli
+    formula alone: its functions, and every function of ``quantum`` they
+    call, name nothing that ``quantum`` imports from ``polyring`` or
+    ``qtilde``, so ``engines-agree`` holds it against routes A and C with
+    no arithmetic in common."""
+    tree = ast.parse((PACKAGE_DIR / "quantum.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module in ("polyring", "qtilde") for alias in node.names}
+    assert {"add_into", "basis"} <= imported
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, reached = list(ROUTE_B), set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        used = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert not used & (imported | {"polyring", "qtilde"}), (name, used & imported)
+        todo += sorted(used & defs.keys())
+    assert set(ROUTE_B) < reached
 
 
 MASK_HELPERS = {"_mask_of", "_parts_of", "_class_of"}

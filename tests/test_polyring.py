@@ -16,29 +16,44 @@ from lgschubert.polyring import (
     elementary_xpoly,
     mul_into,
     pack_e,
+    pack_x,
     peel,
+    times_x,
     unpack_e,
+    unpack_x,
 )
 from lgschubert.qtilde import basis
 
 M = 3
 
 
+def X(m: int, terms: dict, s=None) -> XPoly:
+    """An XPoly in m variables from a map of exponent tuples of length m,
+    positions from s on read as e'_1, e'_2, ... (``pack_x``)."""
+    return XPoly(m, pack_x(terms, s))
+
+
+def exps(f: XPoly) -> dict:
+    """The term map of f keyed by exponent tuples of length f.m."""
+    return unpack_x(f.terms, f.m)
+
+
 def negate_first(f: XPoly) -> XPoly:
     """The substitution x_1 -> -x_1."""
-    return XPoly(f.m, {mono: (-c if mono[0] % 2 else c) for mono, c in f.terms.items()})
+    return X(f.m, {mono: (-c if mono[0] % 2 else c) for mono, c in exps(f).items()})
 
 
-def swap_vars(f: XPoly, i: int) -> XPoly:
-    """The substitution exchanging x_i and x_{i+1} (1-indexed)."""
-    if not 1 <= i < f.m:
-        raise ValueError(f"cannot swap x_{i}, x_{i + 1} with m={f.m}")
+def swap_vars(f: XPoly, i: int, s=None) -> XPoly:
+    """The substitution exchanging x_i and x_{i+1} (1-indexed), for f
+    peeled at s (both of them x-positions)."""
+    if not 1 <= i < (f.m if s is None else s):
+        raise ValueError(f"cannot swap x_{i}, x_{i + 1} with m={f.m}, s={s}")
     out = {}
-    for mono, c in f.terms.items():
+    for mono, c in exps(f).items():
         e = list(mono)
         e[i - 1], e[i] = e[i], e[i - 1]
         out[tuple(e)] = c
-    return XPoly(f.m, out)
+    return X(f.m, out, s)
 
 
 def is_symmetric(f: XPoly) -> bool:
@@ -46,8 +61,8 @@ def is_symmetric(f: XPoly) -> bool:
     return all(swap_vars(f, i).terms == f.terms for i in range(1, f.m))
 
 
-def xmono(*exps, m=M, c=1):
-    return XPoly(m, {tuple(exps) + (0,) * (m - len(exps)): c})
+def xmono(*powers, m=M, c=1):
+    return X(m, {tuple(powers) + (0,) * (m - len(powers)): c})
 
 
 def E(m, terms):
@@ -70,9 +85,7 @@ def epolys(m=3, max_terms=4):
 
 def xpolys(m=3, deg=4, max_terms=5):
     monos = st.tuples(*[st.integers(0, deg) for _ in range(m)])
-    return st.dictionaries(monos, st.integers(-5, 5), max_size=max_terms).map(
-        lambda d: XPoly(m, {k: v for k, v in d.items() if v})
-    )
+    return st.dictionaries(monos, st.integers(-5, 5), max_size=max_terms).map(lambda d: X(m, d))
 
 
 def per_monomial(p: EPoly) -> XPoly:
@@ -187,11 +200,67 @@ class TestPackedKey:
         assert repr(EPoly.zero(3)) == "EPoly(0)"
 
 
+EXPONENT_VECTORS = st.integers(0, 6).flatmap(
+    lambda m: st.tuples(st.lists(st.integers(0, 40), min_size=m, max_size=m).map(tuple),
+                        st.none() | st.integers(0, m)))
+
+
+class TestPackedXKey:
+    """An x-monomial is one int in the layout of an e-monomial: its degree
+    in the low field (e'_j counting j), the exponent at position h in field
+    h + 1."""
+
+    @given(EXPONENT_VECTORS, st.integers(-3, 3))
+    def test_round_trip(self, vec, c):
+        powers, s = vec
+        packed = pack_x({powers: c}, s)
+        assert unpack_x(packed, len(powers)) == ({powers: c} if c else {})
+        cut = len(powers) if s is None else s
+        degree = sum(powers[:cut]) + sum(j * e for j, e in enumerate(powers[cut:], 1))
+        assert all(k & E_WEIGHT_MASK == degree for k in packed)
+
+    @given(EXPONENT_VECTORS, st.data())
+    def test_product_is_the_sum_of_keys(self, vec, data):
+        a, s = vec
+        b = tuple(data.draw(st.lists(st.integers(0, 40), min_size=len(a), max_size=len(a))))
+        (ka,), (kb,) = pack_x({a: 1}, s), pack_x({b: 1}, s)
+        assert pack_x({tuple(map(sum, zip(a, b))): 1}, s) == {ka + kb: 1}
+
+    def test_prefix_moves_the_tail_up(self):
+        """x^prefix times a form peeled at 0 on the other variables is the
+        form in all of them peeled at len(prefix)."""
+        tail = {(1, 0, 2): 3, (0, 0, 0): -1, (4, 1, 0): 2}
+        got = dict(times_x((2, 1), pack_x(tail, 0)))
+        assert got == pack_x({(2, 1) + e: c for e, c in tail.items()}, 2)
+        assert dict(times_x((), pack_x(tail, 0))) == pack_x(tail, 0)
+
+    def test_weight_overflow_raises_instead_of_carrying(self):
+        """Two XPolys of degree 40,000: the product's degree, 80,000, does
+        not fit the weight field, and the multiplication raises rather than
+        carry into the exponent of x_1, with the message of the e-monomial
+        guard.  e'_2^20000 has degree 40,000 from an exponent of 20,000, so
+        the guard bounds the degree, not the exponents alone."""
+        x = X(2, {(40000, 0): 1})
+        tail = X(2, {(0, 20000): 1}, 0)
+        for lhs, rhs in [(x, x), (x, x + XPoly.one(2)), (tail, tail), (x, tail)]:
+            with pytest.raises(ValueError, match="^e-monomial weight 80000 exceeds 65535$"):
+                lhs * rhs
+            with pytest.raises(ValueError, match="exceeds 65535"):
+                mul_into({}, lhs.terms, rhs.terms, 1)
+        with pytest.raises(ValueError, match="exceeds 65535"):
+            dict(times_x((40000,), tail.terms))
+        assert exps(X(1, {(65535,): 1})) == {(65535,): 1}
+        with pytest.raises(ValueError, match="^e-monomial weight 65536 exceeds 65535$"):
+            pack_x({(30000, 35536): 1})
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            pack_x({(1, -1): 1})
+
+
 class TestXPolyArithmetic:
     def test_cancelled_cross_terms_are_not_stored(self):
         # (x1 + x2)(x1 - x2) = x1^2 - x2^2: the two x1 x2 terms cancel
         p = (xmono(1) + xmono(0, 1)) * (xmono(1) - xmono(0, 1))
-        assert p.terms == {(2, 0, 0): 1, (0, 2, 0): -1}
+        assert exps(p) == {(2, 0, 0): 1, (0, 2, 0): -1}
 
     def test_var_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -268,7 +337,7 @@ class TestExpansion:
         come out exact, with no width or range limit on an exponent."""
         p = E(2, terms)
         got = peel(p, 1)
-        assert max(max(mono) for mono in got.terms) > 255
+        assert max(max(mono) for mono in exps(got)) > 255
         assert unpeel(got, 1) == per_monomial(p)
 
     @pytest.mark.parametrize("m", range(1, 6))
@@ -282,19 +351,19 @@ class TestExpansion:
     def test_no_variables(self):
         # m = 0: a constant stays on the empty exponent vector, and every
         # generator expands to zero
-        assert peel(E(0, {(): 7}), 0).terms == {(): 7}
-        assert peel(E(0, {(): -2, (1,): 5, (2, 1): 1}), 0).terms == {(): -2}
+        assert peel(E(0, {(): 7}), 0).terms == pack_x({(): 7}) == {0: 7}
+        assert peel(E(0, {(): -2, (1,): 5, (2, 1): 1}), 0).terms == pack_x({(): -2})
 
 
 def unpeel(f: XPoly, s: int) -> XPoly:
     """A polynomial peeled at s mapped back to x_1..x_m: each e'_j replaced
     by e_j(x_{s+1}, ..., x_m)."""
     m = f.m
-    tail = [XPoly(m, {(0,) * s + e: 1 for e in elementary_xpoly(j, m - s).terms})
+    tail = [X(m, {(0,) * s + e: 1 for e in exps(elementary_xpoly(j, m - s))})
             for j in range(1, m - s + 1)]
     acc = XPoly.zero(m)
-    for mono, c in f.terms.items():
-        term = XPoly(m, {mono[:s] + (0,) * (m - s): c})
+    for mono, c in exps(f).items():
+        term = X(m, {mono[:s] + (0,) * (m - s): c})
         for g, b in zip(tail, mono[s:]):
             for _ in range(b):
                 term = term * g
@@ -317,14 +386,14 @@ class TestPeel:
                     assert unpeel(peel(basis(lam, m), s), s) == want, (lam, s)
 
     def test_examples(self):
-        # e_2(x_1, x_2, x_3) = x_1 e'_1 + e'_2
-        assert peel(EPoly.gen(2, 3), 1).terms == {(1, 1, 0): 1, (0, 0, 1): 1}
+        # e_2(x_1, x_2, x_3) = x_1 e'_1 + e'_2, both of degree 2
+        assert peel(EPoly.gen(2, 3), 1) == X(3, {(1, 1, 0): 1, (0, 0, 1): 1}, 1)
         # e_3(x_1, x_2, x_3) = x_1 x_2 e'_1, and e_1^2 = (x_1 + x_2 + e'_1)^2
-        assert peel(EPoly.gen(3, 3), 2).terms == {(1, 1, 1): 1}
+        assert peel(EPoly.gen(3, 3), 2) == X(3, {(1, 1, 1): 1}, 2)
         e1 = xmono(1) + xmono(0, 1) + xmono(0, 0, 1)
         assert peel(E(3, {(1, 1): 1}), 2) == e1 * e1
         # at s = 0 each e-monomial is its own exponent vector of the e'_j
-        assert peel(E(3, {(3, 1, 1): 4, (): -1}), 0).terms == {(2, 0, 1): 4, (0, 0, 0): -1}
+        assert peel(E(3, {(3, 1, 1): 4, (): -1}), 0) == X(3, {(2, 0, 1): 4, (0, 0, 0): -1}, 0)
         # a hand-built term led by e_{m+1} peels to zero
         assert not peel(E(2, {(3, 1): 1}), 1)
 
@@ -344,10 +413,10 @@ class TestDividedDifferences:
         f = xmono(3, 1) + xmono(2, 2, c=5)
         num = f - negate_first(f)
         # every surviving term has odd, positive x1 exponent and even coefficient
-        assert all(mono[0] % 2 == 1 for mono in num.terms)
+        assert all(mono[0] % 2 == 1 for mono in exps(num))
         assert all(c % 2 == 0 for c in num.terms.values())
         got = ddiff0(f)
-        assert XPoly(M, {(m0[0] + 1,) + m0[1:]: 2 * c for m0, c in got.terms.items()}) == num
+        assert X(M, {(m0[0] + 1,) + m0[1:]: 2 * c for m0, c in exps(got).items()}) == num
 
     def test_ddiff1prime_examples(self):
         assert ddiff1prime(xmono(1)) == xmono(0, c=-1)

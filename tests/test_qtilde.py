@@ -4,7 +4,7 @@ import pytest
 
 from lgschubert import qtilde as qtilde_module
 from lgschubert.partitions import enumerate_partitions, is_strict, pfaffian_terms
-from lgschubert.polyring import EPoly, XPoly, elementary_xpoly, pack_e, peel, unpack_e
+from lgschubert.polyring import EPoly, elementary_xpoly, pack_e, peel, unpack_e
 from lgschubert.qtilde import (
     basis,
     expand_in_basis,
@@ -16,7 +16,7 @@ from lgschubert.qtilde import (
     verify_qtilde_properties,
 )
 from lgschubert.symplectic import verify_extension_formula
-from test_polyring import basis_x, swap_vars
+from test_polyring import X, basis_x, exps, swap_vars
 
 
 def E(m, **monos):
@@ -357,8 +357,8 @@ class TestVerifiers:
         oracle."""
         for m in range(1, 6):
             for i in range(1, m + 1):
-                squares = XPoly(m, {tuple(2 * e for e in mono): c
-                                    for mono, c in elementary_xpoly(i, m).terms.items()})
+                squares = X(m, {tuple(2 * e for e in mono): c
+                                for mono, c in exps(elementary_xpoly(i, m)).items()})
                 assert peel(basis((i, i), m), m) == basis_x((i, i), m) == squares
 
     def test_property_c_catches_a_wrong_expansion(self, monkeypatch):
@@ -368,7 +368,7 @@ class TestVerifiers:
 
         def wrong(p, s):
             f = real(p, s)
-            return f + XPoly(p.m, {(1,) * p.m: 1}) if p == basis((1, 1), p.m) else f
+            return f + X(p.m, {(1,) * p.m: 1}) if p == basis((1, 1), p.m) else f
 
         monkeypatch.setattr(qtilde_module, "peel", wrong)
         assert verify_qtilde_properties(3, 8) == [{"check": "c", "i": 1, "m": 3}]

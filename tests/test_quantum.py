@@ -17,7 +17,8 @@ from lgschubert.partitions import (
     rho,
     star,
 )
-from lgschubert.polyring import mul_into, unpack_e
+from lgschubert import symplectic
+from lgschubert.polyring import elementary_xpoly, unpack_e
 from lgschubert.qtilde import VerificationError, basis, stable_expansion
 from lgschubert.quantum import (
     _read_quantum,
@@ -147,20 +148,31 @@ class TestReadOutMemos:
 
 
 class TestReadOnlyMemos:
-    """The dict memos hand one object to every caller, so a write into it
-    raises rather than reaching the next caller."""
+    """The dict memos and the terms of the memoised polynomials hand one
+    object to every caller, so a write into it raises rather than reaching
+    the next caller."""
 
     @pytest.mark.parametrize("result", [
         lambda: stable_expansion((2,), (2, 1)),
         lambda: qprod_constants((2,), (2, 1), 3),
         lambda: giambelli_special((3, 2), 3),
-    ], ids=["_ordered_expansion", "_constants_read", "giambelli_special"])
+        lambda: basis((3, 1), 4).terms,
+        lambda: basis((3, 3, 1), None).terms,
+        lambda: symplectic._peeled((3, 2, 1), 4, 1).terms,
+        lambda: symplectic.c_prime((3, 1), 4).terms,
+        lambda: symplectic.c_double_prime((3, 1), 4).terms,
+        lambda: elementary_xpoly(2, 4).terms,
+    ], ids=["_ordered_expansion", "_constants_read", "giambelli_special", "basis",
+            "basis-rows", "_peeled", "c_prime", "c_double_prime", "elementary_xpoly"])
     def test_a_write_into_a_memo_result_raises(self, result):
         memo = result()
         key = next(iter(memo))
-        with pytest.raises(TypeError):
+        # a read-only mapping has no item assignment; CPython reports an int
+        # key too large for an index (a packed monomial) as IndexError
+        refused = (TypeError, IndexError)
+        with pytest.raises(refused):
             memo[key] = 0
-        with pytest.raises(TypeError):
+        with pytest.raises(refused):
             del memo[key]
         with pytest.raises(TypeError):
             memo["new"] = 1
@@ -320,15 +332,21 @@ class TestGiambelliSpecial:
                 out[key] = out.get(key, 0) + c * v
         assert {k: v for k, v in out.items() if v} == {((3, 2, 1), 0): 1}
 
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_formula_matches_the_basis_element(self, n):
+        """The explicit two-row formula against the basis-derived oracle
+        of ``symbolic_giambelli``, term for term and in order, on every
+        class of at most two rows."""
+        classes = [mu for mu in all_strict_upto(n) if len(mu) <= 2]
+        assert len(classes) == 1 + n + n * (n - 1) // 2
+        for mu in classes:
+            assert list(giambelli_special(mu, n).items()) == list(symbolic_giambelli(mu, n).items())
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_evaluates_to_class_on_unit(self, n):
         for mu in all_strict_upto(n):
             assert fold_giambelli_of_mu((), mu, n) == {(mu, 0): 1}
             assert qprod_pieri((), mu, n) == {(mu, 0): 1}
-
-
-def _special_mono_mul(x, y):
-    return tuple(sorted(x[0] + y[0], reverse=True)), x[1] + y[1]
 
 
 @functools.cache
@@ -349,9 +367,11 @@ def symbolic_giambelli(mu, n):
         return terms
     acc = {}
     for sign, pair, rest in pfaffian_terms(mu):
-        mul_into(acc, symbolic_giambelli(pair, n), symbolic_giambelli(rest, n), sign,
-                 _special_mono_mul)
-    return acc
+        for (ia, qa), ca in symbolic_giambelli(pair, n).items():
+            for (ib, qb), cb in symbolic_giambelli(rest, n).items():
+                key = (tuple(sorted(ia + ib, reverse=True)), qa + qb)
+                acc[key] = acc.get(key, 0) + sign * ca * cb
+    return {key: c for key, c in acc.items() if c}
 
 
 def fold_giambelli_of_mu(lam, mu, n):
