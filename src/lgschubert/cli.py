@@ -18,9 +18,10 @@ import json
 import os
 import sys
 from functools import cache, partial
-from itertools import groupby
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import NamedTuple
 
 from . import quantum
 from .partitions import all_strict_upto, partition_from_str, partition_to_str
@@ -132,57 +133,91 @@ def _cache_path(n: int, engine: str) -> Path:
     return cache_dir() / f"table-n{n}-{engine}.jsonl"
 
 
-def load_cache(n: int) -> dict:
-    """Read the cache file as {(lam, mu): product}, each product in
-    ``quantum_to_json`` form as stored.  The file is ignored whole on a
-    header mismatch (format, n, engine or code fingerprint), on a body that
-    does not parse (a record nested too deep for ``json`` included), or on
-    one record no engine could have produced.  A record passes when lambda
-    and mu are index strings of D_n in ``partition_to_str`` form, and each
-    product term "nu|d" has nu in that form, 0 <= d <= len(mu),
-    |lam| + |mu| = |nu| + d(n+1), and a positive integer coefficient; both
-    are lookups in maps built once per call.  A cache that cannot be read
-    (missing, or a directory in its place) is no cache."""
+class _Layout(NamedTuple):
+    """What a table of D_n x D_n fixes before any product is known: tuples
+    with one entry per cell, in ``_layout`` order."""
+
+    pairs: tuple  # (lam, mu)
+    names: tuple  # (lam, mu) as index strings
+    keys: tuple  # frozenset of the product keys "nu|d" the cell may hold
+    heads: tuple  # the JSON text from the previous cell's product to this one's
+
+
+@cache
+def _layout(n: int) -> _Layout:
+    """The cells of D_n x D_n, by |lam|, then |mu|, then each in descending
+    lex order, the order in which ``all_strict_upto`` lists one weight.
+    A cell may hold the keys "nu|d" with nu in D_n, 0 <= d <= len(mu) and
+    |lam| + |mu| = |nu| + d(n+1); that set depends on |lam| + |mu| and
+    len(mu) alone, so it is built once for each of those and shared."""
+    classes = all_strict_upto(n)
+    groups = [(w, list(g)) for w, g in groupby(classes, key=sum)]
+    index = {nu: partition_to_str(nu) for nu in classes}
+    quoted = {nu: _quote(s) for nu, s in index.items()}
+    index_at = {w: [index[nu] for nu in g] for w, g in groups}
+    key_sets = {}
+    for w in range(n * (n + 1) + 1):
+        terms = []
+        for d in range(n + 1):
+            terms += [f"{s}|{d}" for s in index_at.get(w - d * (n + 1), ())]
+            key_sets[w, d] = frozenset(terms)
+    pairs, names, keys, heads = [], [], [], []
+    head = '{\n  "engine": ' + _quote(TABLE_ENGINE) + ',\n  "entries": [\n'
+    for a, ls in groups:
+        for b, ms in groups:
+            for lam in ls:
+                for mu in ms:
+                    pairs.append((lam, mu))
+                    names.append((index[lam], index[mu]))
+                    keys.append(key_sets[a + b, len(mu)])
+                    heads.append(f'{head}    {{\n      "lambda": {quoted[lam]},'
+                                 f'\n      "mu": {quoted[mu]},\n      "product": ')
+                    head = "\n    },\n"
+    return _Layout(tuple(pairs), tuple(names), tuple(keys), tuple(heads))
+
+
+def load_cache(n: int) -> list:
+    """The cached products of D_n x D_n in ``_layout`` order, each in
+    ``quantum_to_json`` form as stored, or [] when the cache is ignored.
+    The file is ignored whole on a header mismatch (format, n, engine or
+    code fingerprint), on a body that does not parse (a record nested too
+    deep for ``json`` included), on a record count other than |D_n|^2, or
+    on one record no engine could have produced: one that is not an object,
+    holds a key outside its cell's ``_layout`` key set, or a coefficient
+    that is not a positive integer.  A cache that cannot be read (missing,
+    or a directory in its place) is no cache."""
+    layout = _layout(n)
     try:
         header, *lines = _cache_path(n, TABLE_ENGINE).read_text().splitlines()
-        if json.loads(header) != _cache_header(n):
-            return {}
-        records = json.loads("[" + ",".join(lines) + "]")
-        index = {partition_to_str(nu): nu for nu in all_strict_upto(n)}
-        terms = {f"{s}|{d}": (sum(nu) + d * (n + 1), d)
-                 for s, nu in index.items() for d in range(n + 1)}
-        out = {}
-        for rec in records:
-            lam, mu, product = index[rec["lambda"]], index[rec["mu"]], rec["product"]
-            w = sum(lam) + sum(mu)
-            for key, c in product.items():
-                weight, d = terms[key]
-                if weight != w or d > len(mu) or type(c) is not int or c <= 0:
-                    return {}
-            out[(lam, mu)] = product
-        return out
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
-        return {}
+        if json.loads(header) != _cache_header(n) or len(lines) != len(layout.keys):
+            return []
+        products = json.loads("[" + ",".join(lines) + "]")
+    except (OSError, ValueError, RecursionError):
+        return []
+    if (len(products) == len(lines) and set(map(type, products)) == {dict}
+            and all(map(frozenset.issuperset, layout.keys, products))):
+        coefficients = [*chain.from_iterable(map(dict.values, products))]
+        if set(map(type, coefficients)) <= {int} and min(coefficients, default=1) > 0:
+            return products
+    return []
 
 
 def _cache_header(n: int) -> dict:
     return {"format": CACHE_FORMAT, "n": n, "engine": TABLE_ENGINE, "code": code_fingerprint()}
 
 
-def save_cache(n: int, engine: str, table: dict) -> None:
-    """Rewrite the cache file atomically, records in ``_record_pairs`` order
-    for stable diffs; ``table`` maps every pair of D_n to its product in
-    ``quantum_to_json`` form.
-    ``engine`` is always TABLE_ENGINE; it stays a parameter, as in
+def save_cache(n: int, engine: str, table: list) -> None:
+    """Rewrite the cache file atomically: the header, then each product of
+    ``table`` (every cell of D_n x D_n in ``_layout`` order, in
+    ``quantum_to_json`` form) on its own line with sorted keys.  A record
+    holds no indices, as the header and the fingerprinted code fix the
+    order.  ``engine`` is always TABLE_ENGINE; it stays a parameter, as in
     ``_cache_path``, because the benchmark's trace counters (bench/child.py)
     read the (n, engine, table) arguments of this call."""
     path = _cache_path(n, engine)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps(_cache_header(n))]
-    for lam, mu in _record_pairs(n):
-        record = {"lambda": partition_to_str(lam), "mu": partition_to_str(mu),
-                  "product": table[(lam, mu)]}
-        lines.append(json.dumps(record, sort_keys=True))
+    lines += [json.dumps(product, sort_keys=True) for product in table]
     tmp = path.with_suffix(".tmp")
     try:
         tmp.write_text("\n".join(lines) + "\n")
@@ -192,60 +227,50 @@ def save_cache(n: int, engine: str, table: dict) -> None:
         raise
 
 
-def _record_pairs(n: int) -> list:
-    """Every pair of D_n, by |lam|, then |mu|, then each in descending lex
-    order, the order in which ``all_strict_upto`` lists one weight."""
-    by_weight = [list(g) for _, g in groupby(all_strict_upto(n), key=sum)]
-    return [(l, m) for ls in by_weight for ms in by_weight for l in ls for m in ms]
-
-
-def _render_json(n: int, entries) -> str:
+def _render_json(n: int, products: list) -> str:
     """The table as ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    writes it, from f-strings and the C string encoder ``json.dumps`` uses:
-    any ``indent`` makes ``json`` fall back to its pure-Python encoder.
-    tests/test_cli.py pins the layout to that call."""
-    cells = []
-    for lam, mu, product in entries:
-        body = ",\n".join([f"        {_quote(k)}: {product[k]}" for k in sorted(product)])
-        block = f"{{\n{body}\n      }}" if body else "{}"
-        cells.append(f'    {{\n      "lambda": {_quote(lam)},\n      "mu": {_quote(mu)},'
-                     f'\n      "product": {block}\n    }}')
-    listing = ",\n".join(cells)
-    return (f'{{\n  "engine": {_quote(TABLE_ENGINE)},\n  "entries": [\n{listing}\n  ],\n'
-            f'  "format": {CACHE_FORMAT},\n  "n": {n},\n  "ring": "quantum"\n}}\n')
+    writes it: ``_layout``'s cell heads joined with the products.  One
+    ``json.dumps`` call writes every product with sorted keys through the C
+    encoder (any ``indent`` makes ``json`` fall back to its pure-Python
+    one), and a string replace indents them, as a product key "nu|d" holds
+    no space, quote or brace.  tests/test_cli.py pins the layout to that
+    call."""
+    bodies = json.dumps(products, sort_keys=True)[2:-2]
+    blocks = [f"{{\n        {body}\n      }}" if body else "{}"
+              for body in bodies.replace(', "', ',\n        "').split("}, {")]
+    cells = "".join(chain.from_iterable(zip(_layout(n).heads, blocks)))
+    return (f'{cells}\n    }}\n  ],\n  "format": {CACHE_FORMAT},\n  "n": {n},'
+            f'\n  "ring": "quantum"\n}}\n')
 
 
 def cmd_table(args) -> int:
-    """Print every product of D_n x D_n, in ``_record_pairs`` order.  Cells
-    come from ``load_cache`` as stored; missing ones are computed, turned
-    once into ``quantum_to_json`` form and saved; a cache that cannot be
-    written costs a warning on stderr, not the table.  JSON is written by
-    ``_render_json``, whose layout the tests fix; TSV lists each product's
-    terms in ``quantum_to_json`` order, by q-degree and then index."""
+    """Print every product of D_n x D_n, in ``_layout`` order.  A cache that
+    ``load_cache`` accepts is served whole, as stored; otherwise every cell
+    is computed, turned once into ``quantum_to_json`` form and saved, and a
+    cache that cannot be written costs a warning on stderr, not the table.
+    JSON is written by ``_render_json``, whose layout the tests fix; TSV
+    lists each product's terms in ``quantum_to_json`` order, by q-degree
+    and then index."""
     out_path = Path(args.out) if args.out else None
     if out_path:
         # fail on an unwritable path before computing; append mode keeps an
         # existing file intact until the table replaces it
         out_path.open("a").close()
-    classes = all_strict_upto(args.n)
-    table = load_cache(args.n)
-    pending = [(lam, mu) for lam in classes for mu in classes if (lam, mu) not in table]
-    engine = ENGINES[TABLE_ENGINE]
-    for lam, mu in pending:
-        table[(lam, mu)] = quantum_to_json(engine(lam, mu, args.n))
-    if pending:
+    layout = _layout(args.n)
+    products = load_cache(args.n)
+    if not products:
+        engine = ENGINES[TABLE_ENGINE]
+        products = [quantum_to_json(engine(lam, mu, args.n)) for lam, mu in layout.pairs]
         try:
-            save_cache(args.n, TABLE_ENGINE, table)
+            save_cache(args.n, TABLE_ENGINE, products)
         except OSError as exc:
             print(f"warning: table cache not saved: {exc}", file=sys.stderr)
 
-    names = {nu: partition_to_str(nu) for nu in classes}
-    entries = [(names[l], names[m], table[(l, m)]) for l, m in _record_pairs(args.n)]
     if args.format == "json":
-        payload = _render_json(args.n, entries)
+        payload = _render_json(args.n, products)
     else:
         rows = ["lambda\tmu\tproduct"]
-        for l, m, p in entries:
+        for (l, m), p in zip(layout.names, products):
             prod = ";".join(f"{k}={v}" for k, v in quantum_to_json(quantum_from_json(p)).items())
             rows.append(f"{l}\t{m}\t{prod}")
         payload = "\n".join(rows) + "\n"

@@ -87,6 +87,27 @@ def cache_header(**fields) -> str:
                        **fields}) + "\n"
 
 
+def cache_pairs(n: int) -> list:
+    """Every pair of D_n as (lambda, mu) index strings, in the order of the
+    table's entries and cache records: by |lambda|, |mu|, then descending
+    lex."""
+    classes = all_strict_upto(n)
+    pairs = sorted(((l, m) for l in classes for m in classes),
+                   key=lambda p: (sum(p[0]), sum(p[1]), [-x for x in p[0]], [-x for x in p[1]]))
+    return [(partition_to_str(l), partition_to_str(m)) for l, m in pairs]
+
+
+def cache_records(source: Path, cells: dict) -> str:
+    """The records of the n = 2 cache that a clean run wrote under
+    ``source``, one product per line, with the product at each
+    (lambda, mu) of ``cells`` replaced by the given JSON text."""
+    records = (source / "table-n2-constants.jsonl").read_text().splitlines()[1:]
+    pairs = cache_pairs(2)
+    for pair, text in cells.items():
+        records[pairs.index(pair)] = text
+    return "".join(record + "\n" for record in records)
+
+
 class TestProduct:
     def test_quantum_point_cube(self, capsys):
         code, out, _ = run(
@@ -437,17 +458,22 @@ class TestTable:
     ])
     def test_poisoned_cache_record_ignored(self, tmp_path, monkeypatch, capsys, lam, mu, product):
         """One bad record voids the whole file: the plausible but wrong
-        record beside it (s[2] * 1 = 5 s[2]) must not be served either."""
+        record beside it (s[2] * 1 = 5 s[2]) must not be served either.
+        The bad product takes the place of (lambda, mu); a pair outside
+        D_2 has no place, so its record names lambda and mu, as indexed
+        records did, and takes the place of (1, 1)."""
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
         code, clean, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert code == 0
+        cells = {("2", ""): '{"2|0": 5}'}
+        if (lam, mu) in cache_pairs(2):
+            cells[lam, mu] = product
+        else:
+            cells["1", "1"] = f'{{"lambda": "{lam}", "mu": "{mu}", "product": {product}}}'
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         (cache_dir / "table-n2-constants.jsonl").write_text(
-            cache_header() +
-            '{"lambda": "2", "mu": "", "product": {"2|0": 5}}\n'
-            f'{{"lambda": "{lam}", "mu": "{mu}", "product": {product}}}\n'
-        )
+            cache_header() + cache_records(tmp_path / "clean", cells))
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
         code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert code == 0
@@ -494,9 +520,13 @@ class TestTable:
     def test_json_layout_of_an_empty_product(self, tmp_path, monkeypatch, capsys):
         """A cached product with no terms passes the record checks; it is
         written as ``json.dumps`` writes an empty object."""
-        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path))
-        (tmp_path / "table-n2-constants.jsonl").write_text(
-            cache_header() + '{"lambda": "", "mu": "", "product": {}}\n')
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
+        assert run(capsys, "table", "--n", "2")[0] == 0
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "table-n2-constants.jsonl").write_text(
+            cache_header() + cache_records(tmp_path / "clean", {("", ""): "{}"}))
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
         code, out, _ = run(capsys, "table", "--n", "2")
         assert code == 0
         assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
@@ -512,19 +542,67 @@ class TestTable:
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
         code, clean, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert code == 0
-        record = '{"lambda": "2", "mu": "", "product": {"2|0": 5}}\n'
+        records = cache_records(tmp_path / "clean", {("2", ""): '{"2|0": 5}'})
         cache_dir = tmp_path / "cache"
         cache_dir.mkdir()
         cache_file = cache_dir / "table-n2-constants.jsonl"
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
-        cache_file.write_text(header + record)
+        cache_file.write_text(header + records)
         code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert code == 0
         assert out == clean
         # the fingerprint alone decides: under the current one the record is served
-        cache_file.write_text(cache_header() + record)
+        cache_file.write_text(cache_header() + records)
         code, out, _ = run(capsys, "table", "--n", "2", "--format", "tsv")
         assert "2\t\t2|0=5\n" in out
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "extra line", "non-dict record", "bool coefficient", "moved cell"])
+    def test_damaged_cache_ignored_whole(self, tmp_path, monkeypatch, capsys, damage):
+        """A damaged cache is ignored whole, so the plausible but wrong first
+        cell beside the damage (s[] * s[] = 2 s[]) is not served either,
+        and the table is the one a clean run prints."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
+        code, clean, _ = run(capsys, "table", "--n", "2")
+        assert code == 0
+        cells = {("", ""): '{"|0": 2}'}
+        damaged = {
+            "non-dict record": {("2", ""): '["2|0"]'},  # holds only keys its cell may hold
+            "bool coefficient": {("1", ""): '{"1|0": true}'},  # true == 1
+            "moved cell": {("1", ""): '{"2|0": 1}', ("2", ""): '{"1|0": 1}'},  # swapped
+        }
+        cells.update(damaged.get(damage, {}))
+        text = cache_header() + cache_records(tmp_path / "clean", cells)
+        if damage == "truncated":
+            text = text[:-4]
+        elif damage == "extra line":
+            text += '{"|2": 1}\n'
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "table-n2-constants.jsonl").write_text(text)
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(cache_dir))
+        code, out, err = run(capsys, "table", "--n", "2")
+        assert (code, out, err) == (0, clean, "")
+        # the poisoned first cell alone is served, so the damage voided the file
+        (cache_dir / "table-n2-constants.jsonl").write_text(
+            cache_header() + cache_records(tmp_path / "clean", {("", ""): '{"|0": 2}'}))
+        code, out, _ = run(capsys, "table", "--n", "2")
+        assert out != clean and '"|0": 2' in out
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_layout_key_sets_follow_the_term_rule(self, n):
+        """Each cell's key set is the rule every stored term must meet,
+        applied here term by term: "nu|d" with nu in D_n in
+        ``partition_to_str`` form, 0 <= d <= len(mu), and
+        |lambda| + |mu| = |nu| + d(n+1)."""
+        classes = all_strict_upto(n)
+        layout = cli._layout(n)
+        assert list(layout.names) == cache_pairs(n)
+        assert [tuple(map(partition_to_str, pair)) for pair in layout.pairs] == cache_pairs(n)
+        for (lam, mu), keys in zip(layout.pairs, layout.keys):
+            rule = {f"{partition_to_str(nu)}|{d}" for nu in classes for d in range(n + 1)
+                    if d <= len(mu) and sum(lam) + sum(mu) == sum(nu) + d * (n + 1)}
+            assert keys == rule
 
     def test_rank_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys):
         cache_dir = tmp_path / "cache"

@@ -359,7 +359,7 @@ def test_only_quantum_knows_the_mask_layout():
 # for the life of the process and hands one object to every caller, so a new
 # one is named here; this is also the list a memo report reads.
 MEMOS = {
-    "cli": {"build_parser", "code_fingerprint"},
+    "cli": {"_layout", "build_parser", "code_fingerprint"},
     "partitions": {"_enum"},
     "polyring": {"_peel_steps", "elementary_xpoly"},
     "qtilde": {"_ordered_expansion", "_partition_keys", "basis"},
