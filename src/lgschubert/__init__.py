@@ -25,6 +25,7 @@ from .quantum import (
     eightfold_check,
     giambelli_special,
     gw,
+    qmul,
     qprod_constants,
     qprod_pieri,
     qprod_quotient,

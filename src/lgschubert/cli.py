@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import quantum
 from .partitions import all_strict_upto, partition_from_str, partition_to_str
-from .quantum import quantum_from_json, quantum_to_json
+from .quantum import json_key_class, quantum_to_json
 from .suites import DEFAULT_SAMPLE_SEED, SUITES
 
 CACHE_FORMAT = 1
@@ -250,7 +250,7 @@ def cmd_table(args) -> int:
     cache that cannot be written costs a warning on stderr, not the table.
     JSON is written by ``_render_json``, whose layout the tests fix; TSV
     lists each product's terms in ``quantum_to_json`` order, by q-degree
-    and then index."""
+    and then index, sorting the stored keys on their parsed class."""
     out_path = Path(args.out) if args.out else None
     if out_path:
         # fail on an unwritable path before computing; append mode keeps an
@@ -271,7 +271,7 @@ def cmd_table(args) -> int:
     else:
         rows = ["lambda\tmu\tproduct"]
         for (l, m), p in zip(layout.names, products):
-            prod = ";".join(f"{k}={v}" for k, v in quantum_to_json(quantum_from_json(p)).items())
+            prod = ";".join(f"{k}={p[k]}" for k in sorted(p, key=lambda s: json_key_class(s)[::-1]))
             rows.append(f"{l}\t{m}\t{prod}")
         payload = "\n".join(rows) + "\n"
 

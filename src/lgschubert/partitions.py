@@ -229,6 +229,4 @@ def partition_from_str(text: str) -> Partition:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed partition {text!r}") from exc
-    if not is_partition(parts):
-        raise ValueError(f"{parts} is not weakly decreasing with positive parts")
-    return parts
+    return require_partition(parts)

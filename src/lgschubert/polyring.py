@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterator, Mapping
 
 XPANSION_VAR_LIMIT = 10
 
@@ -370,11 +370,12 @@ def peel(p: EPoly, s: int) -> XPoly:
 
 
 @cache
-def _peel_steps(m: int, s: int) -> dict[int, dict[int, int]]:
+def _peel_steps(m: int, s: int) -> Mapping[int, Mapping[int, int]]:
     """For each 1 <= i <= m, e_i peeled at s as a term map: the packed keys
-    of its monomials x^T e'_{i-|T|}, each of weight i and coefficient 1."""
+    of its monomials x^T e'_{i-|T|}, each of weight i and coefficient 1.
+    Shared by every caller, so the map and each term map are read-only."""
     # t is x^T, |T| = r, of weight r; e'_j, j = i - r, is field s + j, of weight j
-    return {i: dict.fromkeys((t + (_X1 << E_FIELD_BITS * (s + i - r - 1) | i - r if i > r else 0)
-                              for r in range(s + 1) if 0 <= i - r <= m - s
-                              for t in elementary_xpoly(r, s).terms), 1)
-            for i in range(1, m + 1)}
+    return MappingProxyType({i: MappingProxyType(dict.fromkeys(
+        (t + (_X1 << E_FIELD_BITS * (s + i - r - 1) | i - r if i > r else 0)
+         for r in range(s + 1) if 0 <= i - r <= m - s for t in elementary_xpoly(r, s).terms), 1))
+        for i in range(1, m + 1)})

@@ -9,7 +9,10 @@ A quantum class is a finite map (strict partition with parts <= n, q-degree)
   multiply, and expand in the basis there.
 * qprod_pieri (route B): expand the factor with fewer rows along its
   quantum Giambelli Pfaffian, each two-row class acting on the other factor
-  by folding the quantum Pieri rule over its special classes.
+  by folding the quantum Pieri rule over its special classes.  The same
+  recursion, ``qmul(x, mu, n)``, multiplies any quantum class x by
+  sigma_mu; ``qprod_pieri`` is ``qmul`` on the class sigma_lam and
+  ``quantum_pieri`` is ``qmul`` by the special class (k).
 
 Routes C and A share one read-out, ``_read_quantum``: the index
 ((n+1)^d, nu) with nu in D_n gives q^d sigma_nu / 2^d, and every other index
@@ -33,9 +36,8 @@ int key mask | d << n: q^e adds e << n and the q-degree is key >> n.  One
 memoised row per (mask, k, n) holds the Pieri terms (key, 2^e), and one
 fold, ``_fold``, applies rows to int-keyed classes, so a term costs one int
 addition and one multiplication.  Only this module knows the layout:
-``quantum_pieri``, ``pieri_row`` and ``qprod_pieri`` keep (partition, d)
-classes, encoded at their edge (each partition in D_n, each d >= 0) and
-decoded once at the end.
+``qmul`` and ``pieri_row`` are its edge, where (partition, d) classes are
+encoded (each partition in D_n, each d >= 0) and decoded once at the end.
 """
 
 from __future__ import annotations
@@ -134,13 +136,10 @@ def _class_of(key: int, n: int) -> tuple[Partition, int]:
     return _parts_of(key & ((1 << n) - 1)), key >> n
 
 
-def _encode(x: QuantumClass, k: int, n: int) -> dict[int, int]:
-    """x with each class (lam, d) keyed by the int mask(lam) | d << n, ready
-    for a Pieri step by k.  ValueError unless 0 <= k <= n, each lam lies in
-    D_n and each d >= 0: a part above n, or a negative d, would alias into
-    another key."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= {n}, got {k}")
+def _encode(x: QuantumClass, n: int) -> dict[int, int]:
+    """x with each class (lam, d) keyed by the int mask(lam) | d << n.
+    ValueError unless each lam lies in D_n and each d >= 0: a part above n,
+    or a negative d, would alias into another key."""
     out = {}
     for (lam, d), c in x.items():
         if d < 0:
@@ -201,15 +200,15 @@ def pieri_row(lam: Partition, k: int, n: int) -> tuple:
     n + 1 - k boxes with e + 1 components.  Both parts come strict out of
     one strip walk, which builds no other shape, each in descending order
     of nu.  The decoded view of the memoised row that route B folds."""
-    (mask,) = _encode({(lam, 0): 1}, k, n)
+    require_dn((k,) if k else (), n)  # sigma_k is the class (k) of D_n
+    (mask,) = _encode({(lam, 0): 1}, n)
     return tuple((_class_of(key, n), m.bit_length() - 1) for key, m in _row(mask, k, n))
 
 
 def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
-    """Multiply a quantum class by the special class of degree k, 0 <= k <= n,
-    through route B's fold: x encoded (each class in D_n, each q-degree
-    >= 0), folded and decoded."""
-    return {_class_of(key, n): c for key, c in _fold({}, _encode(x, k, n), k, n).items()}
+    """Multiply a quantum class by the special class of degree k, 0 <= k <= n:
+    ``qmul`` by the class (k) of D_n, sigma_0 being the unit ()."""
+    return qmul(x, (k,) if k else (), n)
 
 
 @cache
@@ -233,25 +232,23 @@ def giambelli_special(mu: Partition, n: int) -> Mapping:
     return MappingProxyType(terms)
 
 
-def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
-    """Quantum product via the quantum Giambelli Pfaffian and Pieri rule
-    (route B): for mu the factor of fewer rows, sigma_mu sigma_lam sums
-    sign * sigma_pair (sigma_rest sigma_lam) over ``pfaffian_terms(mu)``
-    down to the unit class, each pair folding the Pieri rule over its
-    ``giambelli_special`` monomials, each rest formed once per call.  The
-    classes stay int-keyed until the product is decoded; a monomial's last
+def qmul(x: QuantumClass, mu: Partition, n: int) -> QuantumClass:
+    """x * sigma_mu on route B, for x a quantum class (each partition in
+    D_n, each q-degree >= 0): sigma_mu x sums sign * sigma_pair (sigma_rest
+    x) over ``pfaffian_terms(mu)`` down to x itself, each pair folding the
+    Pieri rule over its ``giambelli_special`` monomials, each rest formed
+    once per call.  x is encoded once and the classes stay int-keyed until
+    the product is decoded, zero coefficients dropped; a monomial's last
     Pieri step (the identity step k = 0 for the unit) folds straight into
     the sum."""
-    lam, mu = require_dn(lam, n), require_dn(mu, n)
-    if len(mu) > len(lam):  # the product commutes: expand the shorter factor
-        lam, mu = mu, lam
-    memo: dict[Partition, dict[int, int]] = {(): {_mask_of(lam): 1}}
+    mu = require_dn(mu, n)
+    memo: dict[Partition, dict[int, int]] = {(): _encode(x, n)}
 
-    def times_lam(part: Partition) -> dict[int, int]:
+    def times_x(part: Partition) -> dict[int, int]:
         if part not in memo:
             memo[part] = out = {}
             for sign, pair, rest in pfaffian_terms(part):
-                inner = times_lam(rest)
+                inner = times_x(rest)
                 for (indices, qp), c in giambelli_special(pair, n).items():
                     *steps, last = indices or (0,)  # stored descending; fold order is fixed
                     cls = inner
@@ -260,7 +257,17 @@ def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
                     _fold(out, cls, last, n, sign * c, qp)
         return memo[part]
 
-    return {_class_of(key, n): c for key, c in times_lam(mu).items()}
+    return {_class_of(key, n): c for key, c in times_x(mu).items() if c}
+
+
+def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
+    """Quantum product via the quantum Giambelli Pfaffian and Pieri rule
+    (route B): ``qmul`` of the class sigma_lam by sigma_mu, for mu the
+    factor of fewer rows."""
+    lam, mu = require_dn(lam, n), require_dn(mu, n)
+    if len(mu) > len(lam):  # the product commutes: expand the shorter factor
+        lam, mu = mu, lam
+    return qmul({(lam, 0): 1}, mu, n)
 
 
 def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:
@@ -411,10 +418,11 @@ def quantum_to_json(x: QuantumClass) -> dict[str, int]:
     return {f"{','.join(map(str, lam))}|{d}": c for (lam, d), c in items}
 
 
+def json_key_class(key: str) -> tuple[Partition, int]:
+    """The class (lam, d) of a ``quantum_to_json`` key 'lam|d'."""
+    lam, d = key.rsplit("|", 1)
+    return tuple(int(t) for t in lam.split(",")) if lam else (), int(d)
+
+
 def quantum_from_json(data: dict[str, int]) -> QuantumClass:
-    out: QuantumClass = {}
-    for key, c in data.items():
-        lam_s, d_s = key.rsplit("|", 1)
-        lam = tuple(int(t) for t in lam_s.split(",")) if lam_s else ()
-        out[(lam, int(d_s))] = c
-    return out
+    return {json_key_class(key): c for key, c in data.items()}

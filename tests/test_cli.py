@@ -211,6 +211,15 @@ class TestProduct:
         assert code == 2
         assert "error" in err
 
+    def test_non_partition_is_named_by_the_partition_rule(self, capsys):
+        code, out, err = run(
+            capsys, "product", "--ring", "quantum", "--n", "2",
+            "--lambda", "1,2", "--mu", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: (1, 2) is not a partition\n"
+
     def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
         """An exception other than ValueError is neither a verification
         failure (1) nor a usage error (2)."""

@@ -312,13 +312,7 @@ def test_only_polyring_knows_the_key_layout(monkeypatch):
     assert keys and all(type(key) is int for key in keys)
 
 
-def _keywords(path: Path) -> set[str]:
-    """The keyword names passed in the calls of a module."""
-    return {kw.arg for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
-            for kw in node.keywords}
-
-
-ROUTE_B = ("_row", "_fold", "qprod_pieri", "giambelli_special")
+ROUTE_B = ("_row", "_fold", "qmul", "qprod_pieri", "giambelli_special")
 
 
 def test_route_b_reaches_no_polynomial_arithmetic():

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from lgschubert.partitions import (
     rho,
     star,
 )
-from lgschubert import symplectic
+from lgschubert import polyring, symplectic
 from lgschubert.polyring import elementary_xpoly, unpack_e
 from lgschubert.qtilde import VerificationError, basis, stable_expansion
 from lgschubert.quantum import (
@@ -28,6 +29,7 @@ from lgschubert.quantum import (
     gw,
     pieri_row,
     qlr_check,
+    qmul,
     qprod_constants,
     qprod_pieri,
     qprod_quotient,
@@ -162,8 +164,11 @@ class TestReadOnlyMemos:
         lambda: symplectic.c_prime((3, 1), 4).terms,
         lambda: symplectic.c_double_prime((3, 1), 4).terms,
         lambda: elementary_xpoly(2, 4).terms,
+        lambda: polyring._peel_steps(4, 1),
+        lambda: polyring._peel_steps(4, 1)[2],
     ], ids=["_ordered_expansion", "_constants_read", "giambelli_special", "basis",
-            "basis-rows", "_peeled", "c_prime", "c_double_prime", "elementary_xpoly"])
+            "basis-rows", "_peeled", "c_prime", "c_double_prime", "elementary_xpoly",
+            "_peel_steps", "_peel_steps-term-map"])
     def test_a_write_into_a_memo_result_raises(self, result):
         memo = result()
         key = next(iter(memo))
@@ -270,7 +275,7 @@ class TestSubsetKeys:
         assert mask < 1 << n
         assert quantum._parts_of(mask) == lam
         assert quantum._mask_of(quantum._parts_of(mask)) == mask
-        (key,) = quantum._encode({(lam, d): 1}, 0, n)
+        (key,) = quantum._encode({(lam, d): 1}, n)
         assert key >> n == d
         assert quantum._class_of(key, n) == (lam, d)
 
@@ -597,6 +602,58 @@ def test_quantum_associativity(n):
         lhs = _qmul_class(qprod_constants(lam, mu, n), nu, n)
         rhs = _qmul_class(qprod_constants(mu, nu, n), lam, n)
         assert lhs == rhs
+
+
+class TestQmul:
+    """Route B's ``qmul`` held against identities of the paper that need no
+    second engine (associativity, the staircase closed form), so they reach
+    ranks that routes A and C do not, and on whole classes against its own
+    Pieri rows and route C."""
+
+    def test_associativity_on_seeded_triples(self):
+        """(sigma_a sigma_b) sigma_c = (sigma_b sigma_c) sigma_a, the small
+        quantum product being associative, on 100 seeded triples of D_7."""
+        n = 7
+        classes = all_strict_upto(n)
+        rng = random.Random(7)
+        for _ in range(100):
+            a, b, c = (rng.choice(classes) for _ in range(3))
+            lhs = qmul(qprod_pieri(a, b, n), c, n)
+            assert lhs == qmul(qprod_pieri(b, c, n), a, n), (a, b, c)
+
+    def test_staircase_closed_form(self):
+        """sigma_lam sigma_rho = q^len(lam) sigma_star(dual(lam)) on every
+        class of D_8."""
+        n = 8
+        for lam in all_strict_upto(n):
+            expected = {(star(dual(lam, n), n), len(lam)): 1}
+            assert qprod_pieri(lam, rho(n), n) == expected, lam
+
+    # mixed q-degrees and a zero coefficient
+    MIXED = {((4, 1), 0): 3, ((2,), 1): -2, ((3, 2, 1), 2): 1, ((1,), 0): 0}
+
+    def test_qmul_by_a_special_class_is_the_pieri_fold(self):
+        """sigma_k is the class (k) of D_n, sigma_0 the unit: on a class of
+        D_4, ``qmul`` by it equals ``quantum_pieri`` and the sum of
+        ``pieri_row`` terms, and no zero coefficient survives."""
+        n, x = 4, self.MIXED
+        for k in range(n + 1):
+            got = qmul(x, (k,) if k else (), n)
+            assert got == quantum_pieri(x, k, n)
+            want = {}
+            for (lam, d), c in x.items():
+                for (nu, step), e in pieri_row(lam, k, n):
+                    key = (nu, d + step)
+                    want[key] = want.get(key, 0) + c * 2 ** e
+            assert got == {key: v for key, v in want.items() if v}
+
+    def test_qmul_is_linear_in_x(self):
+        """x * sigma_mu for every mu of D_4 equals the bilinear extension of
+        the structure-constant engine over the nonzero terms of x."""
+        n = 4
+        nonzero = {cls: c for cls, c in self.MIXED.items() if c}
+        for mu in all_strict_upto(n):
+            assert qmul(self.MIXED, mu, n) == _qmul_class(nonzero, mu, n), mu
 
 
 def test_quantum_json_round_trip():
