@@ -7,12 +7,16 @@ A quantum class is a finite map (strict partition with parts <= n, q-degree)
   basis elements (the stable structure constants).
 * qprod_quotient (route A): truncate both basis elements to n + 1 variables,
   multiply, and expand in the basis there.
-* qprod_pieri (route B): expand the factor with fewer rows along its
-  quantum Giambelli Pfaffian, each two-row class acting on the other factor
-  by folding the quantum Pieri rule over its special classes.  The same
-  recursion, ``qmul(x, mu, n)``, multiplies any quantum class x by
-  sigma_mu; ``qprod_pieri`` is ``qmul`` on the class sigma_lam and
-  ``quantum_pieri`` is ``qmul`` by the special class (k).
+* qprod_pieri (route B): expand one factor along its quantum Giambelli
+  Pfaffian, each two-row class acting on the other factor by folding the
+  quantum Pieri rule over its special classes.  The same recursion,
+  ``qmul(x, mu, n)``, multiplies any quantum class x by sigma_mu, and
+  ``quantum_pieri`` is ``qmul`` by the special class (k).  With mu the
+  factor of fewer rows, ``qprod_pieri`` is ``qmul`` on the class sigma_lam
+  when len(lam) + len(mu) <= n; otherwise the paper's symmetry of the
+  invariants (``eightfold_check``) reads the product off
+  sigma_(mu*) sigma_(dual lam), whose factor dual(lam) has fewer rows than
+  either.
 
 Routes C and A share one read-out, ``_read_quantum``: the index
 ((n+1)^d, nu) with nu in D_n gives q^d sigma_nu / 2^d, and every other index
@@ -38,6 +42,8 @@ fold, ``_fold``, applies rows to int-keyed classes, so a term costs one int
 addition and one multiplication.  Only this module knows the layout:
 ``qmul`` and ``pieri_row`` are its edge, where (partition, d) classes are
 encoded (each partition in D_n, each d >= 0) and decoded once at the end.
+The symmetry relabels a decoded product: q^e sigma_eta becomes
+q^(len(mu)-e) sigma_dual(eta), scaled by an exact power of two.
 """
 
 from __future__ import annotations
@@ -262,12 +268,33 @@ def qmul(x: QuantumClass, mu: Partition, n: int) -> QuantumClass:
 
 def qprod_pieri(lam: Partition, mu: Partition, n: int) -> QuantumClass:
     """Quantum product via the quantum Giambelli Pfaffian and Pieri rule
-    (route B): ``qmul`` of the class sigma_lam by sigma_mu, for mu the
-    factor of fewer rows."""
+    (route B), expanding as few rows as the paper's symmetry allows.
+
+    With mu the factor of fewer rows: ``qmul`` of sigma_lam by sigma_mu
+    when len(lam) + len(mu) <= n.  Otherwise dual(lam), of
+    n - len(lam) < len(mu) rows, is expanded instead.  The symmetry of the
+    invariants (``eightfold_check``), 2^(n+d) <a, b, c>_d =
+    2^(len(b)+len(c)+e) <a*, dual b, dual c>_e with e = len(a) - d, taken
+    with a = mu and b = lam, makes the coefficient of q^d sigma_nu here 2^t
+    times that of q^e sigma_eta in sigma_(mu*) sigma_(dual lam), for
+    eta = dual(nu), d = len(mu) - e and
+    t = len(lam) + len(mu) + len(eta) - n - 2d.  A term there with
+    e > len(mu), or a coefficient that 2^-t does not divide when t < 0,
+    falsifies the symmetry and raises RuntimeError."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
     if len(mu) > len(lam):  # the product commutes: expand the shorter factor
         lam, mu = mu, lam
-    return qmul({(lam, 0): 1}, mu, n)
+    if len(lam) + len(mu) <= n:
+        return qmul({(lam, 0): 1}, mu, n)
+    out: QuantumClass = {}
+    for (eta, e), c in qmul({(star(mu, n), 0): 1}, dual(lam, n), n).items():
+        d = len(mu) - e
+        t = len(lam) + len(mu) + len(eta) - n - 2 * d
+        if d < 0 or c % (1 << max(-t, 0)):
+            raise RuntimeError(f"symmetry fails for {lam} x {mu}, n={n}: the term "
+                               f"{c} q^{e} sigma_{eta} gives q-degree {d}, scale 2^{t}")
+        out[(dual(eta, n), d)] = c << t if t >= 0 else c >> -t
+    return out
 
 
 def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:

@@ -232,6 +232,24 @@ class TestProduct:
         assert out == ""
         assert err == "internal error: VerificationError: engine bug\n"
 
+    @pytest.mark.parametrize("term", [((2, 1), 3), ((), 0)],
+                             ids=["degree-beyond-mu", "inexact-shift"])
+    def test_a_broken_symmetry_term_is_an_internal_error(self, capsys, monkeypatch, term):
+        """sigma_rho^2 at n = 2 takes route B's symmetry path, which reads
+        the product off sigma_(rho*) sigma_(): a term there of q-degree
+        above len(mu) = 2, or one that the shift by 2^-2 of sigma_() does
+        not divide, maps to no product term, and the CLI exits 3."""
+        qmul = quantum.qmul
+
+        def injected(x, mu, n):
+            return {**qmul(x, mu, n), term: 1}
+
+        monkeypatch.setattr(quantum, "qmul", injected)
+        code, out, err = run(capsys, "product", "--n", "2", "--lambda", "2,1", "--mu", "2,1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: symmetry fails for (2, 1) x (2, 1)")
+
 
 class TestParser:
     def test_main_calls_share_one_parser(self, capsys):

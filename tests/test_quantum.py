@@ -403,7 +403,52 @@ class TestRouteBShorterFactor:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_staircase_square(self, n):
+        """sigma_rho^2 = q^n, by the symmetry and by the recursion over all
+        n rows of rho."""
         assert qprod_pieri(rho(n), rho(n), n) == {((), n): 1}
+        assert qmul({(rho(n), 0): 1}, rho(n), n) == {((), n): 1}
+
+
+class TestRouteBSymmetry:
+    """``qprod_pieri`` reads sigma_lam sigma_mu, len(mu) <= len(lam), off
+    sigma_(mu*) sigma_(dual lam) when len(lam) + len(mu) > n, by the
+    paper's symmetry of the Gromov-Witten invariants; the recursion on the
+    shorter factor is the reference."""
+
+    @staticmethod
+    def direct(lam, mu, n):
+        shorter, longer = sorted((lam, mu), key=len)
+        return qmul({(longer, 0): 1}, shorter, n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pair_matches_the_recursion(self, n):
+        classes = all_strict_upto(n)
+        for lam in classes:
+            for mu in classes:
+                assert qprod_pieri(lam, mu, n) == self.direct(lam, mu, n), (lam, mu)
+
+    def test_seeded_pairs_match_the_recursion(self):
+        """200 seeded pairs of D_8, about two in five on the symmetry path."""
+        n = 8
+        classes = all_strict_upto(n)
+        rng = random.Random(8)
+        for _ in range(200):
+            lam, mu = rng.choice(classes), rng.choice(classes)
+            assert qprod_pieri(lam, mu, n) == self.direct(lam, mu, n), (lam, mu)
+
+    @pytest.mark.parametrize("lam, mu, n, factor", [
+        ((3, 1), (2,), 3, (2,)),           # 2 + 1 <= 3: the shorter factor
+        ((2,), (3, 1), 3, (2,)),
+        ((3, 2, 1), (2, 1), 3, ()),        # dual(rho) = ()
+        ((4, 3, 1), (4, 2, 1), 4, (2,)),   # dual((4, 3, 1)) = (2,)
+        ((5, 4, 2), (3, 2), 5, (3, 2)),    # 3 + 2 <= 5
+    ])
+    def test_one_expansion_of_the_fewest_rows(self, monkeypatch, lam, mu, n, factor):
+        """One ``qmul`` call per product, expanding the factor of fewest rows."""
+        seen, qmul_of = [], quantum.qmul
+        monkeypatch.setattr(quantum, "qmul", lambda x, f, n: seen.append(f) or qmul_of(x, f, n))
+        qprod_pieri(lam, mu, n)
+        assert seen == [factor]
 
 
 class TestRouteBPfaffianRecursion:
@@ -591,7 +636,7 @@ def _qmul_class(x, mu, n):
             if w:
                 out[key] = w
             else:
-                del out[key]
+                out.pop(key, None)
     return out
 
 
@@ -623,11 +668,13 @@ class TestQmul:
 
     def test_staircase_closed_form(self):
         """sigma_lam sigma_rho = q^len(lam) sigma_star(dual(lam)) on every
-        class of D_8."""
+        class of D_8, through ``qprod_pieri`` (its symmetry path, as
+        dual(rho) = ()) and through the recursion, ``qmul`` by sigma_lam."""
         n = 8
         for lam in all_strict_upto(n):
             expected = {(star(dual(lam, n), n), len(lam)): 1}
             assert qprod_pieri(lam, rho(n), n) == expected, lam
+            assert qmul({(rho(n), 0): 1}, lam, n) == expected, lam
 
     # mixed q-degrees and a zero coefficient
     MIXED = {((4, 1), 0): 3, ((2,), 1): -2, ((3, 2, 1), 2): 1, ((1,), 0): 0}
@@ -649,11 +696,10 @@ class TestQmul:
 
     def test_qmul_is_linear_in_x(self):
         """x * sigma_mu for every mu of D_4 equals the bilinear extension of
-        the structure-constant engine over the nonzero terms of x."""
+        the structure-constant engine over x, its zero coefficient included."""
         n = 4
-        nonzero = {cls: c for cls, c in self.MIXED.items() if c}
         for mu in all_strict_upto(n):
-            assert qmul(self.MIXED, mu, n) == _qmul_class(nonzero, mu, n), mu
+            assert qmul(self.MIXED, mu, n) == _qmul_class(self.MIXED, mu, n), mu
 
 
 def test_quantum_json_round_trip():
