@@ -338,7 +338,9 @@ def peel(p: EPoly, s: int) -> XPoly:
     """An EPoly in m variables as an XPoly in x_1..x_s followed by
     e'_1..e'_{m-s}, the elementary symmetric functions of x_{s+1}..x_m:
     position h < s is x_{h+1}, position s + j - 1 is e'_j.  At s = m no
-    e'_j is left, and this is the x-expansion on x_1..x_m.
+    e'_j is left, and this is the x-expansion on x_1..x_m.  At s = 0 every
+    e_i is e'_i, both in field i, so the peeled form keeps the keys and
+    coefficients of p (less the monomials with a generator above m).
 
     e_i is the sum over subsets T of {1..s} with i - m + s <= |T| <= i of
     x^T e'_{i-|T|}, and the e'_j are algebraically independent, so two

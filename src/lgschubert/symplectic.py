@@ -14,10 +14,11 @@ three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
 one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, bring the
 sequences to partitions with signs, and add x^prefix times the basis
-element on the remaining variables, peeled at 0.  Every term map here is
-keyed by ``polyring``'s packed monomials, whose layout this module never
-reads: ``polyring.times_x`` moves the keys of that element up past the
-prefix.  When parts drop by 1 only (the extension and c_prime cases), only
+element on the remaining variables: the element's e-form, which is its own
+peeled form at 0 (``polyring.peel`` at 0 keeps every key), so nothing is
+peeled there.  Every term map here is keyed by ``polyring``'s packed
+monomials, whose layout this module never reads: ``polyring.times_x``
+moves the keys of that element up past the prefix.  When parts drop by 1 only (the extension and c_prime cases), only
 equal parts can invert, so each run of r equal parts with j of them
 lowered gives one block with the sign [r, j] at q = -1, and nothing is
 straightened; Lemma 2's decrements by 2 straighten every pattern.  The
@@ -49,7 +50,7 @@ def _peeled(lam: Partition, m: int, s: int) -> XPoly:
     follows the recursion of ``qtilde.basis`` on peeled forms: at most two
     rows are ``peel(basis(lam, m), s)``, and a longer partition is
     ``qtilde.expand_rows`` over peeled forms.  No e-form of more than two
-    rows is built."""
+    rows is peeled."""
     if len(lam) <= 2:
         return peel(basis(lam, m), s)
     return XPoly(m, expand_rows(_peeled, lam, m, s))
@@ -150,11 +151,12 @@ def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, tw
     """Add into the term map ``out``, for every sequence lam - delta with
     delta in {0,1,2}^len(lam) holding exactly ``ones`` ones and ``twos``
     twos, k * sign times x^prefix times the basis element of the
-    straightened sequence in m - s variables peeled at 0, s = len(prefix):
-    a term map in the layout of an element in m variables peeled at s.
-    Sequences of sign 0 drop."""
+    straightened sequence in m - s variables, s = len(prefix): the
+    element's e-form, which is its own peeled form at 0, read from
+    ``qtilde.basis``.  The sum is a term map in the layout of an element in
+    m variables peeled at s.  Sequences of sign 0 drop."""
     for sign, nu in _peel_terms(lam, ones, twos):
-        add_into(out, times_x(prefix, _peeled(nu, m - len(prefix), 0).terms), k * sign)
+        add_into(out, times_x(prefix, basis(nu, m - len(prefix)).terms), k * sign)
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:

@@ -331,14 +331,17 @@ class TestVerifiers:
         the equal-pair split inside basis, so a split that adds a stray term
         to every non-strict element of three or more parts fails it.  The
         stray monomial moves one unit of lam from the last part to the
-        first: lex-higher than lam, so the unit pivots of check (b) stay."""
+        first: lex-higher than lam, so the unit pivots of check (b) stay.
+        A truncated element of three or more parts recurses at its own
+        level, so the term is added at every m, only where its top
+        generator lam[0] + 1 survives the truncation."""
         real = qtilde_module.basis
 
         def wrong(lam, m):
             p = real(lam, m)
-            if m is None and len(lam) > 2 and not is_strict(lam):
+            if len(lam) > 2 and not is_strict(lam) and (m is None or lam[0] < m):
                 bumped = (lam[0] + 1,) + lam[1:-1] + ((lam[-1] - 1,) if lam[-1] > 1 else ())
-                return p + EPoly(None, pack_e({bumped: 1}))
+                return p + EPoly(m, pack_e({bumped: 1}))
             return p
 
         real.cache_clear()

@@ -190,6 +190,25 @@ class TestRouteA:
         assert qprod_quotient((2, 1), (2,), 2) == {((2,), 1): 1}
         assert qprod_quotient((1,), (1,), 2) == {((2,), 0): 2}
 
+    def test_truncates_inside_the_recursion(self, monkeypatch):
+        """Route A forms its product after truncation: on every pair of
+        D_4 it asks ``basis`` for no untruncated element of three or more
+        parts, so it shares none with route C."""
+        real = qtilde.basis
+        seen = set()
+
+        def spy(lam, m):
+            seen.add((lam, m))
+            return real(lam, m)
+
+        monkeypatch.setattr(qtilde, "basis", spy)
+        monkeypatch.setattr(quantum, "basis", spy)
+        real.cache_clear()
+        for lam, mu in itertools.product(all_strict_upto(4), repeat=2):
+            qprod_quotient(lam, mu, 4)
+        assert any(len(lam) > 2 for lam, _ in seen)
+        assert not [lam for lam, m in seen if m is None and len(lam) > 2]
+
 
 class TestReadQuantum:
     def test_top_parts_become_q(self):

@@ -7,7 +7,7 @@ import pytest
 
 from lgschubert import qtilde as qtilde_module, suites, symplectic
 from lgschubert.partitions import all_strict_upto, enumerate_partitions, pfaffian_terms, straighten
-from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, pack_x, peel, unpack_x
+from lgschubert.polyring import EPoly, XPoly, add_into, ddiff0, ddiff1prime, pack_x, peel, unpack_e, unpack_x
 from lgschubert.qtilde import basis, qtilde
 from lgschubert.symplectic import (
     _peel_into,
@@ -342,26 +342,34 @@ class TestPeeledRecursion:
                 for s in range(min(m, 2) + 1):
                     assert symplectic._peeled(lam, m, s) == peel(basis(lam, m), s), (lam, s)
 
-    def test_suites_build_no_multi_row_e_form(self, monkeypatch):
-        """Every basis element the five x-identity suites ask for, directly
-        or through the recursion of ``basis`` itself, has at most two rows,
-        and the spy sees every entry of the ``basis`` memo."""
-        real = qtilde_module.basis
-        seen = set()
+    def test_suites_peel_no_multi_row_e_form(self, monkeypatch):
+        """The five x-identity suites peel no basis element of more than two
+        rows: every EPoly that ``peel`` receives has monomials of at most two
+        generators, and ``_peeled`` is asked for s = 1 and s = 2 only, since
+        at s = 0 the right-hand sides read the e-form from ``basis``, which
+        is already the peeled form there.  Longer elements are peeled
+        through the recursion of ``basis`` on peeled forms."""
+        real_peel, real_peeled = symplectic.peel, symplectic._peeled
+        sizes, levels = set(), set()
 
-        def spy(lam, m):
-            seen.add((lam, m))
-            return real(lam, m)
+        def peel_spy(p, s):
+            sizes.update(map(len, unpack_e(p.terms)))
+            return real_peel(p, s)
 
-        monkeypatch.setattr(symplectic, "basis", spy)
-        monkeypatch.setattr(qtilde_module, "basis", spy)
-        for memo in (real, symplectic._peeled, symplectic.c_prime, symplectic.c_double_prime):
+        def peeled_spy(lam, m, s):
+            levels.add(s)
+            return real_peeled(lam, m, s)
+
+        monkeypatch.setattr(symplectic, "peel", peel_spy)
+        monkeypatch.setattr(symplectic, "_peeled", peeled_spy)
+        for memo in (basis, real_peeled, symplectic.c_prime, symplectic.c_double_prime):
             memo.cache_clear()
         for suite in (suites.suite_extension, suites.suite_cprime_expansion, suites.suite_lem2,
                       suites.suite_pfaffian_prime, suites.suite_pfaffian_double_prime):
             assert suite(6) == []
-        assert seen and max(len(lam) for lam, _ in seen) == 2
-        assert real.cache_info().currsize == len(seen)
+        assert max(sizes) == 2
+        assert levels == {1, 2}
+        assert real_peeled.cache_info().misses > 0
 
 
 class TestRunRule:
