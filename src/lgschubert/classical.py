@@ -9,7 +9,7 @@ rings; this module holds no memo of its own.
 
 from __future__ import annotations
 
-from .partitions import Partition, pfaffian_terms, require_dn, rho
+from .partitions import Partition, dual, pfaffian_terms, require_dn, rho
 from .polyring import add_into
 from .quantum import gw, qprod_constants
 
@@ -38,10 +38,12 @@ def integral(x: CohClass, n: int) -> int:
 
 def triple_number(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
     """Integral of a triple product of Schubert classes; zero unless the
-    weights add up to dim LG(n, 2n) = n(n+1)/2."""
+    weights add up to dim LG(n, 2n) = n(n+1)/2.  By Poincare duality it is
+    the coefficient of sigma_dual(nu) in sigma_lam sigma_mu, read off one
+    product."""
     if sum(lam) + sum(mu) + sum(nu) != n * (n + 1) // 2:
         return 0
-    return integral(class_product(classical_product(lam, mu, n), {tuple(nu): 1}, n), n)
+    return classical_product(lam, mu, n).get(dual(nu, n), 0)
 
 
 def poincare_pairing(lam: Partition, mu: Partition, n: int) -> int:

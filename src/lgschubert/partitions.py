@@ -9,11 +9,11 @@ the unit square [c-1, c] x [r-1, r].  Two boxes of a skew diagram are
 connected when they share an edge or a vertex.  The skew diagrams counted
 here are horizontal strips, whose components are runs of touching rows read
 off the interlacing inequalities, with no flood-fill over boxes.  One
-enumerator, ``grow_strips``, walks the strips added to lam and hands each
-its Pieri weight, counted while the walk descends; the quantum Pieri rule
-needs no walk of strips removed from lam, because it reads its q-terms off
-the strips that reach column n + 1.  Strictness, where it is asked for, is
-one more bound inside that enumerator, not a filter after it.
+enumerator, ``grow_strips``, walks the strips added to lam, of every shape
+and uncapped, and hands each its Pieri weight, counted while the walk
+descends: the classical Pieri rule of the basis, ``qtilde.pieri_strict``.
+Route B's quantum Pieri rows (strict shapes capped at column n + 1) come
+from a walk of their own on subset masks, in ``quantum``.
 """
 
 from __future__ import annotations
@@ -129,27 +129,19 @@ def pfaffian_terms(lam: Partition) -> Iterator[tuple[int, Partition, Partition]]
         yield (-1 if j % 2 else 1), ((a, b) if b else (a,)), seq[:j] + seq[j + 1 : r - 1]
 
 
-def grow_strips(lam: Partition, k: int, cap: int | None = None,
-                strict: bool = False) -> list[tuple[Partition, int]]:
+def grow_strips(lam: Partition, k: int) -> list[tuple[Partition, int]]:
     """The Pieri terms (mu, 2**N) of lam and k: all partitions mu >= lam
     with |mu| = |lam| + k and mu/lam a horizontal strip (at most one box per
-    column), optionally with mu_1 <= cap, in descending lexicographic order,
-    N counting the components of mu/lam that miss column 1; with strict,
-    only the strict mu.
+    column), in descending lexicographic order, N counting the components
+    of mu/lam that miss column 1.
 
     Interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... characterizes the
     horizontal-strip extensions, so mu_i lies between lam_i and lam_{i-1},
-    with cap (or |mu|) above mu_1 and 0 under the one row beyond lam that
-    can gain boxes.  Each entry ranges over what leaves the rest of the sum
-    within the bounds of the entries after it, whose sum runs from
-    lam_{i+1} + lam_{i+2} + ... up to lam_i + lam_{i+1} + ...
-
-    Interlacing already gives mu_{i+1} <= mu_i, and strictness is the one
-    more upper bound mu_{i+1} <= mu_i - 1, carried down from each entry to
-    the next; only the row beyond lam may stay 0, and a shape is dropped
-    when that row is nonzero and not below the one before it.  A strict
-    branch can then end without a shape, but no shape that is not strict
-    is ever built.
+    with |mu| above mu_1 and 0 under the one row beyond lam that can gain
+    boxes.  Each entry ranges over what leaves the rest of the sum within
+    the bounds of the entries after it, whose sum runs from
+    lam_{i+1} + lam_{i+2} + ... up to lam_i + lam_{i+1} + ..., so every
+    branch ends in a shape.
 
     Row i of the strip holds columns lam_i + 1 .. mu_i, and interlacing
     gives mu_{i+1} <= lam_i, so a row that gains boxes touches the row
@@ -163,27 +155,25 @@ def grow_strips(lam: Partition, k: int, cap: int | None = None,
     if k < 0:
         raise ValueError("k must be nonnegative")
     total = sum(lam) + k
-    hi = (total if cap is None else cap,) + lam
+    hi = (total,) + lam
     below = [sum(lam[i:]) for i in range(len(lam) + 1)]
-    last, gap = len(lam), 1 if strict else 0
+    last = len(lam)
     out: list[tuple[Partition, int]] = []
 
-    def walk(i: int, head: Partition, remaining: int, top: int, weight: int, touch: int) -> None:
+    def walk(i: int, head: Partition, remaining: int, weight: int, touch: int) -> None:
         # touch is lam_{i-1} when row i - 1 gained boxes, else -1
         if i == last:  # the row beyond lam takes what remains
-            if remaining <= top:
-                out.append((head + (remaining,), weight >> (remaining == touch))
-                           if remaining else (head, weight))
+            out.append((head + (remaining,), weight >> (remaining == touch))
+                       if remaining else (head, weight))
             return
         low = lam[i]
-        for v in range(min(hi[i], top, remaining - below[i + 1]), max(low, remaining - below[i]) - 1,
+        for v in range(min(hi[i], remaining - below[i + 1]), max(low, remaining - below[i]) - 1,
                        -1):
             grows = v > low
-            walk(i + 1, head + (v,), remaining - v, v - gap, weight << (grows and v != touch),
+            walk(i + 1, head + (v,), remaining - v, weight << (grows and v != touch),
                  low if grows else -1)
 
-    if total <= hi[0] + below[0]:
-        walk(0, (), total, total, 1, -1)
+    walk(0, (), total, 1, -1)
     return out
 
 

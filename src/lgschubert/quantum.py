@@ -25,7 +25,7 @@ classical Pieri rule for the basis: a strict strip that grows lam to
 (n + 1, nu) gives q sigma_nu, at half the weight of its strip.  The three
 still cross-check each other in ``engines-agree``: C forms the product
 untruncated, A forms it after truncation, and B forms neither, only one
-strip walk per Pieri row.  Route B is the default of
+strip walk per Pieri row, its own.  Route B is the default of
 ``lgschubert product``; A and C cross-validate it, and C serves ``gw`` and
 ``table``.
 
@@ -37,9 +37,13 @@ checks, ``table`` and the classical ring (its q-degree-0 part, read in
 Route B runs on subset bitmasks.  A class nu in D_n is a subset of {1..n},
 the mask with bit p - 1 set for each part p, and the class (nu, d) is the
 int key mask | d << n: q^e adds e << n and the q-degree is key >> n.  One
-memoised row per (mask, k, n) holds the Pieri terms (key, 2^e), and one
-fold, ``_fold``, applies rows to int-keyed classes, so a term costs one int
-addition and one multiplication.  Only this module knows the layout:
+memoised row per (mask, k, n) holds the Pieri terms (key, 2^e), walked on
+the masks themselves: the strict strips capped at column n + 1 are this
+module's own walk, which shares no enumerator with ``partitions`` and builds
+no shape tuple.  One fold, ``_fold``, applies rows to int-keyed classes, so a
+term costs one int addition and one multiplication, and
+``pieri_operator_check`` holds the rows to the operator identities of the
+presentation through ``_fold`` alone.  Only this module knows the layout:
 ``qmul`` and ``pieri_row`` are its edge, where (partition, d) classes are
 encoded (each partition in D_n, each d >= 0) and decoded once at the end.
 The symmetry relabels a decoded product: q^e sigma_eta becomes
@@ -56,7 +60,6 @@ from .partitions import (
     Partition,
     dual,
     enumerate_partitions,
-    grow_strips,
     in_d,
     pfaffian_terms,
     prepend,
@@ -161,17 +164,61 @@ def _row(mask: int, k: int, n: int) -> tuple[tuple[int, int], ...]:
     so that a term shifted by q^d is one int addition.  sigma_0 is the unit:
     its row is the class itself, with no strip enumerated.
 
-    One strip walk, capped at n + 1, gives the whole row, each shape with
-    its Pieri weight.  A shape (n + 1, nu) is the index ((n+1)^1, nu) of the
-    read-out, q sigma_nu / 2, so its weight is halved, and its mask is
-    already the key of (nu, 1): the part n + 1 sets bit n, which is q.
-    Those shapes lead the walk's descending order and go last here."""
+    One strict walk on masks gives the whole row: the strict shapes
+    mu >= lam of |lam| + k boxes with mu/lam a horizontal strip and
+    mu_1 <= n + 1, in descending lexicographic order, each built as its
+    mask and handed its Pieri weight 2**N, N counting the strip components
+    that miss column 1.  The walk descends the parts of lam: entry i of mu
+    lies between lam_i and min(lam_{i-1}, mu_{i-1} - 1), by interlacing and
+    strictness, and the row beyond lam (lam_i = 0) takes what remains.  An
+    entry that grows leaves the later ones at most lam_i + lam_{i+1} + ...;
+    one that stays at lam_i leaves them the strict chain lam_i - 1,
+    min(lam_{i+1}, .) - 1, ..., so every branch ends in a shape.  The weight
+    is counted on the way down: a row that gains boxes doubles it unless it
+    touches the row above (which gained boxes too, and mu_i = lam_{i-1}),
+    and the row beyond lam halves it when it joins the component above,
+    which then meets column 1.
+
+    A shape (n + 1, nu) is the index ((n+1)^1, nu) of the read-out,
+    q sigma_nu / 2: its mask is already the key of (nu, 1), as the part
+    n + 1 sets bit n, which is q, and its first row opens no component,
+    which halves its weight (no strip of k <= n boxes joins that row to
+    column 1, so nothing halves it again).  Those shapes lead the walk's
+    order and go last here."""
     if not k:
         return ((mask, 1),)
-    terms = grow_strips(_parts_of(mask), k, cap=n + 1, strict=True)
-    lead = sum(mu[0] > n for mu, _ in terms)
-    return tuple((_mask_of(mu), w) for mu, w in terms[lead:]) + tuple(
-        (_mask_of(mu), w >> 1) for mu, w in terms[:lead])
+    lam = _parts_of(mask) + (0,)
+    last = len(lam) - 1
+    below = [0] * (last + 1)  # lam_i + lam_{i+1} + ...
+    stay = [0] * (last + 1)  # the most entries i.. hold when entry i stays at lam_i
+    for i in range(last - 1, -1, -1):
+        low = lam[i]
+        below[i] = low + below[i + 1]
+        # entry i + 1 is then at most lam_i - 1: it stays when that is lam_{i+1}, else grows
+        stay[i] = low + (stay[i + 1] if low - 1 == lam[i + 1] else low - 1 + below[i + 1])
+    terms: list[tuple[int, int]] = []
+
+    def walk(i: int, bits: int, remaining: int, top: int, weight: int, touch: int) -> None:
+        # touch is lam_{i-1} when row i - 1 gained boxes, else -1
+        if i == last:
+            terms.append((bits | 1 << remaining - 1 if remaining else bits,
+                          weight >> (remaining == touch)))
+            return
+        low = lam[i]
+        hi = remaining - below[i + 1]
+        lo = remaining - below[i]
+        if lo <= low:
+            lo = low + (remaining > stay[i])
+        for v in range(top if top < hi else hi, lo - 1, -1):
+            if v > low:
+                walk(i + 1, bits | 1 << v - 1, remaining - v, low, weight << (v != touch), low)
+            else:
+                walk(i + 1, bits | 1 << v - 1, remaining - v, low - 1, weight, -1)
+
+    # touch = n + 1 at the top: a first row that reaches column n + 1 doubles nothing
+    walk(0, 0, below[0] + k, n + 1, 1, n + 1)
+    lead = sum(key >> n for key, _ in terms)
+    return tuple(terms[lead:] + terms[:lead])
 
 
 def _fold(out: dict[int, int], x: dict[int, int], k: int, n: int,
@@ -323,6 +370,27 @@ def relation_check(i: int, n: int) -> bool:
     if s >= 0:
         expected[((s,) if s else (), 1)] = (-1) ** (n - i)
     return acc == expected
+
+
+def pieri_operator_check(lam: Partition, i: int, j: int, n: int) -> bool:
+    """Check route B's Pieri operators on the class x = sigma_lam, through
+    ``_fold`` alone: for i < j they commute, sigma_i sigma_j x =
+    sigma_j sigma_i x; for i = j the presentation relation holds as an
+    operator identity, sigma_i^2 x + 2 sum_k (-1)^k sigma_{i+k} sigma_{i-k} x
+    = (-1)^(n-i) q sigma_{2i-n-1} x (sigma_0 the unit, the right side 0 when
+    2i - n - 1 < 0)."""
+    if not 1 <= i <= j <= n:
+        raise ValueError(f"need 1 <= i <= j <= {n}")
+    x = _encode({(lam, 0): 1}, n)
+    if i < j:
+        return _fold({}, _fold({}, x, j, n), i, n) == _fold({}, _fold({}, x, i, n), j, n)
+    acc: dict[int, int] = {}
+    for k in range(min(i, n - i) + 1):
+        _fold(acc, _fold({}, x, i - k, n), i + k, n, 2 * (-1) ** k if k else 1)
+    s = 2 * i - n - 1
+    if s >= 0:
+        _fold(acc, x, s, n, (-1) ** (n - i + 1), 1)
+    return not acc
 
 
 def vanishing_bounds(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> bool:

@@ -127,6 +127,18 @@ def suite_relations(n: int) -> list[dict]:
                                 for i in range(1, nn + 1)), quantum.relation_check)
 
 
+def suite_pieri_operators(n: int) -> list[dict]:
+    """Route B's Pieri operators on every class of D_nn, nn <= n: sigma_i
+    and sigma_j commute (i < j), and the i-th presentation relation holds
+    as an operator identity (i = j)."""
+    return _sweep("pieri-operators", ({"lam": lam, "i": i, "j": j, "n": nn}
+                                      for nn in range(1, n + 1)
+                                      for lam in all_strict_upto(nn)
+                                      for j in range(1, nn + 1)
+                                      for i in range(1, j + 1)),
+                  quantum.pieri_operator_check)
+
+
 def _engine_pairs(n: int, sample: int | None, seed: int):
     classes = all_strict_upto(n)
     pairs = [(lam, mu) for lam in classes for mu in classes]
@@ -251,6 +263,7 @@ SUITES = {
     "giambelli-classical": lambda args: suite_giambelli_classical(args.n),
     "duality": lambda args: suite_duality(args.n),
     "relations": lambda args: suite_relations(args.n),
+    "pieri-operators": lambda args: suite_pieri_operators(args.n),
     "engines-agree": lambda args: suite_engines_agree(args.n, args.sample, args.seed),
     "eightfold": lambda args: suite_eightfold(args.n),
     "vanishing": lambda args: suite_vanishing(args.n),

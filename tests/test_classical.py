@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lgschubert.classical import (
@@ -89,11 +91,18 @@ class TestTriple:
         assert triple_number((2, 1), (2, 1), (2, 1), 2) == 0
 
     def test_symmetric_in_arguments(self):
-        import itertools
-
         for args in [((2,), (2, 1), (3,)), ((3, 1), (2,), (2, 1))]:
             vals = {triple_number(*perm, 3) for perm in itertools.permutations(args)}
             assert len(vals) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_the_integral_of_the_triple_product(self, n):
+        """The coefficient read by duality is the integral of
+        sigma_lam sigma_mu sigma_nu, on every triple of D_n."""
+        classes = all_strict_upto(n)
+        for lam, mu, nu in itertools.product(classes, repeat=3):
+            want = integral(class_product(classical_product(lam, mu, n), {nu: 1}, n), n)
+            assert triple_number(lam, mu, nu, n) == want, (lam, mu, nu)
 
     def test_bilinear_extension(self):
         x = {(2,): 1, (1,): 3}

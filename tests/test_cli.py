@@ -24,6 +24,7 @@ PASSING_REPORT_SHA256 = {
     "lines": "fa9249536ea5bb20ae03fa356eab678dedc5bace248b9edaaf190c20a593007f",
     "pfaffian-double-prime": "abef3c27f48b077a1a903f1b66aa3c7b050ac1bf3356d4f7f549af0ec78c3851",
     "pfaffian-prime": "926efed2eaa009c71d4fad40b0673f28ae48ab6e8c4a7f382c8ad0c2cea18740",
+    "pieri-operators": "71be6bc7f3f0737ad64e0b4b212b0eab02a0e34979b644231bce76af93cf4adc",
     "pieri-oracle": "fe921c3166d49fdc69b27c9729d77da96bc03f1d16038876a48ced161f8553ea",
     "qlr": "46b70d2cfbfacc634aff10f4c3abf86a75df066cdf5c1ad7b803fe9095b358ec",
     "qtilde-properties": "c1f4f1155936dd509887939e5f46ae3d66a881b8a5366718ea98c2c8cc32cde3",

@@ -7,8 +7,8 @@ the x-expansion variables, each input rule is raised from one guard,
 only ``polyring`` knows the layout of a packed monomial of either model
 and only ``quantum`` that of route B's int keys, route B reaches no
 polynomial arithmetic,
-``polyring.peel`` is the only x-variable form of an EPoly, strips come
-strict out of their one enumerator rather than through a filter, the
+``polyring.peel`` is the only x-variable form of an EPoly, route B's
+strips come strict out of its own walk rather than through a filter, the
 classical product has no read-out of its own beside route C's, and every
 functools memo is named in ``MEMOS``."""
 
@@ -119,7 +119,7 @@ def test_readme_lists_every_suite():
 
 # Spans whose function is gone from the package: bench/run.py reads each as
 # 0 until the benchmark names its successor (``polyring.peel``) or drops it
-# (``partitions.shrink_strips``, whose q-terms ``grow_strips`` now walks).
+# (``partitions.shrink_strips``, whose q-terms route B's own walk now reaches).
 RETIRED_SPANS = {"polyring.epoly_to_xpoly", "partitions.shrink_strips"}
 
 
@@ -151,21 +151,26 @@ def test_benchmark_span_names_resolve():
 
 
 def test_strips_come_strict_out_of_the_enumerator():
-    """``partitions.grow_strips`` is the one strip enumerator: no removed-
-    strip walk (``shrink_strips``) or shared helper (``_interlaced``) is
-    left beside it, and strictness is a bound inside it, never a filter
-    after it: ``quantum`` does not name ``is_strict`` at all, and
-    ``grow_strips`` does not call it, so discarded shapes cannot come back
+    """Two strip walks, one each: ``partitions.grow_strips`` walks the
+    strips of every shape, with no strict or capped mode (no parameter
+    beyond lam and k), and no removed-strip walk (``shrink_strips``) or
+    shared helper (``_interlaced``) is left beside it; ``quantum._row`` is
+    the one strict walk, route B's, on masks.  Strictness is a bound inside
+    that walk, never a filter after it: ``quantum`` names neither
+    ``is_strict`` nor ``grow_strips``, so discarded shapes cannot come back
     as a second path."""
     def names(tree):
         return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
             alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
 
-    assert "is_strict" not in names(ast.parse((PACKAGE_DIR / "quantum.py").read_text()))
+    quantum_tree = ast.parse((PACKAGE_DIR / "quantum.py").read_text())
+    assert not {"is_strict", "grow_strips"} & names(quantum_tree)
+    assert "_row" in {node.name for node in quantum_tree.body if isinstance(node, ast.FunctionDef)}
     enumerators = [node for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.FunctionDef)
                    and node.name in ("_interlaced", "grow_strips", "shrink_strips")]
     assert [f.name for f in enumerators] == ["grow_strips"]
+    assert [a.arg for a in enumerators[0].args.args + enumerators[0].args.kwonlyargs] == ["lam", "k"]
     assert "is_strict" not in names(enumerators[0])
 
 
@@ -312,7 +317,7 @@ def test_only_polyring_knows_the_key_layout(monkeypatch):
     assert keys and all(type(key) is int for key in keys)
 
 
-ROUTE_B = ("_row", "_fold", "qmul", "qprod_pieri", "giambelli_special")
+ROUTE_B = ("_row", "_fold", "qmul", "qprod_pieri", "giambelli_special", "pieri_operator_check")
 
 
 def test_route_b_reaches_no_polynomial_arithmetic():

@@ -11,6 +11,7 @@ from lgschubert.classical import classical_product, giambelli_check, line_count_
 from lgschubert.partitions import (
     all_strict_upto,
     dual,
+    grow_strips,
     in_d,
     is_strict,
     pfaffian_terms,
@@ -27,6 +28,7 @@ from lgschubert.quantum import (
     fform_check,
     giambelli_special,
     gw,
+    pieri_operator_check,
     pieri_row,
     qlr_check,
     qmul,
@@ -324,11 +326,43 @@ def oracle_pieri_rows(n):
     return rows
 
 
+def plain_walk_rows(n):
+    """Every ``pieri_row`` of D_n, read off the plain strip walk
+    ``grow_strips(lam, k)``: its strict shapes with first part at most
+    n + 1, in its order, each shape (n + 1, nu) read as q sigma_nu at
+    exponent one less and put after the others."""
+    rows = {}
+    for lam in all_strict_upto(n):
+        for k in range(n + 1):
+            kept = [(mu, w.bit_length() - 1) for mu, w in grow_strips(lam, k)
+                    if is_strict(mu) and mu[:1] <= (n + 1,)]
+            rows[lam, k] = (tuple(((mu, 0), e) for mu, e in kept if mu[:1] <= (n,))
+                            + tuple(((mu[1:], 1), e - 1) for mu, e in kept if mu[:1] == (n + 1,)))
+    return rows
+
+
 class TestPieriRow:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_the_strip_oracle(self, n):
         """Every row, as the same tuple in the same order."""
         for (lam, k), row in oracle_pieri_rows(n).items():
+            assert pieri_row(lam, k, n) == row, (lam, k)
+
+    def test_examples(self):
+        """sigma_2^2 = q sigma_1 and sigma_1 sigma_21 = q sigma_1 in
+        QH*(LG(2, 4)): the strip (3, 1) is the one strict shape capped at
+        column 3, and (4,) and (2, 2) are no terms."""
+        assert pieri_row((2,), 2, 2) == ((((1,), 1), 0),)
+        assert pieri_row((2, 1), 1, 2) == ((((1,), 1), 0),)
+        assert pieri_row((), 2, 3) == ((((2,), 0), 0),)
+        assert pieri_row((3, 1), 2, 3) == ((((3, 2, 1), 0), 0), (((2,), 1), 1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_is_the_plain_walk_kept_strict_and_capped(self, n):
+        """Route B walks its strict, capped strips on masks by itself; each
+        row is the plain walk's strict shapes with first part at most
+        n + 1, terms and order alike (n = 9 runs in CI)."""
+        for (lam, k), row in plain_walk_rows(n).items():
             assert pieri_row(lam, k, n) == row, (lam, k)
 
 
@@ -555,6 +589,42 @@ class TestRelations:
     )
     def test_cases(self, i, n):
         assert relation_check(i, n)
+
+
+class TestPieriOperators:
+    def test_every_class_through_n_7(self):
+        assert suites.suite_pieri_operators(7) == []
+
+    def test_rejects_i_above_j(self):
+        with pytest.raises(ValueError):
+            pieri_operator_check((1,), 2, 1, 3)
+
+    @pytest.mark.parametrize("seeded, failing", [
+        ("q-terms unhalved", 96),
+        ("one weight doubled", 19),
+        ("q-terms dropped", 86),
+    ])
+    def test_a_seeded_row_error_fails(self, monkeypatch, seeded, failing):
+        """Each seeded error in route B's rows fails some of the 480 checks
+        at n = 5, one record per (class, i, j); the true rows stay memoised
+        underneath."""
+        row = quantum._row
+
+        def seeded_row(mask, k, n):
+            terms = row(mask, k, n)
+            if seeded == "q-terms unhalved":
+                return tuple((key, m << (key >> n)) for key, m in terms)
+            if seeded == "q-terms dropped":
+                return tuple((key, m) for key, m in terms if not key >> n)
+            if (mask, k, n) == (0b10, 1, 5):  # sigma_1 sigma_2, its first term
+                return ((terms[0][0], 2 * terms[0][1]),) + terms[1:]
+            return terms
+
+        monkeypatch.setattr(quantum, "_row", seeded_row)
+        records = [r for r in suites.suite_pieri_operators(5) if r["n"] == 5]
+        assert len(records) == failing
+        assert len({(r["lam"], r["i"], r["j"]) for r in records}) == failing
+        assert all(set(r) == {"suite", "lam", "i", "j", "n"} for r in records)
 
 
 class TestEightfold:
