@@ -22,15 +22,6 @@ def classical_product(lam: Partition, mu: Partition, n: int) -> CohClass:
     return {nu: c for (nu, d), c in qprod_constants(lam, mu, n).items() if d == 0}
 
 
-def class_product(x: CohClass, y: CohClass, n: int) -> CohClass:
-    """Bilinear extension of classical_product to whole classes."""
-    out: CohClass = {}
-    for lam, a in x.items():
-        for mu, b in y.items():
-            add_into(out, classical_product(lam, mu, n).items(), a * b)
-    return out
-
-
 def integral(x: CohClass, n: int) -> int:
     """Coefficient of the point class (the full staircase partition)."""
     return x.get(rho(n), 0)
@@ -69,14 +60,3 @@ def giambelli_check(lam: Partition, n: int) -> bool:
         add_into(acc, classical_product(pair, rest, n).items(), sign)
     return acc == {lam: 1}
 
-
-__all__ = [
-    "CohClass",
-    "class_product",
-    "classical_product",
-    "giambelli_check",
-    "integral",
-    "line_count_check",
-    "poincare_pairing",
-    "triple_number",
-]

@@ -26,7 +26,8 @@ of x_{s+1}, ..., x_m, through e_i = sum over T in {1..s} of x^T e'_{i-|T|}.
 Each of those terms has degree i, so a peeled monomial keeps the weight of
 the e-monomial it came from.  The e'_j are algebraically independent, so
 this form is exact and expands nothing in the trailing variables; at s = m
-it is the full x-expansion.
+it is the full x-expansion.  ``peel`` raises the variable limit
+(``check_var_limit``), so every check built on it is bounded there.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ E_WEIGHT_MASK = (1 << E_FIELD_BITS) - 1
 
 def check_var_limit(m: int) -> None:
     """Reject variable counts above XPANSION_VAR_LIMIT, the bound of every
-    check built on the x-form of ``peel``."""
+    check built on the x-form: ``peel`` raises it, and the x-identity
+    suites run it before any case."""
     if m > XPANSION_VAR_LIMIT:
         raise ValueError(f"guarded to m <= {XPANSION_VAR_LIMIT}, got {m}")
 
@@ -349,10 +351,12 @@ def peel(p: EPoly, s: int) -> XPoly:
     e-monomial is the direct product of its generators' peeled forms (the
     x-identity checks peel elements of at most two rows, so monomials of at
     most two generators); a monomial holding a generator above m is zero.
+    More than XPANSION_VAR_LIMIT variables raise (``check_var_limit``).
     """
     m = p.m
     if m is None or not 0 <= s <= m:
         raise ValueError(f"cannot peel {s} of {m} variables")
+    check_var_limit(m)
     steps = _peel_steps(m, s)
     bound = e_key_bound(m)
     out: dict[int, int] = {}

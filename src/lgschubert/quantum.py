@@ -29,6 +29,15 @@ strip walk per Pieri row, its own.  Route B is the default of
 ``lgschubert product``; A and C cross-validate it, and C serves ``gw`` and
 ``table``.
 
+The paper's two-row quantum Giambelli formula is written once,
+``_two_row(i, j, n)``.  Route B reads it through ``giambelli_special`` for
+each pair of its Pfaffian, and at i = j, where sigma_(i,i) = 0, it is the
+i-th relation of the presentation: ``relation_check`` sums route C's
+products over it, and ``pieri_operator_check`` folds it on one class as
+``qmul`` folds a pair, through one helper, ``_fold_terms``.  A wrong term
+there fails the relations, the operator identities and ``engines-agree``,
+since the products of routes A and C never read it.
+
 Route C reads each stable expansion once per rank: ``qprod_constants`` is
 memoised per ordered pair and rank, so ``gw``, the relation and closed-form
 checks, ``table`` and the classical ring (its q-degree-0 part, read in
@@ -43,9 +52,11 @@ module's own walk, which shares no enumerator with ``partitions`` and builds
 no shape tuple.  One fold, ``_fold``, applies rows to int-keyed classes, so a
 term costs one int addition and one multiplication, and
 ``pieri_operator_check`` holds the rows to the operator identities of the
-presentation through ``_fold`` alone.  Only this module knows the layout:
-``qmul`` and ``pieri_row`` are its edge, where (partition, d) classes are
-encoded (each partition in D_n, each d >= 0) and decoded once at the end.
+presentation through ``_fold`` alone (its relation case through
+``_fold_terms``, the fold of a two-row polynomial).  Only this module knows
+the layout: ``qmul`` and ``pieri_row`` are its edge, where (partition, d)
+classes are encoded (each partition in D_n, each d >= 0) and decoded once
+at the end.
 The symmetry relabels a decoded product: q^e sigma_eta becomes
 q^(len(mu)-e) sigma_dual(eta), scaled by an exact power of two.
 """
@@ -264,36 +275,56 @@ def quantum_pieri(x: QuantumClass, k: int, n: int) -> QuantumClass:
     return qmul(x, (k,) if k else (), n)
 
 
-@cache
-def giambelli_special(mu: Partition, n: int) -> Mapping:
-    """Polynomial in the special classes and q, keyed by (special indices,
-    q-power), whose quantum evaluation is the Schubert class of mu, for mu
-    of at most two rows: the quantum two-condition Giambelli formula, for
-    mu = (i, j), sigma_i sigma_j + 2 sum_{k=1}^{j} (-1)^k sigma_{i+k}
-    sigma_{j-k} with sigma_k = 0 for k > n, plus (-1)^(n+1-i) q
-    sigma_{i+j-n-1} when i + j > n.  The result is shared by every caller,
-    read-only."""
-    mu = require_dn(mu, n)
-    if len(mu) > 2:
-        raise ValueError(f"{mu} has more than two rows")
-    i, j = mu + (0,) * (2 - len(mu))
+def _two_row(i: int, j: int, n: int) -> dict:
+    """The quantum two-condition Giambelli formula for sigma_(i,j),
+    n >= i >= j >= 0, as a polynomial in the special classes and q keyed by
+    (special indices, q-power), the indices descending with sigma_0 = 1
+    dropped: sigma_i sigma_j + 2 sum_{k=1}^{j} (-1)^k sigma_{i+k} sigma_{j-k}
+    with sigma_k = 0 for k > n, plus (-1)^(n+1-i) q sigma_{i+j-n-1} when
+    i + j > n.  At i = j the class sigma_(i,i) is zero, and the polynomial
+    is the i-th relation of the presentation."""
     terms = {(tuple(p for p in (i + k, j - k) if p), 0): 2 * (-1) ** k if k else 1
              for k in range(min(j, n - i) + 1)}
     s = i + j - n - 1
     if s >= 0:
         terms[((s,) if s else (), 1)] = (-1) ** (n + 1 - i)
-    return MappingProxyType(terms)
+    return terms
+
+
+@cache
+def giambelli_special(mu: Partition, n: int) -> Mapping:
+    """The quantum Giambelli polynomial (``_two_row``) of mu in D_n, of at
+    most two rows: its quantum evaluation is the Schubert class of mu.  The
+    result is shared by every caller, read-only."""
+    mu = require_dn(mu, n)
+    if len(mu) > 2:
+        raise ValueError(f"{mu} has more than two rows")
+    return MappingProxyType(_two_row(*mu + (0,) * (2 - len(mu)), n))
+
+
+def _fold_terms(out: dict[int, int], x: dict[int, int], terms: Mapping, n: int,
+                scale: int = 1) -> dict[int, int]:
+    """Add scale * P x into the int-keyed ``out`` in place, for P a
+    polynomial in the special classes and q keyed like ``_two_row``: each
+    monomial folds the Pieri rule over its indices in their stored order,
+    its last step (the identity step k = 0 for the unit) straight into out;
+    return out."""
+    for (indices, qp), c in terms.items():
+        *steps, last = indices or (0,)
+        cls = x
+        for k in steps:
+            cls = _fold({}, cls, k, n)
+        _fold(out, cls, last, n, scale * c, qp)
+    return out
 
 
 def qmul(x: QuantumClass, mu: Partition, n: int) -> QuantumClass:
     """x * sigma_mu on route B, for x a quantum class (each partition in
     D_n, each q-degree >= 0): sigma_mu x sums sign * sigma_pair (sigma_rest
     x) over ``pfaffian_terms(mu)`` down to x itself, each pair folding the
-    Pieri rule over its ``giambelli_special`` monomials, each rest formed
-    once per call.  x is encoded once and the classes stay int-keyed until
-    the product is decoded, zero coefficients dropped; a monomial's last
-    Pieri step (the identity step k = 0 for the unit) folds straight into
-    the sum."""
+    Pieri rule over its ``giambelli_special`` polynomial (``_fold_terms``),
+    each rest formed once per call.  x is encoded once and the classes stay
+    int-keyed until the product is decoded, zero coefficients dropped."""
     mu = require_dn(mu, n)
     memo: dict[Partition, dict[int, int]] = {(): _encode(x, n)}
 
@@ -301,13 +332,7 @@ def qmul(x: QuantumClass, mu: Partition, n: int) -> QuantumClass:
         if part not in memo:
             memo[part] = out = {}
             for sign, pair, rest in pfaffian_terms(part):
-                inner = times_x(rest)
-                for (indices, qp), c in giambelli_special(pair, n).items():
-                    *steps, last = indices or (0,)  # stored descending; fold order is fixed
-                    cls = inner
-                    for k in steps:
-                        cls = _fold({}, cls, k, n)
-                    _fold(out, cls, last, n, sign * c, qp)
+                _fold_terms(out, times_x(rest), giambelli_special(pair, n), n, sign)
         return memo[part]
 
     return {_class_of(key, n): c for key, c in times_x(mu).items() if c}
@@ -355,42 +380,34 @@ def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:
 
 
 def relation_check(i: int, n: int) -> bool:
-    """Check the presentation relation for the i-th special class:
-    sigma_i^2 + 2 sum_k (-1)^k sigma_{i+k} sigma_{i-k} = +-sigma_{2i-n-1} q."""
+    """Check the presentation relation for the i-th special class on route
+    C: the two-row Giambelli polynomial of (i, i) (``_two_row``),
+    sigma_i^2 + 2 sum_k (-1)^k sigma_{i+k} sigma_{i-k}
+    + (-1)^(n+1-i) q sigma_{2i-n-1}, sums to zero, each monomial's
+    product of special classes read off ``qprod_constants`` (a single
+    class or the unit times the unit)."""
     if not 1 <= i <= n:
         raise ValueError(f"need 1 <= i <= {n}")
-    acc: QuantumClass = dict(qprod_constants((i,), (i,), n))  # the read-out is read-only
-    for k in range(1, n - i + 1):
-        if i - k < 0:
-            break
-        hi = qprod_constants((i + k,), (i - k,), n) if i - k else {((i + k,), 0): 1}
-        add_into(acc, hi.items(), 2 * (-1) ** k)
-    s = 2 * i - n - 1
-    expected: QuantumClass = {}
-    if s >= 0:
-        expected[((s,) if s else (), 1)] = (-1) ** (n - i)
-    return acc == expected
+    acc: QuantumClass = {}
+    for (indices, qp), c in _two_row(i, i, n).items():
+        product = qprod_constants(indices[:1], indices[1:], n)
+        add_into(acc, (((nu, d + qp), v) for (nu, d), v in product.items()), c)
+    return not acc
 
 
 def pieri_operator_check(lam: Partition, i: int, j: int, n: int) -> bool:
     """Check route B's Pieri operators on the class x = sigma_lam, through
     ``_fold`` alone: for i < j they commute, sigma_i sigma_j x =
     sigma_j sigma_i x; for i = j the presentation relation holds as an
-    operator identity, sigma_i^2 x + 2 sum_k (-1)^k sigma_{i+k} sigma_{i-k} x
-    = (-1)^(n-i) q sigma_{2i-n-1} x (sigma_0 the unit, the right side 0 when
-    2i - n - 1 < 0)."""
+    operator identity, the two-row Giambelli polynomial of (i, i)
+    (``_two_row``) folded on x as ``qmul`` folds it (``_fold_terms``)
+    vanishes."""
     if not 1 <= i <= j <= n:
         raise ValueError(f"need 1 <= i <= j <= {n}")
     x = _encode({(lam, 0): 1}, n)
     if i < j:
         return _fold({}, _fold({}, x, j, n), i, n) == _fold({}, _fold({}, x, i, n), j, n)
-    acc: dict[int, int] = {}
-    for k in range(min(i, n - i) + 1):
-        _fold(acc, _fold({}, x, i - k, n), i + k, n, 2 * (-1) ** k if k else 1)
-    s = 2 * i - n - 1
-    if s >= 0:
-        _fold(acc, x, s, n, (-1) ** (n - i + 1), 1)
-    return not acc
+    return not _fold_terms({}, x, _two_row(i, i, n), n)
 
 
 def vanishing_bounds(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> bool:

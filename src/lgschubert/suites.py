@@ -227,14 +227,14 @@ def suite_sigma_ij(n: int) -> list[dict]:
                   quantum.sigma_ij_product_check)
 
 
-def suite_pieri_oracle(wmax: int = 10, kmax: int = 6) -> list[dict]:
+def suite_pieri_oracle(wmax: int = 10) -> list[dict]:
     """Combinatorial Pieri rule against the polynomial product, for every
-    strict partition of weight <= wmax and 0 <= k <= kmax."""
+    strict partition of weight <= wmax and 0 <= k <= 6."""
     return _sweep("pieri-oracle", (
         {"lam": lam, "k": k}
         for w in range(wmax + 1)
         for lam in enumerate_partitions(w, w, strict=True)
-        for k in range(kmax + 1)),
+        for k in range(7)),
         lambda lam, k: pieri_strict(lam, k) == expand_in_basis(basis(lam, None) * EPoly.gen(k, None)))
 
 

@@ -113,7 +113,7 @@ def test_criterion_12_classical_layer():
     t0 = time.time()
     assert suites.suite_duality(5) == []
     assert suites.suite_giambelli_classical(5) == []
-    assert suites.suite_pieri_oracle(10, 6) == []
+    assert suites.suite_pieri_oracle(10) == []
     report(12, "Poincare duality, classical Giambelli (n <= 5), Pieri oracle (w <= 10)", time.time() - t0)
 
 

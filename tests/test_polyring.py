@@ -298,6 +298,13 @@ class TestExpansion:
         with pytest.raises(ValueError, match="^guarded to m <= 10, got 11$"):
             check_var_limit(11)
 
+    def test_peel_raises_the_guard(self):
+        """``peel``, the one x-form builder, raises the variable limit
+        itself, so no check built on it needs its own call."""
+        with pytest.raises(ValueError, match="^guarded to m <= 10, got 11$"):
+            peel(basis((1,), 11), 1)
+        assert peel(basis((1,), 10), 1) == X(10, {(1,) + (0,) * 9: 1, (0, 1) + (0,) * 8: 1}, 1)
+
     @given(epolys(m=3, max_terms=3), epolys(m=3, max_terms=3))
     @settings(max_examples=50)
     def test_ring_homomorphism(self, a, b):

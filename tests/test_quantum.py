@@ -110,8 +110,8 @@ class TestReadOutMemos:
     def test_suites_leave_every_cached_read_out_intact(self):
         """After the suites that read the memo, every memoised read-out
         still equals a fresh read of its expansion, so no caller mutated
-        the result it was handed (relation_check accumulates onto the
-        sigma_i^2 product, and must copy it first).  Each entry is visited:
+        the result it was handed (relation_check sums the products it
+        reads into one fresh map).  Each entry is visited:
         the hits of the comparison count the memo's size."""
         clear_product_memos()
         for run in (suites.suite_relations, suites.suite_eightfold, suites.suite_vanishing,
@@ -591,6 +591,34 @@ class TestRelations:
         assert relation_check(i, n)
 
 
+class TestTwoRowFormula:
+    @pytest.fixture
+    def q_sign_flipped(self, monkeypatch):
+        """``_two_row`` with the sign of its q-term flipped, and no
+        ``giambelli_special`` memoised from either formula."""
+        two_row = quantum._two_row
+
+        def flipped(i, j, n):
+            return {key: -c if key[1] else c for key, c in two_row(i, j, n).items()}
+
+        giambelli_special.cache_clear()
+        monkeypatch.setattr(quantum, "_two_row", flipped)
+        yield
+        giambelli_special.cache_clear()
+
+    @pytest.mark.parametrize("run, n, failing", [
+        (suites.suite_relations, 6, 12),
+        (suites.suite_pieri_operators, 5, 150),
+        (suites.suite_engines_agree, 4, 24),
+    ], ids=["relations", "pieri-operators", "engines-agree"])
+    def test_a_seeded_q_sign_error_fails(self, q_sign_flipped, run, n, failing):
+        """Route C's relation check, route B's operator identities and
+        route B's products all read the one two-row formula, so a wrong
+        q-sign there fails each of them; route C's products do not read
+        it, so engines-agree sees the error."""
+        assert len(run(n)) == failing
+
+
 class TestPieriOperators:
     def test_every_class_through_n_7(self):
         assert suites.suite_pieri_operators(7) == []
@@ -601,7 +629,7 @@ class TestPieriOperators:
 
     @pytest.mark.parametrize("seeded, failing", [
         ("q-terms unhalved", 96),
-        ("one weight doubled", 19),
+        ("one weight doubled", 22),
         ("q-terms dropped", 86),
     ])
     def test_a_seeded_row_error_fails(self, monkeypatch, seeded, failing):
