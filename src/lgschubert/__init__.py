@@ -20,7 +20,7 @@ from .qtilde import (
     pieri_strict,
     structure_constants,
 )
-from .classical import classical_product, giambelli_check, integral, triple_number
+from .classical import classical_product, giambelli_check
 from .quantum import (
     eightfold_check,
     giambelli_special,

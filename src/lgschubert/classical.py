@@ -4,12 +4,15 @@ Classes are finite maps from strict partitions with parts <= n to integers.
 The quantum ring is a deformation of this one over Z[q]: setting q = 0 gives
 back H*(LG(n, 2n)).  So the classical product is the q-degree-0 part of the
 route-C quantum product, and route C's one memoised read-out serves both
-rings; this module holds no memo of its own.
+rings; this module holds no memo of its own.  The classical numbers are
+degree-0 invariants and have no reader here: the triple intersection
+number of lam, mu, nu is ``quantum.gw(lam, mu, nu, 0, n)``, and the
+Poincare pairing of lam and mu is ``quantum.gw(lam, mu, (), 0, n)``.
 """
 
 from __future__ import annotations
 
-from .partitions import Partition, dual, pfaffian_terms, require_dn, rho
+from .partitions import Partition, pfaffian_terms, require_dn
 from .polyring import add_into
 from .quantum import gw, qprod_constants
 
@@ -22,31 +25,10 @@ def classical_product(lam: Partition, mu: Partition, n: int) -> CohClass:
     return {nu: c for (nu, d), c in qprod_constants(lam, mu, n).items() if d == 0}
 
 
-def integral(x: CohClass, n: int) -> int:
-    """Coefficient of the point class (the full staircase partition)."""
-    return x.get(rho(n), 0)
-
-
-def triple_number(lam: Partition, mu: Partition, nu: Partition, n: int) -> int:
-    """Integral of a triple product of Schubert classes; zero unless the
-    weights add up to dim LG(n, 2n) = n(n+1)/2.  By Poincare duality it is
-    the coefficient of sigma_dual(nu) in sigma_lam sigma_mu, read off one
-    product."""
-    if sum(lam) + sum(mu) + sum(nu) != n * (n + 1) // 2:
-        return 0
-    return classical_product(lam, mu, n).get(dual(nu, n), 0)
-
-
-def poincare_pairing(lam: Partition, mu: Partition, n: int) -> int:
-    """Integral of a product of two Schubert classes: 1 exactly when mu is
-    the complement of lam in the staircase."""
-    return integral(classical_product(lam, mu, n), n)
-
-
 def line_count_check(lam: Partition, mu: Partition, nu: Partition, n: int) -> bool:
     """Twice a degree-one invariant equals the triple intersection number of
-    the same indices one rank up."""
-    return 2 * gw(lam, mu, nu, 1, n) == triple_number(lam, mu, nu, n + 1)
+    the same indices one rank up, the degree-0 invariant there."""
+    return 2 * gw(lam, mu, nu, 1, n) == gw(lam, mu, nu, 0, n + 1)
 
 
 def giambelli_check(lam: Partition, n: int) -> bool:

@@ -114,10 +114,17 @@ def cmd_verify(args) -> int:
 
 
 def cache_dir() -> Path:
+    """$SCHUBERT_CACHE_DIR, else ~/.cache/lgschubert.  With no home
+    directory to be found, an OSError: a cache that cannot be read or
+    written, not an internal error."""
     env = os.environ.get("SCHUBERT_CACHE_DIR")
     if env:
         return Path(env)
-    return Path.home() / ".cache" / "lgschubert"
+    try:
+        home = Path.home()
+    except RuntimeError as exc:
+        raise OSError(str(exc)) from exc
+    return home / ".cache" / "lgschubert"
 
 
 @cache

@@ -1,9 +1,9 @@
 """The Schur-Q-style basis of the ring of symmetric functions in elementary
 generators: the memoized basis(lam, m) (the pair formula, truncated to m
-variables by filtering its untruncated form, then at every m, truncated or
-not, the one recursion ``expand_rows``, equal-pair split or the Pfaffian
-sum ``pfaffian_sum``, which the peeled forms of ``symplectic`` follow
-too), expansion in the basis, stable structure constants (memoized once
+variables inside the formula itself, then at every m, truncated or not,
+the one recursion ``expand_rows``, equal-pair split or the Pfaffian sum
+``pfaffian_sum``, which the peeled forms of ``symplectic`` follow too),
+expansion in the basis, stable structure constants (memoized once
 per unordered pair, the ring being commutative), the power-of-two Pieri
 rule, and the checks of the defining properties of the family.  Their one
 x-variable check reads the basis element through ``polyring.peel``; the
@@ -36,7 +36,6 @@ from .polyring import (
     XPANSION_VAR_LIMIT,
     EPoly,
     add_into,
-    e_key_bound,
     elementary_xpoly,
     mul_into,
     pack_e,
@@ -57,23 +56,20 @@ def basis(lam: Partition, m: int | None) -> EPoly:
     read-only.  A memo miss checks that lam is a partition.  Untruncated,
     at most two parts (i, j) give
     e_i e_j + 2 * sum_{k=1}^{j} (-1)^k e_{i+k} e_{j-k}, whose monomials are
-    pairwise distinct, packed by ``polyring.pack_e``; truncated, such an
-    element keeps the monomials of that form with no generator above m:
-    the packed keys below ``polyring.e_key_bound(m)``.  Truncation
-    e_i -> 0 for i > m is a ring homomorphism, so a longer partition
-    follows ``expand_rows`` at its own level m, None included, and no
-    untruncated element of three or more parts is built for a truncated
-    one.
+    pairwise distinct, packed by ``polyring.pack_e``; truncated, the same
+    formula stops at k = min(j, m - i), the last monomial with no generator
+    above m (none for i > m), as ``quantum._two_row`` stops at n.
+    Truncation e_i -> 0 for i > m is a ring homomorphism, so a longer
+    partition follows ``expand_rows`` at its own level m, None included,
+    and a truncated element asks for no untruncated one.
     """
     lam = require_partition(lam)
     if len(lam) > 2:
         return EPoly(m, expand_rows(basis, lam, m))
-    if m is not None:
-        bound = e_key_bound(m)
-        return EPoly(m, {key: c for key, c in basis(lam, None).terms.items() if key < bound})
     i, j = lam + (0,) * (2 - len(lam))
-    return EPoly(None, pack_e({tuple(p for p in (i + k, j - k) if p): 2 * (-1) ** k if k else 1
-                               for k in range(j + 1)}))
+    top = j if m is None else min(j, m - i)
+    return EPoly(m, pack_e({tuple(p for p in (i + k, j - k) if p): 2 * (-1) ** k if k else 1
+                            for k in range(top + 1)}))
 
 
 def pfaffian_sum(c, lam: Partition, *args) -> dict:

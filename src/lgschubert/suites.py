@@ -112,14 +112,15 @@ def suite_giambelli_classical(n: int) -> list[dict]:
 
 
 def suite_duality(n: int) -> list[dict]:
-    """Poincare pairing is the complement indicator in top degree."""
+    """Poincare pairing, the degree-0 invariant of lam, mu and the unit, is
+    the complement indicator in top degree."""
     return _sweep("duality", (
         {"lam": lam, "mu": mu, "n": nn}
         for nn in range(1, n + 1)
         for lam in all_strict_upto(nn)
         for mu in all_strict_upto(nn)
         if sum(lam) + sum(mu) == nn * (nn + 1) // 2),
-        lambda lam, mu, n: classical.poincare_pairing(lam, mu, n) == int(mu == dual(lam, n)))
+        lambda lam, mu, n: quantum.gw(lam, mu, (), 0, n) == int(mu == dual(lam, n)))
 
 
 def suite_relations(n: int) -> list[dict]:

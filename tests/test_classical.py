@@ -2,15 +2,17 @@ import itertools
 
 import pytest
 
-from lgschubert.classical import (
-    classical_product,
-    giambelli_check,
-    integral,
-    poincare_pairing,
-    triple_number,
-)
-from lgschubert.partitions import all_strict_upto, dual, in_d
+from lgschubert import classical, suites
+from lgschubert.classical import classical_product, giambelli_check
+from lgschubert.partitions import all_strict_upto, dual, in_d, rho
+from lgschubert.quantum import gw
 from lgschubert.qtilde import pieri_strict, structure_constants
+
+
+def integral(x, n):
+    """Coefficient of the point class (the full staircase partition): the
+    reference for the degree-0 invariants."""
+    return x.get(rho(n), 0)
 
 
 def class_product(x, y, n):
@@ -78,10 +80,13 @@ class TestProduct:
 
 
 class TestIntegral:
+    """The Poincare pairing of lam and mu is the degree-0 invariant
+    gw(lam, mu, (), 0, n), the integral of their product."""
+
     def test_examples(self):
-        assert integral({(2, 1): 1}, 2) == 1
-        assert integral({(2,): 1}, 2) == 0
-        assert integral(classical_product((2,), (1,), 2), 2) == 1
+        assert gw((2, 1), (), (), 0, 2) == integral({(2, 1): 1}, 2) == 1
+        assert gw((2,), (), (), 0, 2) == integral({(2,): 1}, 2) == 0
+        assert gw((2,), (1,), (), 0, 2) == integral(classical_product((2,), (1,), 2), 2) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_poincare_duality(self, n):
@@ -91,18 +96,21 @@ class TestIntegral:
                 if sum(lam) + sum(mu) != dim:
                     continue
                 want = 1 if mu == dual(lam, n) else 0
-                assert poincare_pairing(lam, mu, n) == want
+                assert gw(lam, mu, (), 0, n) == want
 
 
 class TestTriple:
+    """The triple intersection number of lam, mu and nu is the degree-0
+    invariant gw(lam, mu, nu, 0, n)."""
+
     def test_examples(self):
-        assert triple_number((1,), (1,), (1,), 2) == 2
-        assert triple_number((2,), (2,), (2,), 3) == 2
-        assert triple_number((2, 1), (2, 1), (2, 1), 2) == 0
+        assert gw((1,), (1,), (1,), 0, 2) == 2
+        assert gw((2,), (2,), (2,), 0, 3) == 2
+        assert gw((2, 1), (2, 1), (2, 1), 0, 2) == 0
 
     def test_symmetric_in_arguments(self):
         for args in [((2,), (2, 1), (3,)), ((3, 1), (2,), (2, 1))]:
-            vals = {triple_number(*perm, 3) for perm in itertools.permutations(args)}
+            vals = {gw(*perm, 0, 3) for perm in itertools.permutations(args)}
             assert len(vals) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -112,7 +120,19 @@ class TestTriple:
         classes = all_strict_upto(n)
         for lam, mu, nu in itertools.product(classes, repeat=3):
             want = integral(class_product(classical_product(lam, mu, n), {nu: 1}, n), n)
-            assert triple_number(lam, mu, nu, n) == want, (lam, mu, nu)
+            assert gw(lam, mu, nu, 0, n) == want, (lam, mu, nu)
+
+
+def test_degree_zero_suites_read_no_classical_product(monkeypatch):
+    """The line counts and the duality suite read the classical numbers as
+    degree-0 invariants through ``gw``, never through a classical
+    product."""
+    def no_product(*args):
+        raise AssertionError("classical_product called")
+
+    monkeypatch.setattr(classical, "classical_product", no_product)
+    assert suites.suite_lines(3) == []
+    assert suites.suite_duality(4) == []
 
 
 class TestGiambelli:

@@ -673,6 +673,23 @@ class TestTable:
             assert err.startswith("warning: table cache not saved: ") and err.count("\n") == 1
             assert list(tmp_path.rglob("*.tmp")) == []
 
+    def test_no_home_directory_only_warns(self, tmp_path, monkeypatch, capsys):
+        """With no cache directory set and no home directory to be found,
+        the cache is one that cannot be read or written: the table is
+        printed as a clean run prints it, with one warning, exit code 0."""
+        monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "clean"))
+        code, clean, _ = run(capsys, "table", "--n", "1", "--format", "tsv")
+        assert code == 0
+
+        def no_home(cls):
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("SCHUBERT_CACHE_DIR")
+        monkeypatch.setattr(Path, "home", classmethod(no_home))
+        code, out, err = run(capsys, "table", "--n", "1", "--format", "tsv")
+        assert (code, out) == (0, clean)
+        assert err == "warning: table cache not saved: Could not determine home directory.\n"
+
     def test_tsv_format(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHUBERT_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "table.tsv"

@@ -295,13 +295,12 @@ def _keywords(path: Path) -> set[str]:
 def test_only_polyring_knows_the_key_layout(monkeypatch):
     """Both polynomial models key their terms by packed monomials whose
     field width is named in ``polyring`` alone; other modules convert
-    through ``pack_e``, ``unpack_e``, ``pack_x`` and ``unpack_x``, truncate
-    through ``e_key_bound`` and put x^prefix before a peeled form through
-    ``times_x``.  No tuple monomial product and no monomial-product
-    parameter is left, no module outside ``polyring`` hands ``XPoly`` a
-    term map it spelled out itself, and every XPoly that the x-identity
-    suites and check (c) build, their memos emptied first, is keyed by
-    ints."""
+    through ``pack_e``, ``unpack_e``, ``pack_x`` and ``unpack_x`` and put
+    x^prefix before a peeled form through ``times_x``.  No tuple monomial
+    product and no monomial-product parameter is left, no module outside
+    ``polyring`` hands ``XPoly`` a term map it spelled out itself, and
+    every XPoly that the x-identity suites and check (c) build, their memos
+    emptied first, is keyed by ints."""
     assert [path.stem for path in MODULES if "E_FIELD_BITS" in _names(path)] == ["polyring"]
     assert [path.stem for path in MODULES
             if {"_e_mono_mul", "x_mono_mul", "mono_mul"} & _names(path)] == []
