@@ -38,10 +38,15 @@ products over it, and ``pieri_operator_check`` folds it on one class as
 there fails the relations, the operator identities and ``engines-agree``,
 since the products of routes A and C never read it.
 
-Route C reads each stable expansion once per rank: ``qprod_constants`` is
-memoised per ordered pair and rank, so ``gw``, the relation and closed-form
-checks, ``table`` and the classical ring (its q-degree-0 part, read in
-``classical``) share one validated product per pair, a read-only mapping.
+Routes C and A each form a product once per unordered pair and rank:
+``qprod_constants`` and ``qprod_quotient`` validate both factors, order the
+pair, and read one memoised read-out, a read-only mapping.  Route C's serves
+``gw`` (which validates its three indices once and reads that memo
+directly), the relation and closed-form checks, ``table`` and the classical
+ring (its q-degree-0 part, read in ``classical``); route A's serves
+``engines-agree``, which reads each pair in both orders.  Route B is not
+memoised: for factors of equal length its two orders expand different
+factors, and ``engines-agree`` checks both.
 
 Route B runs on subset bitmasks.  A class nu in D_n is a subset of {1..n},
 the mask with bit p - 1 set for each part p, and the class (nu, d) is the
@@ -124,11 +129,24 @@ def _constants_read(lam: Partition, mu: Partition, n: int) -> Mapping:
     return MappingProxyType(_read_quantum(stable_expansion(lam, mu), n))
 
 
-def qprod_quotient(lam: Partition, mu: Partition, n: int) -> QuantumClass:
+def qprod_quotient(lam: Partition, mu: Partition, n: int) -> Mapping:
     """Quantum product read off the expansion of the product in n + 1
-    variables (route A)."""
+    variables (route A).
+
+    Memoised like route C, per ordered pair and rank: (lam, mu) and
+    (mu, lam) form one product of truncated basis elements and share one
+    validated result, read-only.  A read-out that raises is not memoised
+    and raises again."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
-    return _read_quantum(expand_in_basis(basis(lam, n + 1) * basis(mu, n + 1)), n)
+    if mu < lam:
+        lam, mu = mu, lam
+    return _quotient_read(lam, mu, n)
+
+
+@cache
+def _quotient_read(lam: Partition, mu: Partition, n: int) -> Mapping:
+    return MappingProxyType(
+        _read_quantum(expand_in_basis(basis(lam, n + 1) * basis(mu, n + 1)), n))
 
 
 def _mask_of(lam: Partition) -> int:
@@ -373,10 +391,13 @@ def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:
     """Three-point genus-zero invariant of degree d: zero unless the weights
     sum to n(n+1)/2 + d(n+1), else the coefficient of (dual(nu), d) in the
     quantum product of the first two classes."""
-    lam, mu, nu = (require_dn(p, n) for p in (lam, mu, nu))
-    if d < 0 or sum(lam) + sum(mu) + sum(nu) != n * (n + 1) // 2 + d * (n + 1):
+    lam, mu, co = require_dn(lam, n), require_dn(mu, n), dual(nu, n)
+    # |nu| = n(n+1)/2 - |co|, so the weights fit when |lam| + |mu| = |co| + d(n+1)
+    if d < 0 or sum(lam) + sum(mu) != sum(co) + d * (n + 1):
         return 0
-    return qprod_constants(lam, mu, n).get((dual(nu, n), d), 0)
+    if mu < lam:
+        lam, mu = mu, lam
+    return _constants_read(lam, mu, n).get((co, d), 0)
 
 
 def relation_check(i: int, n: int) -> bool:

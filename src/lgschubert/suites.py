@@ -162,16 +162,32 @@ def suite_engines_agree(
                             == quantum.qprod_pieri(lam, mu, n)))
 
 
-def _admissible_triples(n: int):
-    """Cases (lam, mu, nu, d) of D_nn whose weights fit a degree-d invariant."""
+def _triples(n: int, degrees):
+    """Cases (lam, mu, nu, d, nn) of D_nn, nn <= n, whose weights fit a
+    degree-d invariant for d in ``degrees`` (increasing), in the order of
+    the cube lam, mu, nu over ``all_strict_upto(nn)``.  Each rank's classes
+    are grouped by weight once, in that order, and nu is taken from the
+    weight that fits each d and from nothing else."""
     for nn in range(1, n + 1):
-        classes = all_strict_upto(nn)
-        for lam in classes:
-            for mu in classes:
-                for nu in classes:
-                    excess = sum(lam) + sum(mu) + sum(nu) - nn * (nn + 1) // 2
-                    if excess >= 0 and excess % (nn + 1) == 0:
-                        yield {"lam": lam, "mu": mu, "nu": nu, "d": excess // (nn + 1), "n": nn}
+        top = nn * (nn + 1) // 2
+        groups = [enumerate_partitions(w, nn, strict=True) for w in range(top + 1)]
+        classes = [(lam, w) for w, group in enumerate(groups) for lam in group]
+        for lam, a in classes:
+            for mu, b in classes:
+                for d in degrees:
+                    w = top + d * (nn + 1) - a - b
+                    if w > top:
+                        break
+                    if w >= 0:
+                        for nu in groups[w]:
+                            yield lam, mu, nu, d, nn
+
+
+def _admissible_triples(n: int):
+    """Cases (lam, mu, nu, d) of D_nn whose weights fit a degree-d invariant
+    (d <= n, since the weights of lam and mu sum to at most n(n + 1))."""
+    return ({"lam": lam, "mu": mu, "nu": nu, "d": d, "n": nn}
+            for lam, mu, nu, d, nn in _triples(n, range(n + 1)))
 
 
 def suite_eightfold(n: int) -> list[dict]:
@@ -210,14 +226,9 @@ def suite_rho(n: int) -> list[dict]:
 
 def suite_lines(n: int) -> list[dict]:
     """Degree-one invariants against triple intersection numbers one rank up."""
-    return _sweep("lines", (
-        {"lam": lam, "mu": mu, "nu": nu, "n": nn}
-        for nn in range(1, n + 1)
-        for lam in all_strict_upto(nn)
-        for mu in all_strict_upto(nn)
-        for nu in all_strict_upto(nn)
-        if sum(lam) + sum(mu) + sum(nu) == nn * (nn + 1) // 2 + nn + 1),
-        classical.line_count_check)
+    return _sweep("lines", ({"lam": lam, "mu": mu, "nu": nu, "n": nn}
+                            for lam, mu, nu, _, nn in _triples(n, (1,))),
+                  classical.line_count_check)
 
 
 def suite_sigma_ij(n: int) -> list[dict]:

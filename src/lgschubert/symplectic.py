@@ -13,13 +13,14 @@ difference and the sign-change one again on the element peeled at 2.  The
 three peeling checks (the one-variable extension formula, the c_prime
 expansion and Lemma 2 for c_double_prime) build their right-hand sides with
 one kernel, ``_peel_into``: decrement parts of lam by 0, 1 or 2, bring the
-sequences to partitions with signs, and add x^prefix times the basis
-element on the remaining variables: the element's e-form, which is its own
-peeled form at 0 (``polyring.peel`` at 0 keeps every key), so nothing is
-peeled there.  Every term map here is keyed by ``polyring``'s packed
-monomials, whose layout this module never reads: ``polyring.times_x``
-moves the keys of that element up past the prefix.  When parts drop by 1 only (the extension and c_prime cases), only
-equal parts can invert, so each run of r equal parts with j of them
+sequences to partitions with signs, sum the basis elements on the
+remaining variables, and add x^prefix times that sum: the elements'
+e-forms, each its own peeled form at 0 (``polyring.peel`` at 0 keeps every
+key), so nothing is peeled there.  Every term map here is keyed by
+``polyring``'s packed monomials, whose layout this module never reads:
+``polyring.times_x`` moves the keys of that sum up past the prefix.  When
+parts drop by 1 only (the extension and c_prime cases), only equal parts
+can invert, so each run of r equal parts with j of them
 lowered gives one block with the sign [r, j] at q = -1, and nothing is
 straightened; Lemma 2's decrements by 2 straighten every pattern.  The
 Pfaffian-style vanishings of c_prime and c_double_prime are alternating
@@ -154,10 +155,14 @@ def _peel_into(out: dict, prefix: tuple[int, ...], lam: Partition, ones: int, tw
     twos, k * sign times x^prefix times the basis element of the
     straightened sequence in m - s variables, s = len(prefix): the
     element's e-form, which is its own peeled form at 0, read from
-    ``qtilde.basis``.  The sum is a term map in the layout of an element in
-    m variables peeled at s.  Sequences of sign 0 drop."""
+    ``qtilde.basis``.  The signed elements, all in m - s variables, are
+    summed on their e-forms first and the sum moved past the prefix once:
+    a term map in the layout of an element in m variables peeled at s.
+    Sequences of sign 0 drop."""
+    tail: dict[int, int] = {}
     for sign, nu in _peel_terms(lam, ones, twos):
-        add_into(out, times_x(prefix, basis(nu, m - len(prefix)).terms), k * sign)
+        add_into(tail, basis(nu, m - len(prefix)).terms.items(), sign)
+    add_into(out, times_x(prefix, tail), k)
 
 
 def verify_extension_formula(lam: Partition, m: int) -> bool:

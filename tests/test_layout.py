@@ -376,7 +376,7 @@ MEMOS = {
     "partitions": {"_enum"},
     "polyring": {"_peel_steps", "elementary_xpoly"},
     "qtilde": {"_ordered_expansion", "_partition_keys", "basis"},
-    "quantum": {"_constants_read", "_row", "giambelli_special"},
+    "quantum": {"_constants_read", "_quotient_read", "_row", "giambelli_special"},
     "symplectic": {"_peel_terms", "_peeled", "c_double_prime", "c_prime"},
 }
 MEMO_FACTORIES = {"cache", "lru_cache", "cached_property"}

@@ -60,10 +60,11 @@ class TestRouteC:
 
 
 def clear_product_memos():
-    """Empty the one read-out memo over the stable expansions, route C's,
-    which also serves ``classical_product``.  The next read then sees each
-    expansion as it stands."""
+    """Empty the read-out memos: route C's over the stable expansions, which
+    also serves ``classical_product``, and route A's over the truncated
+    products.  The next read then sees each expansion as it stands."""
     quantum._constants_read.cache_clear()
+    quantum._quotient_read.cache_clear()
 
 
 @contextlib.contextmanager
@@ -159,6 +160,7 @@ class TestReadOnlyMemos:
     @pytest.mark.parametrize("result", [
         lambda: stable_expansion((2,), (2, 1)),
         lambda: qprod_constants((2,), (2, 1), 3),
+        lambda: qprod_quotient((2,), (2, 1), 3),
         lambda: giambelli_special((3, 2), 3),
         lambda: basis((3, 1), 4).terms,
         lambda: basis((3, 3, 1), None).terms,
@@ -168,7 +170,7 @@ class TestReadOnlyMemos:
         lambda: elementary_xpoly(2, 4).terms,
         lambda: polyring._peel_steps(4, 1),
         lambda: polyring._peel_steps(4, 1)[2],
-    ], ids=["_ordered_expansion", "_constants_read", "giambelli_special", "basis",
+    ], ids=["_ordered_expansion", "_constants_read", "_quotient_read", "giambelli_special", "basis",
             "basis-rows", "_peeled", "c_prime", "c_double_prime", "elementary_xpoly",
             "_peel_steps", "_peel_steps-term-map"])
     def test_a_write_into_a_memo_result_raises(self, result):
@@ -207,10 +209,38 @@ class TestRouteA:
         monkeypatch.setattr(qtilde, "basis", spy)
         monkeypatch.setattr(quantum, "basis", spy)
         real.cache_clear()
+        quantum._quotient_read.cache_clear()  # a memoised pair would ask basis nothing
         for lam, mu in itertools.product(all_strict_upto(4), repeat=2):
             qprod_quotient(lam, mu, 4)
         assert any(len(lam) > 2 for lam, _ in seen)
         assert not [lam for lam, m in seen if m is None]
+
+    def test_both_orders_share_one_result(self):
+        """Route A forms each product once per unordered pair and rank:
+        (lam, mu) and (mu, lam) read one memoised mapping, read-only."""
+        n = 3
+        for lam, mu in itertools.product(all_strict_upto(n), repeat=2):
+            product = qprod_quotient(lam, mu, n)
+            assert product is qprod_quotient(mu, lam, n)
+            with pytest.raises(TypeError):
+                product[((), 0)] = 1
+
+    def test_a_read_out_that_raises_is_not_memoised(self, monkeypatch):
+        """A truncated product whose read-out raises leaves no entry in
+        route A's memo, in either order, and the pair reads correctly once
+        the expansion is sound again."""
+        n, lam, mu = 3, (2,), (2, 1)
+        real = quantum.expand_in_basis
+        expansion = real(basis(lam, n + 1) * basis(mu, n + 1))
+        key = next(nu for nu in expansion if in_d(nu, n))
+        quantum._quotient_read.cache_clear()
+        monkeypatch.setattr(quantum, "expand_in_basis", lambda p: {**real(p), key: -1})
+        for pair in ((lam, mu), (mu, lam), (lam, mu)):
+            with pytest.raises(VerificationError):
+                qprod_quotient(*pair, n)
+        assert quantum._quotient_read.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert qprod_quotient(lam, mu, n) == _read_quantum(expansion, n)
 
 
 class TestReadQuantum:
@@ -701,6 +731,37 @@ class TestVanishingPredicate:
         assert vanishing_bounds((2,), (2,), (2,), 1, 2)
 
 
+def cube_triples(n):
+    """The triple sweeps' cases by brute force: every triple of the cube
+    D_nn^3, nn <= n, whose weights fit a degree-d invariant, in the cube's
+    order."""
+    for nn in range(1, n + 1):
+        for lam, mu, nu in itertools.product(all_strict_upto(nn), repeat=3):
+            excess = sum(lam) + sum(mu) + sum(nu) - nn * (nn + 1) // 2
+            if excess >= 0 and excess % (nn + 1) == 0:
+                yield {"lam": lam, "mu": mu, "nu": nu, "d": excess // (nn + 1), "n": nn}
+
+
+class TestTripleSweeps:
+    """The sweeps over triples take nu from the weights that fit and still
+    check the cube filter's cases, the same dicts in the same order, keys
+    included: the failure records and the pinned reports follow it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_admissible_triples_are_the_cube_filter(self, n):
+        want = [list(case.items()) for case in cube_triples(n)]
+        assert [list(case.items()) for case in suites._admissible_triples(n)] == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_lines_cases_are_the_cube_filter(self, n, monkeypatch):
+        seen = []
+        monkeypatch.setattr(suites.classical, "line_count_check",
+                            lambda **case: seen.append(list(case.items())) or True)
+        assert suites.suite_lines(n) == []
+        assert seen == [[(k, v) for k, v in case.items() if k != "d"]
+                        for case in cube_triples(n) if case["d"] == 1]
+
+
 class TestClosedForms:
     def test_rho_products(self):
         assert rho_product((2,), 2) == {((2,), 1): 1}
@@ -836,8 +897,11 @@ def test_quantum_json_round_trip():
     lambda bad: eightfold_check(bad, (1,), (1,), 0, 3),
     lambda bad: dual(bad, 3),
     lambda bad: giambelli_check(bad + (5, 4), 5),
+    lambda bad: gw((1,), bad, (1,), 0, 3),
+    lambda bad: gw((1,), (1,), bad, 0, 3),
+    lambda bad: qprod_quotient(bad, (1,), 3),
 ], ids=["pieri-lam", "pieri-mu", "constants", "quotient", "classical", "gw", "eightfold",
-        "dual", "giambelli"])
+        "dual", "giambelli", "gw-mu", "gw-nu", "quotient-lam"])
 def test_non_partition_indices_are_usage_errors(call, bad):
     """An unsorted index, a zero part or a negative part is no element of
     D_n, whichever entry point it reaches: the one D_n guard raises, where
