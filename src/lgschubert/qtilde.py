@@ -91,7 +91,7 @@ def expand_rows(c, lam: Partition, *args) -> Mapping:
     elements c(nu, *args) of shorter partitions: a partition with an equal
     pair (i, i) is the product of the element of the pair and that of the
     rest (the equal-pair property, check (e) of
-    ``verify_qtilde_properties``), any other the Pfaffian expansion along
+    ``property_check``), any other the Pfaffian expansion along
     the last column, ``pfaffian_sum``.  The one recursion of ``basis`` on
     e-forms and of ``symplectic`` on peeled forms."""
     for j in range(len(lam) - 1):
@@ -207,48 +207,58 @@ def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
     return e >> t
 
 
-def verify_qtilde_properties(m: int, wmax: int) -> list[dict]:
-    """Run the defining-property checks over all partitions of weight <= wmax.
+def property_cases(m: int, wmax: int):
+    """The cases of the defining-property checks in m variables over
+    partitions of weight <= wmax, dicts {"check", "lam" | "i", "m"} (check
+    (e) naming both) for ``property_check``, none when wmax < 0:
 
-    (a) vanishing when the top part exceeds m; (b) basis expansion
-    round-trips; (c) equal-pair elements expand to elementary symmetric
-    polynomials of squared variables (x-variable leg, for m within the
-    guard XPANSION_VAR_LIMIT only), the element peeled at s = m, which
-    leaves no e' and so is its expansion on x_1..x_m, against the terms of
-    e_i(x_1, ..., x_m) with every exponent doubled;
-    (d) multiplying by the top-degree generator prepends a part m;
-    (e) equal pairs split off multiplicatively, the merged element taken by
-    one Pfaffian step rather than from basis, which splits it.  Returns
-    failure records, empty when every check passes.
+    (a) lam with top part above m, of weight 1..wmax; (b) lam with parts
+    at most m, of weight 0..wmax; (c) the equal pair (i, i), 2i <= wmax,
+    for m within the guard XPANSION_VAR_LIMIT only; (d) lam with parts at
+    most m and |lam| + m <= wmax, (e) the same with 2i in place of m, each
+    lam = () at least.
     """
-    failures: list[dict] = []
     for w in range(1, wmax + 1):
         for lam in enumerate_partitions(w, w):
-            if lam[0] > m and qtilde(lam, m):
-                failures.append({"check": "a", "lam": lam, "m": m})
+            if lam[0] > m:
+                yield {"check": "a", "lam": lam, "m": m}
     for w in range(wmax + 1):
         for lam in enumerate_partitions(w, m):
-            if expand_in_basis(qtilde(lam, m)) != {lam: 1}:
-                failures.append({"check": "b", "lam": lam, "m": m})
+            yield {"check": "b", "lam": lam, "m": m}
     if m <= XPANSION_VAR_LIMIT:
         for i in range(1, min(m, wmax // 2) + 1):
-            squares = {2 * key: c for key, c in elementary_xpoly(i, m).terms.items()}
-            if peel(basis((i, i), m), m).terms != squares:
-                failures.append({"check": "c", "i": i, "m": m})
-    for w in range(max(0, wmax - m) + 1):
+            yield {"check": "c", "i": i, "m": m}
+    # the weights 0..max(0, wmax - m), none when wmax < 0; likewise 2i for m below
+    for w in range(wmax + 1)[:max(1, wmax - m + 1)]:
         for lam in enumerate_partitions(w, m):
-            lhs = qtilde((m,) + lam, m)
-            rhs = EPoly.gen(m, m) * qtilde(lam, m)
-            if lhs != rhs:
-                failures.append({"check": "d", "lam": lam, "m": m})
+            yield {"check": "d", "lam": lam, "m": m}
     for i in range(1, m + 1):
-        for w in range(max(0, wmax - 2 * i) + 1):
+        for w in range(wmax + 1)[:max(1, wmax - 2 * i + 1)]:
             for lam in enumerate_partitions(w, m):
-                merged = tuple(sorted(lam + (i, i), reverse=True))
-                # one Pfaffian step, so that the check does not restate the
-                # equal-pair split that basis itself takes
-                rhs = basis((i, i), m) * qtilde(lam, m)
-                if pfaffian_sum(basis, merged, m) != rhs.terms:
-                    failures.append({"check": "e", "lam": lam, "i": i, "m": m})
-    return failures
+                yield {"check": "e", "lam": lam, "i": i, "m": m}
 
+
+def property_check(check: str, m: int, lam: Partition = (), i: int = 0) -> bool:
+    """One defining property of the basis in m variables (the cases of
+    ``property_cases``):
+
+    (a) qtilde(lam) vanishes; (b) its basis expansion round-trips;
+    (c) the equal-pair element basis((i, i), m) peeled at s = m, which
+    leaves no e' and so is its expansion on x_1..x_m, is e_i(x_1, ..., x_m)
+    with every exponent doubled; (d) multiplying qtilde(lam) by the
+    top-degree generator prepends a part m; (e) the equal pair (i, i)
+    splits off qtilde(lam + (i, i)) multiplicatively, the merged element
+    taken by one Pfaffian step rather than from basis, which splits it.
+    A broken unitriangularity raises VerificationError.
+    """
+    if check == "a":
+        return not qtilde(lam, m)
+    if check == "b":
+        return expand_in_basis(qtilde(lam, m)) == {lam: 1}
+    if check == "c":
+        squares = {2 * key: c for key, c in elementary_xpoly(i, m).terms.items()}
+        return peel(basis((i, i), m), m).terms == squares
+    if check == "d":
+        return qtilde((m,) + lam, m) == EPoly.gen(m, m) * qtilde(lam, m)
+    merged = tuple(sorted(lam + (i, i), reverse=True))
+    return pfaffian_sum(basis, merged, m) == (basis((i, i), m) * qtilde(lam, m)).terms

@@ -39,10 +39,11 @@ there fails the relations, the operator identities and ``engines-agree``,
 since the products of routes A and C never read it.
 
 Routes C and A each form a product once per unordered pair and rank:
-``qprod_constants`` and ``qprod_quotient`` validate both factors, order the
-pair, and read one memoised read-out, a read-only mapping.  Route C's serves
-``gw`` (which validates its three indices once and reads that memo
-directly), the relation and closed-form checks, ``table`` and the classical
+``qprod_constants`` and ``qprod_quotient`` validate both factors and read
+one memoised read-out, a read-only mapping, through ``_ordered``, which
+orders the pair.  Route C's serves ``gw`` (which validates its three indices
+once and reads that memo through ``_gw``, as ``eightfold_check`` does), the
+relation and closed-form checks, ``table`` and the classical
 ring (its q-degree-0 part, read in ``classical``); route A's serves
 ``engines-agree``, which reads each pair in both orders.  Route B is not
 memoised: for factors of equal length its two orders expand different
@@ -112,16 +113,19 @@ def _read_quantum(expansion: Mapping[Partition, int], n: int) -> QuantumClass:
     return out
 
 
+def _ordered(read, lam: Partition, mu: Partition, n: int) -> Mapping:
+    """The memoised read-out ``read`` of the pair put in order, so that
+    (lam, mu) and (mu, lam) share one entry."""
+    return read(lam, mu, n) if lam <= mu else read(mu, lam, n)
+
+
 def qprod_constants(lam: Partition, mu: Partition, n: int) -> Mapping:
     """Quantum product read off the stable structure constants (route C).
 
     Memoised per ordered pair and rank, like the stable expansion it reads:
     (lam, mu) and (mu, lam) share one validated result, read-only.  A
     read-out that raises is not memoised and raises again."""
-    lam, mu = require_dn(lam, n), require_dn(mu, n)
-    if mu < lam:
-        lam, mu = mu, lam
-    return _constants_read(lam, mu, n)
+    return _ordered(_constants_read, require_dn(lam, n), require_dn(mu, n), n)
 
 
 @cache
@@ -137,10 +141,7 @@ def qprod_quotient(lam: Partition, mu: Partition, n: int) -> Mapping:
     (mu, lam) form one product of truncated basis elements and share one
     validated result, read-only.  A read-out that raises is not memoised
     and raises again."""
-    lam, mu = require_dn(lam, n), require_dn(mu, n)
-    if mu < lam:
-        lam, mu = mu, lam
-    return _quotient_read(lam, mu, n)
+    return _ordered(_quotient_read, require_dn(lam, n), require_dn(mu, n), n)
 
 
 @cache
@@ -391,13 +392,17 @@ def gw(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> int:
     """Three-point genus-zero invariant of degree d: zero unless the weights
     sum to n(n+1)/2 + d(n+1), else the coefficient of (dual(nu), d) in the
     quantum product of the first two classes."""
-    lam, mu, co = require_dn(lam, n), require_dn(mu, n), dual(nu, n)
+    return _gw(require_dn(lam, n), require_dn(mu, n), dual(nu, n), d, n)
+
+
+def _gw(lam: Partition, mu: Partition, co: Partition, d: int, n: int) -> int:
+    """``gw`` on indices already checked: lam and mu in D_n, and
+    co = dual(nu), the index of the product term.  An inadmissible query
+    forms no product."""
     # |nu| = n(n+1)/2 - |co|, so the weights fit when |lam| + |mu| = |co| + d(n+1)
     if d < 0 or sum(lam) + sum(mu) != sum(co) + d * (n + 1):
         return 0
-    if mu < lam:
-        lam, mu = mu, lam
-    return _constants_read(lam, mu, n).get((co, d), 0)
+    return _ordered(_constants_read, lam, mu, n).get((co, d), 0)
 
 
 def relation_check(i: int, n: int) -> bool:
@@ -440,12 +445,15 @@ def vanishing_bounds(lam: Partition, mu: Partition, nu: Partition, d: int, n: in
 def eightfold_check(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> bool:
     """Check the two-to-the-power scaling between the degree-d invariant of
     (lam, mu, nu) and the degree-(len(lam)-d) invariant of the starred and
-    dualized triple; for d beyond len(lam) the invariant must vanish."""
+    dualized triple; for d beyond len(lam) the invariant must vanish.
+    Each index is checked once; the dual of the third index of the starred
+    and dualized triple, dual(nu), is nu itself."""
+    lam, mu, co = require_dn(lam, n), require_dn(mu, n), dual(nu, n)
     if d > len(lam):
-        return gw(lam, mu, nu, d, n) == 0
+        return _gw(lam, mu, co, d, n) == 0
     e = len(lam) - d
-    lhs = (1 << (n + d)) * gw(lam, mu, nu, d, n)
-    rhs = (1 << (len(mu) + len(nu) + e)) * gw(star(lam, n), dual(mu, n), dual(nu, n), e, n)
+    lhs = (1 << (n + d)) * _gw(lam, mu, co, d, n)
+    rhs = (1 << (len(mu) + len(nu) + e)) * _gw(star(lam, n), dual(mu, n), tuple(nu), e, n)
     return lhs == rhs
 
 
@@ -453,7 +461,6 @@ def rho_product(lam: Partition, n: int) -> QuantumClass:
     """Product with the point-adjacent class of the full staircase:
     a single term, the starred dual of lam in q-degree len(lam).  The closed
     form is asserted against the structure-constant engine."""
-    lam = require_dn(lam, n)
     expected: QuantumClass = {(star(dual(lam, n), n), len(lam)): 1}
     actual = qprod_constants(lam, rho(n), n)
     if actual != expected:
@@ -470,9 +477,9 @@ def sigma_ij_product_check(i: int, j: int, n: int) -> bool:
     expected: QuantumClass = {}
     if i > j:
         expected[((i, j), 0)] = 1
+    # k <= n - i and i + j >= n + 1 leave j - k >= 1, each k its own class
     for k in range(1, n - i + 1):
-        idx = (i + k, j - k) if j - k else (i + k,)
-        expected[(idx, 0)] = expected.get((idx, 0), 0) + 2
+        expected[((i + k, j - k), 0)] = 2
     s = i + j - n - 1
     expected[((s,) if s else (), 1)] = 1
     return qprod_constants((i,), (j,), n) == expected

@@ -20,7 +20,8 @@ from .qtilde import (
     expand_in_basis,
     f_constant,
     pieri_strict,
-    verify_qtilde_properties,
+    property_cases,
+    property_check,
 )
 from .symplectic import (
     dawson,
@@ -59,12 +60,8 @@ def _strict_cases(lo: int, m: int, key: str, keep=lambda lam: True):
 def suite_qtilde_properties(m: int, wmax: int = 10) -> list[dict]:
     """Defining properties of the basis for every variable count up to m;
     with wmax >= 0 each count checks at least the empty partition."""
-    if wmax < 0:
-        return [{"suite": "qtilde-properties", "error": NO_CASES}]
-    failures = []
-    for mm in range(1, m + 1):
-        failures.extend(verify_qtilde_properties(mm, wmax))
-    return failures
+    return _sweep("qtilde-properties", (case for mm in range(1, m + 1)
+                                        for case in property_cases(mm, wmax)), property_check)
 
 
 def suite_extension(m: int, wmax: int | None = None) -> list[dict]:

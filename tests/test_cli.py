@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lgschubert import cli, quantum, suites, symplectic
+from lgschubert import cli, qtilde, quantum, suites, symplectic
 from lgschubert.cli import build_parser, code_fingerprint, main
 from lgschubert.partitions import all_strict_upto, partition_to_str
 from lgschubert.quantum import quantum_to_json
@@ -351,6 +351,23 @@ class TestVerify:
         ]
         code, out, _ = run(capsys, "verify", "pfaffian-double-prime", "--m", "4")
         assert code == 0
+
+    def test_a_broken_pivot_is_a_failed_verification(self, capsys, monkeypatch):
+        """A basis element with a non-unit pivot breaks the back-substitution
+        that check (b) runs: the VerificationError is a failure record of
+        the suite, exit 1, not an internal error."""
+        real = qtilde.basis
+        real.cache_clear()
+        monkeypatch.setattr(qtilde, "basis",
+                            lambda lam, m: real(lam, m).scale(2) if lam == (2, 1) else real(lam, m))
+        try:
+            code, out, err = run(capsys, "verify", "qtilde-properties", "--m", "3", "--wmax", "4")
+        finally:
+            monkeypatch.undo()
+            real.cache_clear()
+        assert (code, err) == (1, "")
+        assert {"suite": "qtilde-properties", "check": "b", "lam": [2, 1], "m": 3,
+                "error": "non-unit pivot for (2, 1)"} in json.loads(out)["failures"]
 
     @pytest.mark.parametrize("suite, runner", [
         ("pieri-oracle", "suite_pieri_oracle"),

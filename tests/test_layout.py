@@ -286,6 +286,23 @@ def test_one_guard_per_rule():
     assert sorted(defined) == sorted(GUARDS.values())
 
 
+def test_only_the_sweep_builds_failure_records():
+    """Every suite's failure records come out of ``suites._sweep``: no other
+    function names ``NO_CASES`` or spells out a dict keyed "error" or
+    "suite", the report of ``cli.cmd_verify`` aside, so each record names
+    its suite and a check that raises VerificationError is a failure."""
+    found = set()
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                keys = [key.value for key in getattr(node, "keys", ()) if isinstance(key, ast.Constant)]
+                if getattr(node, "id", None) == "NO_CASES" or {"error", "suite"} & set(keys):
+                    found.add(f"{path.stem}.{func.name}")
+    assert found == {"suites._sweep", "cli.cmd_verify"}
+
+
 def _keywords(path: Path) -> set[str]:
     """The keyword names passed in the calls of a module."""
     return {kw.arg for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
@@ -311,7 +328,7 @@ def test_only_polyring_knows_the_key_layout(monkeypatch):
                and any(isinstance(arg, (ast.Dict, ast.DictComp)) for arg in node.args)]
     assert spelled == []
 
-    from lgschubert import polyring, qtilde, symplectic
+    from lgschubert import polyring, symplectic
 
     keys = []
     init = polyring.XPoly.__init__
@@ -327,7 +344,7 @@ def test_only_polyring_knows_the_key_layout(monkeypatch):
     for suite in (suites.suite_extension, suites.suite_cprime_expansion, suites.suite_lem2,
                   suites.suite_pfaffian_prime, suites.suite_pfaffian_double_prime):
         assert suite(4) == []
-    assert qtilde.verify_qtilde_properties(4, 8) == []
+    assert suites.suite_qtilde_properties(4, 8) == []
     assert keys and all(type(key) is int for key in keys)
 
 

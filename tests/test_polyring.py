@@ -350,7 +350,7 @@ class TestExpansion:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_basis_elements_match_per_monomial(self, m):
         """Every basis element of weight <= 2m in m variables, peeled at
-        s = m, the form check (c) of ``verify_qtilde_properties`` reads."""
+        s = m, the form check (c) of ``qtilde.property_check`` reads."""
         for w in range(2 * m + 1):
             for lam in enumerate_partitions(w, m):
                 assert peel(basis(lam, m), m) == basis_x(lam, m), lam

@@ -13,8 +13,8 @@ from lgschubert.qtilde import (
     qtilde,
     stable_expansion,
     structure_constants,
-    verify_qtilde_properties,
 )
+from lgschubert.suites import suite_qtilde_properties
 from lgschubert.symplectic import verify_extension_formula
 from test_polyring import X, basis_x, exps, swap_vars
 
@@ -324,7 +324,7 @@ class TestPartitionGuard:
 class TestVerifiers:
     @pytest.mark.parametrize("m,wmax", [(2, 6), (3, 8)])
     def test_properties_pass(self, m, wmax):
-        assert verify_qtilde_properties(m, wmax) == []
+        assert suite_qtilde_properties(m, wmax) == []
 
     def test_property_e_catches_a_wrong_split(self, monkeypatch):
         """Check (e) expands the merged partition by the Pfaffian, not by
@@ -347,11 +347,12 @@ class TestVerifiers:
         real.cache_clear()
         monkeypatch.setattr(qtilde_module, "basis", wrong)
         try:
-            failures = verify_qtilde_properties(3, 8)
+            failures = suite_qtilde_properties(3, 8)
         finally:
             monkeypatch.undo()
             real.cache_clear()
-        assert {"check": "e", "lam": (2, 1, 1, 1), "i": 1, "m": 3} in failures
+        assert {"suite": "qtilde-properties", "check": "e", "lam": (2, 1, 1, 1), "i": 1,
+                "m": 3} in failures
 
     def test_property_c_single_vector_is_the_full_map(self):
         """Check (c) reads basis((i, i), m) peeled at s = m, which leaves no
@@ -365,8 +366,8 @@ class TestVerifiers:
                 assert peel(basis((i, i), m), m) == basis_x((i, i), m) == squares
 
     def test_property_c_catches_a_wrong_expansion(self, monkeypatch):
-        """One wrong term in the peeled form of basis((1, 1), 3), as check
-        (c) reads it, fails that check alone."""
+        """One wrong term in the peeled form of basis((1, 1), m), as check
+        (c) reads it, fails that check alone, once for each m."""
         real = qtilde_module.peel
 
         def wrong(p, s):
@@ -374,7 +375,8 @@ class TestVerifiers:
             return f + X(p.m, {(1,) * p.m: 1}) if p == basis((1, 1), p.m) else f
 
         monkeypatch.setattr(qtilde_module, "peel", wrong)
-        assert verify_qtilde_properties(3, 8) == [{"check": "c", "i": 1, "m": 3}]
+        assert suite_qtilde_properties(3, 8) == [
+            {"suite": "qtilde-properties", "check": "c", "i": 1, "m": m} for m in (1, 2, 3)]
 
     def test_property_a_single_case(self):
         assert qtilde((3,), 2) == EPoly.zero(2)

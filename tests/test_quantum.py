@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lgschubert import qtilde, quantum, suites
+from lgschubert import partitions, qtilde, quantum, suites
 from lgschubert.classical import classical_product, giambelli_check, line_count_check
 from lgschubert.partitions import (
     all_strict_upto,
@@ -96,13 +96,24 @@ class TestReadOutMemos:
 
     def test_gw_equals_an_independent_read_of_the_expansion(self):
         """Every admissible invariant of D_3 equals its coefficient read
-        straight off the stable expansion, past the memoised read-out."""
+        straight off the stable expansion, past the memoised read-out.
+        Every other (lam, mu, nu, d) of D_3 with -1 <= d <= 4 is 0, d = -1
+        included where the weights would fit it, and is answered before
+        any product is formed."""
         n, nonzero = 3, 0
-        for lam, mu, nu in itertools.product(all_strict_upto(n), repeat=3):
+        cube = list(itertools.product(all_strict_upto(n), repeat=3))
+        clear_product_memos()
+        admissible = []
+        for lam, mu, nu in cube:
             excess = sum(lam) + sum(mu) + sum(nu) - n * (n + 1) // 2
-            if excess < 0 or excess % (n + 1):
-                continue
-            d = excess // (n + 1)
+            for d in range(-1, 5):
+                if d >= 0 and excess == d * (n + 1):
+                    admissible.append((lam, mu, nu, d))
+                else:
+                    assert gw(lam, mu, nu, d, n) == 0, (lam, mu, nu, d)
+        assert quantum._constants_read.cache_info().currsize == 0
+        assert any(sum(lam) + sum(mu) + sum(nu) == 2 for lam, mu, nu in cube)  # fits d = -1
+        for lam, mu, nu, d in admissible:
             want = stable_expansion(lam, mu).get(prepend(n + 1, d, dual(nu, n)), 0) >> d
             assert gw(lam, mu, nu, d, n) == want
             nonzero += want != 0
@@ -692,6 +703,23 @@ class TestEightfold:
         assert eightfold_check((2, 1), (2, 1), (2, 1), 2, 2)
         assert eightfold_check((2,), (2,), (2,), 1, 2)
 
+    def test_each_index_is_checked_once(self, monkeypatch):
+        """The 927 eightfold cases of D_n, n <= 4, check lam, mu and nu
+        once, and star(lam) and dual(mu) once more where the second
+        invariant is read, not each invariant's triple again (8,061
+        checks when they did)."""
+        checks = []
+        real = partitions.require_dn
+
+        def counting(lam, n):
+            checks.append(n)
+            return real(lam, n)
+
+        monkeypatch.setattr(partitions, "require_dn", counting)
+        monkeypatch.setattr(quantum, "require_dn", counting)
+        assert suites.suite_eightfold(4) == []
+        assert len(checks) < 5500
+
     def test_vanishing_beyond_length(self):
         # d = len(lam) + 1 forces a zero invariant
         assert eightfold_check((2,), (2, 1), (2, 1), 2, 2)
@@ -895,13 +923,17 @@ def test_quantum_json_round_trip():
     lambda bad: classical_product(bad, (1,), 3),
     lambda bad: gw(bad, (1,), (1,), 0, 3),
     lambda bad: eightfold_check(bad, (1,), (1,), 0, 3),
+    lambda bad: eightfold_check((1,), bad, (1,), 0, 3),
+    lambda bad: eightfold_check((1,), (1,), bad, 0, 3),
+    lambda bad: rho_product(bad, 3),
     lambda bad: dual(bad, 3),
     lambda bad: giambelli_check(bad + (5, 4), 5),
     lambda bad: gw((1,), bad, (1,), 0, 3),
     lambda bad: gw((1,), (1,), bad, 0, 3),
     lambda bad: qprod_quotient(bad, (1,), 3),
 ], ids=["pieri-lam", "pieri-mu", "constants", "quotient", "classical", "gw", "eightfold",
-        "dual", "giambelli", "gw-mu", "gw-nu", "quotient-lam"])
+        "eightfold-mu", "eightfold-nu", "rho", "dual", "giambelli", "gw-mu", "gw-nu",
+        "quotient-lam"])
 def test_non_partition_indices_are_usage_errors(call, bad):
     """An unsorted index, a zero part or a negative part is no element of
     D_n, whichever entry point it reaches: the one D_n guard raises, where
