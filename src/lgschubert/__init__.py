@@ -5,21 +5,13 @@ from .partitions import (
     Partition,
     dual,
     enumerate_partitions,
-    grow_strips,
     prepend,
     rho,
     star,
     straighten,
 )
 from .polyring import EPoly, XPoly, ddiff0, ddiff1prime
-from .qtilde import (
-    VerificationError,
-    basis,
-    expand_in_basis,
-    f_constant,
-    pieri_strict,
-    structure_constants,
-)
+from .qtilde import VerificationError, basis, expand_in_basis, f_constant
 from .classical import classical_product, giambelli_check
 from .quantum import (
     eightfold_check,

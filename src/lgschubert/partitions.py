@@ -1,19 +1,10 @@
-"""Partition and horizontal-strip combinatorics underlying the Schubert bases.
+"""Partition combinatorics underlying the Schubert bases.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ().  Unsorted index sequences (possibly containing zeros) are
-brought to normal form, with sign, by ``straighten``.
-
-Diagrams use matrix convention: box (r, c) sits in row r, column c, occupying
-the unit square [c-1, c] x [r-1, r].  Two boxes of a skew diagram are
-connected when they share an edge or a vertex.  The skew diagrams counted
-here are horizontal strips, whose components are runs of touching rows read
-off the interlacing inequalities, with no flood-fill over boxes.  One
-enumerator, ``grow_strips``, walks the strips added to lam, of every shape
-and uncapped, and hands each its Pieri weight, counted while the walk
-descends: the classical Pieri rule of the basis, ``qtilde.pieri_strict``.
-Route B's quantum Pieri rows (strict shapes capped at column n + 1) come
-from a walk of their own on subset masks, in ``quantum``.
+brought to normal form, with sign, by ``straighten``.  No horizontal strip
+is enumerated here: the one strip walk, route B's quantum Pieri rows, runs
+on subset masks in ``quantum``.
 """
 
 from __future__ import annotations
@@ -127,54 +118,6 @@ def pfaffian_terms(lam: Partition) -> Iterator[tuple[int, Partition, Partition]]
     for j in range(r - 1):
         a = seq[j]
         yield (-1 if j % 2 else 1), ((a, b) if b else (a,)), seq[:j] + seq[j + 1 : r - 1]
-
-
-def grow_strips(lam: Partition, k: int) -> list[tuple[Partition, int]]:
-    """The Pieri terms (mu, 2**N) of lam and k: all partitions mu >= lam
-    with |mu| = |lam| + k and mu/lam a horizontal strip (at most one box per
-    column), in descending lexicographic order, N counting the components
-    of mu/lam that miss column 1.
-
-    Interlacing mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... characterizes the
-    horizontal-strip extensions, so mu_i lies between lam_i and lam_{i-1},
-    with |mu| above mu_1 and 0 under the one row beyond lam that can gain
-    boxes.  Each entry ranges over what leaves the rest of the sum within
-    the bounds of the entries after it, whose sum runs from
-    lam_{i+1} + lam_{i+2} + ... up to lam_i + lam_{i+1} + ..., so every
-    branch ends in a shape.
-
-    Row i of the strip holds columns lam_i + 1 .. mu_i, and interlacing
-    gives mu_{i+1} <= lam_i, so a row that gains boxes touches the row
-    above exactly when that row gained boxes too and mu_{i+1} = lam_i.  The
-    weight is counted on the way down: a row that gains boxes doubles it
-    unless it touches the row above.  The row beyond lam is the only one
-    that reaches column 1; it opens no component of its own, and it halves
-    the weight when it joins the component above, which then meets
-    column 1.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    total = sum(lam) + k
-    hi = (total,) + lam
-    below = [sum(lam[i:]) for i in range(len(lam) + 1)]
-    last = len(lam)
-    out: list[tuple[Partition, int]] = []
-
-    def walk(i: int, head: Partition, remaining: int, weight: int, touch: int) -> None:
-        # touch is lam_{i-1} when row i - 1 gained boxes, else -1
-        if i == last:  # the row beyond lam takes what remains
-            out.append((head + (remaining,), weight >> (remaining == touch))
-                       if remaining else (head, weight))
-            return
-        low = lam[i]
-        for v in range(min(hi[i], remaining - below[i + 1]), max(low, remaining - below[i]) - 1,
-                       -1):
-            grows = v > low
-            walk(i + 1, head + (v,), remaining - v, weight << (grows and v != touch),
-                 low if grows else -1)
-
-    walk(0, (), total, 1, -1)
-    return out
 
 
 @cache

@@ -4,10 +4,12 @@ variables inside the formula itself, then at every m, truncated or not,
 the one recursion ``expand_rows``, equal-pair split or the Pfaffian sum
 ``pfaffian_sum``, which the peeled forms of ``symplectic`` follow too),
 expansion in the basis, stable structure constants (memoized once
-per unordered pair, the ring being commutative), the power-of-two Pieri
-rule, and the checks of the defining properties of the family.  Their one
-x-variable check reads the basis element through ``polyring.peel``; the
-peeling identities of the x-expansion are checked in ``symplectic``.
+per unordered pair, the ring being commutative; with e_k as one factor
+they are the Pieri rule that ``quantum.pieri_row_check`` holds route B's
+rows to), and the checks of the defining properties of the family.
+Their one x-variable check reads the basis element through
+``polyring.peel``; the peeling identities of the x-expansion are checked
+in ``symplectic``.
 
 A basis element qtilde(lam) is attached to every partition lam; for strict
 lam these map onto Schubert classes of the Lagrangian Grassmannian.  The
@@ -25,10 +27,8 @@ from typing import Mapping
 from .partitions import (
     Partition,
     enumerate_partitions,
-    grow_strips,
     pfaffian_terms,
     require_partition,
-    require_strict,
     straighten,
 )
 from .polyring import (
@@ -164,8 +164,7 @@ def stable_expansion(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     elements.  EPoly multiplication is commutative, so the pair is put in
     order before the memo lookup and (lam, mu) and (mu, lam) share one
     expansion.  Each factor must be a partition (``require_partition``).
-    The result is shared by every caller, read-only;
-    ``structure_constants`` copies it."""
+    The result is shared by every caller, read-only."""
     lam, mu = require_partition(lam), require_partition(mu)
     if mu < lam:
         lam, mu = mu, lam
@@ -175,21 +174,6 @@ def stable_expansion(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
 @cache
 def _ordered_expansion(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     return MappingProxyType(expand_in_basis(basis(lam, None) * basis(mu, None)))
-
-
-def structure_constants(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Expansion coefficients of qtilde(lam) * qtilde(mu) in the basis,
-    computed with enough variables (|lam| + |mu|) that no basis element is
-    truncated; the coefficients are then independent of the variable count."""
-    return dict(stable_expansion(lam, mu))
-
-
-def pieri_strict(lam: Partition, k: int) -> dict[Partition, int]:
-    """Product of qtilde(lam), lam strict, with the degree-k generator:
-    sum over horizontal-strip extensions mu of 2**N(lam, mu) qtilde(mu),
-    N counting components of mu/lam that avoid the first column: the Pieri
-    terms of ``grow_strips``, for k >= 0 and a strict lam."""
-    return dict(grow_strips(require_strict(lam), k))
 
 
 def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:

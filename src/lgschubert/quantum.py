@@ -27,7 +27,8 @@ still cross-check each other in ``engines-agree``: C forms the product
 untruncated, A forms it after truncation, and B forms neither, only one
 strip walk per Pieri row, its own.  Route B is the default of
 ``lgschubert product``; A and C cross-validate it, and C serves ``gw`` and
-``table``.
+``table``.  ``pieri_row_check`` holds each of route B's Pieri rows to the
+product of basis elements, read out as routes A and C read theirs.
 
 The paper's two-row quantum Giambelli formula is written once,
 ``_two_row(i, j, n)``.  Route B reads it through ``giambelli_special`` for
@@ -198,16 +199,16 @@ def _row(mask: int, k: int, n: int) -> tuple[tuple[int, int], ...]:
     mu >= lam of |lam| + k boxes with mu/lam a horizontal strip and
     mu_1 <= n + 1, in descending lexicographic order, each built as its
     mask and handed its Pieri weight 2**N, N counting the strip components
-    that miss column 1.  The walk descends the parts of lam: entry i of mu
-    lies between lam_i and min(lam_{i-1}, mu_{i-1} - 1), by interlacing and
-    strictness, and the row beyond lam (lam_i = 0) takes what remains.  An
-    entry that grows leaves the later ones at most lam_i + lam_{i+1} + ...;
-    one that stays at lam_i leaves them the strict chain lam_i - 1,
-    min(lam_{i+1}, .) - 1, ..., so every branch ends in a shape.  The weight
-    is counted on the way down: a row that gains boxes doubles it unless it
-    touches the row above (which gained boxes too, and mu_i = lam_{i-1}),
-    and the row beyond lam halves it when it joins the component above,
-    which then meets column 1.
+    (boxes sharing an edge or a vertex touch) that miss column 1.  The walk
+    descends the parts of lam: entry i of mu lies between lam_i and
+    min(lam_{i-1}, mu_{i-1} - 1), by interlacing and strictness, and the
+    row beyond lam (lam_i = 0) takes what remains.  An entry that grows
+    leaves the later ones at most lam_i + lam_{i+1} + ...; one that stays
+    at lam_i leaves them the strict chain lam_i - 1, min(lam_{i+1}, .) - 1,
+    ..., so every branch ends in a shape.  The weight is counted on the way
+    down: a row that gains boxes doubles it unless it touches the row above
+    (which gained boxes too, and mu_i = lam_{i-1}), and the row beyond lam
+    halves it when it joins the component above, which then meets column 1.
 
     A shape (n + 1, nu) is the index ((n+1)^1, nu) of the read-out,
     q sigma_nu / 2: its mask is already the key of (nu, 1), as the part
@@ -434,6 +435,16 @@ def pieri_operator_check(lam: Partition, i: int, j: int, n: int) -> bool:
     if i < j:
         return _fold({}, _fold({}, x, j, n), i, n) == _fold({}, _fold({}, x, i, n), j, n)
     return not _fold_terms({}, x, _two_row(i, i, n), n)
+
+
+def pieri_row_check(lam: Partition, k: int, n: int) -> bool:
+    """Check route B's Pieri row of sigma_k on sigma_lam against the
+    product of basis elements qtilde(lam) e_k, its stable expansion read
+    out as routes A and C read theirs (``_read_quantum``): the row's terms,
+    each worth 2**e.  At n >= lam_1 + k every strip shape is a step-0
+    term, so the row is the uncapped Pieri rule of the basis."""
+    return _read_quantum(stable_expansion(lam, (k,) if k else ()), n) == {
+        cls: 1 << e for cls, e in pieri_row(lam, k, n)}
 
 
 def vanishing_bounds(lam: Partition, mu: Partition, nu: Partition, d: int, n: int) -> bool:

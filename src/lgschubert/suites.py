@@ -13,16 +13,8 @@ import random
 
 from . import classical, quantum
 from .partitions import all_strict_upto, dual, enumerate_partitions
-from .polyring import EPoly, check_var_limit
-from .qtilde import (
-    VerificationError,
-    basis,
-    expand_in_basis,
-    f_constant,
-    pieri_strict,
-    property_cases,
-    property_check,
-)
+from .polyring import check_var_limit
+from .qtilde import VerificationError, f_constant, property_cases, property_check
 from .symplectic import (
     dawson,
     verify_cprime_expansion,
@@ -237,14 +229,17 @@ def suite_sigma_ij(n: int) -> list[dict]:
 
 
 def suite_pieri_oracle(wmax: int = 10) -> list[dict]:
-    """Combinatorial Pieri rule against the polynomial product, for every
-    strict partition of weight <= wmax and 0 <= k <= 6."""
+    """Route B's Pieri rows (``quantum.pieri_row_check``) against the
+    polynomial product, for every strict lam of weight <= wmax,
+    0 <= k <= 6, and every rank n from max(lam_1, k, 1) to lam_1 + k, the
+    top rank holding the full uncapped Pieri rule."""
     return _sweep("pieri-oracle", (
-        {"lam": lam, "k": k}
+        {"lam": lam, "k": k, "n": n}
         for w in range(wmax + 1)
         for lam in enumerate_partitions(w, w, strict=True)
-        for k in range(7)),
-        lambda lam, k: pieri_strict(lam, k) == expand_in_basis(basis(lam, None) * EPoly.gen(k, None)))
+        for k in range(7)
+        for n in range(max(lam[:1] + (k, 1)), sum(lam[:1]) + k + 1)),
+        quantum.pieri_row_check)
 
 
 def suite_stembridge(total_max: int = 12) -> list[dict]:

@@ -6,7 +6,8 @@ from lgschubert import classical, suites
 from lgschubert.classical import classical_product, giambelli_check
 from lgschubert.partitions import all_strict_upto, dual, in_d, rho
 from lgschubert.quantum import gw
-from lgschubert.qtilde import pieri_strict, structure_constants
+from lgschubert.qtilde import stable_expansion
+from test_partitions import oracle_strips
 
 
 def integral(x, n):
@@ -61,7 +62,7 @@ class TestProduct:
     def test_one_row_factor_matches_pieri(self, n):
         for lam in all_strict_upto(n):
             for k in range(1, n + 1):
-                via_pieri = reduce_to_lg(pieri_strict(lam, k), n)
+                via_pieri = reduce_to_lg(dict(oracle_strips(lam, k, None)), n)
                 assert classical_product(lam, (k,), n) == via_pieri
 
     def test_two_row_special_product_low_degree(self):
@@ -157,7 +158,7 @@ def test_structure_constants_of_strict_triples_match_ring():
     n = 3
     for lam in all_strict_upto(n):
         for mu in all_strict_upto(n):
-            sc = structure_constants(lam, mu)
+            sc = stable_expansion(lam, mu)
             cp = classical_product(lam, mu, n)
             for nu, c in cp.items():
                 assert sc[nu] == c

@@ -120,8 +120,9 @@ def test_readme_lists_every_suite():
 
 # Spans whose function is gone from the package: bench/run.py reads each as
 # 0 until the benchmark names its successor (``polyring.peel``) or drops it
-# (``partitions.shrink_strips``, whose q-terms route B's own walk now reaches).
-RETIRED_SPANS = {"polyring.epoly_to_xpoly", "partitions.shrink_strips"}
+# (``partitions.shrink_strips``, whose q-terms route B's own walk now reaches,
+# and ``partitions.grow_strips``, as ``pieri-oracle`` now checks route B's rows).
+RETIRED_SPANS = {"polyring.epoly_to_xpoly", "partitions.shrink_strips", "partitions.grow_strips"}
 
 
 def test_benchmark_span_names_resolve():
@@ -151,28 +152,26 @@ def test_benchmark_span_names_resolve():
     assert set(missing) == RETIRED_SPANS
 
 
-def test_strips_come_strict_out_of_the_enumerator():
-    """Two strip walks, one each: ``partitions.grow_strips`` walks the
-    strips of every shape, with no strict or capped mode (no parameter
-    beyond lam and k), and no removed-strip walk (``shrink_strips``) or
-    shared helper (``_interlaced``) is left beside it; ``quantum._row`` is
-    the one strict walk, route B's, on masks.  Strictness is a bound inside
-    that walk, never a filter after it: ``quantum`` names neither
-    ``is_strict`` nor ``grow_strips``, so discarded shapes cannot come back
-    as a second path."""
-    def names(tree):
-        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
-            alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
-
-    quantum_tree = ast.parse((PACKAGE_DIR / "quantum.py").read_text())
-    assert not {"is_strict", "grow_strips"} & names(quantum_tree)
-    assert "_row" in {node.name for node in quantum_tree.body if isinstance(node, ast.FunctionDef)}
-    enumerators = [node for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name in ("_interlaced", "grow_strips", "shrink_strips")]
-    assert [f.name for f in enumerators] == ["grow_strips"]
-    assert [a.arg for a in enumerators[0].args.args + enumerators[0].args.kwonlyargs] == ["lam", "k"]
-    assert "is_strict" not in names(enumerators[0])
+def test_one_strip_walk():
+    """``quantum._row`` is the one strip walk, route B's, on masks: no
+    module keeps another strip enumerator (``grow_strips``,
+    ``shrink_strips``) or a shared helper (``_interlaced``), and the one
+    nested ``walk`` is the one inside ``_row``.  Strictness is a bound
+    inside that walk, never a filter after it: ``quantum`` does not name
+    ``is_strict``, so discarded shapes cannot come back as a second path."""
+    walks = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        for outer in ast.walk(tree):
+            if isinstance(outer, ast.FunctionDef):
+                assert outer.name not in ("grow_strips", "shrink_strips", "_interlaced")
+                walks += [(path.stem, outer.name) for node in outer.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "walk"]
+        if path.stem == "quantum":
+            assert "is_strict" not in {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+                alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for alias in n.names}
+    assert walks == [("quantum", "_row")]
 
 
 def test_one_pfaffian_sum():

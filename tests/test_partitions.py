@@ -8,7 +8,6 @@ from lgschubert.partitions import (
     all_strict_upto,
     dual,
     enumerate_partitions,
-    grow_strips,
     in_d,
     is_strict,
     partition_from_str,
@@ -122,14 +121,14 @@ class TestPfaffianTerms:
 
 
 def oracle_strips(lam, k, cap):
-    """Brute-force horizontal-strip oracle: filter every partition of the
-    target weight by containment and the one-box-per-column test, then count
-    components by explicit pairwise adjacency (union-find); each strip mu
-    gives the Pieri term (mu, 2**N), N counting the components that miss
-    column 1."""
+    """Brute-force horizontal-strip oracle: filter every strict partition
+    of the target weight with parts <= cap (uncapped for None) by
+    containment and the one-box-per-column test, then count components by
+    explicit pairwise adjacency (union-find); each strip mu gives the Pieri
+    term (mu, 2**N), N counting the components that miss column 1."""
     found = []
     w = sum(lam) + k
-    for mu in enumerate_partitions(w, cap if cap is not None else w):
+    for mu in enumerate_partitions(w, cap if cap is not None else w, strict=True):
         ell = max(len(mu), len(lam))
         mu_p = mu + (0,) * (ell - len(mu))
         lam_p = lam + (0,) * (ell - len(lam))
@@ -160,33 +159,6 @@ def oracle_strips(lam, k, cap):
         found.append((mu, 1 << len(roots - col1_roots)))
     found.sort(reverse=True)
     return found
-
-
-class TestGrowStrips:
-    def test_examples(self):
-        assert grow_strips((2,), 2) == [((4,), 2), ((3, 1), 2), ((2, 2), 1)]
-        assert grow_strips((), 0) == [((), 1)]
-        assert grow_strips((2, 1), 1) == [((3, 1), 2), ((2, 2), 2), ((2, 1, 1), 1)]
-
-    @pytest.mark.parametrize("cap", [None, 3, 5])
-    def test_against_oracle(self, cap):
-        """The walk is uncapped; kept to first part <= cap, as route B's
-        rows are read off it in the tests, it is the capped oracle."""
-        shapes = [lam for w in range(7) for lam in enumerate_partitions(w, w)]
-        for lam in shapes:
-            for k in range(9):
-                assert [s for s in grow_strips(lam, k) if cap is None or s[0][:1] <= (cap,)
-                        ] == oracle_strips(lam, k, cap)
-
-    def test_one_box_per_column(self):
-        for lam in [(3, 1), (4, 2, 1)]:
-            for k in range(6):
-                for mu, _ in grow_strips(lam, k):
-                    cols = []
-                    for r, part in enumerate(mu, 1):
-                        base = lam[r - 1] if r <= len(lam) else 0
-                        cols.extend(range(base + 1, part + 1))
-                    assert len(cols) == len(set(cols))
 
 
 class TestEnumerate:

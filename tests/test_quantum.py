@@ -11,9 +11,7 @@ from lgschubert.classical import classical_product, giambelli_check, line_count_
 from lgschubert.partitions import (
     all_strict_upto,
     dual,
-    grow_strips,
     in_d,
-    is_strict,
     pfaffian_terms,
     prepend,
     rho,
@@ -348,16 +346,15 @@ class TestSubsetKeys:
 
 
 def oracle_pieri_rows(n):
-    """Every ``pieri_row`` of D_n, built from the union-find strip oracle
-    filtered by strictness: the strict strips grown on lam by k boxes (cap
-    n) in step 0, and in step 1 each strict nu that lam grows from by
+    """Every ``pieri_row`` of D_n, built from the union-find strip oracle,
+    which enumerates strict shapes only: the strips grown on lam by k boxes
+    (cap n) in step 0, and in step 1 each strict nu that lam grows from by
     n + 1 - k boxes, in descending order of nu, with e one less than the
     components of lam/nu.  Those are the N components of its Pieri term
     (lam, 2**N) that miss column 1, and one more when lam is longer than nu,
     since then the strip reaches column 1."""
     classes = all_strict_upto(n)
-    grown = {(nu, j): [(mu, w) for mu, w in oracle_strips(nu, j, n) if is_strict(mu)]
-             for nu in classes for j in range(n + 2)}
+    grown = {(nu, j): oracle_strips(nu, j, n) for nu in classes for j in range(n + 2)}
     rows = {}
     for lam in classes:
         for k in range(n + 1):
@@ -368,25 +365,11 @@ def oracle_pieri_rows(n):
     return rows
 
 
-def plain_walk_rows(n):
-    """Every ``pieri_row`` of D_n, read off the plain strip walk
-    ``grow_strips(lam, k)``: its strict shapes with first part at most
-    n + 1, in its order, each shape (n + 1, nu) read as q sigma_nu at
-    exponent one less and put after the others."""
-    rows = {}
-    for lam in all_strict_upto(n):
-        for k in range(n + 1):
-            kept = [(mu, w.bit_length() - 1) for mu, w in grow_strips(lam, k)
-                    if is_strict(mu) and mu[:1] <= (n + 1,)]
-            rows[lam, k] = (tuple(((mu, 0), e) for mu, e in kept if mu[:1] <= (n,))
-                            + tuple(((mu[1:], 1), e - 1) for mu, e in kept if mu[:1] == (n + 1,)))
-    return rows
-
-
 class TestPieriRow:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_strip_oracle(self, n):
-        """Every row, as the same tuple in the same order."""
+        """Every row, as the same tuple in the same order (n = 9 runs in
+        CI)."""
         for (lam, k), row in oracle_pieri_rows(n).items():
             assert pieri_row(lam, k, n) == row, (lam, k)
 
@@ -399,13 +382,29 @@ class TestPieriRow:
         assert pieri_row((), 2, 3) == ((((2,), 0), 0),)
         assert pieri_row((3, 1), 2, 3) == ((((3, 2, 1), 0), 0), (((2,), 1), 1))
 
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_is_the_plain_walk_kept_strict_and_capped(self, n):
-        """Route B walks its strict, capped strips on masks by itself; each
-        row is the plain walk's strict shapes with first part at most
-        n + 1, terms and order alike (n = 9 runs in CI)."""
-        for (lam, k), row in plain_walk_rows(n).items():
-            assert pieri_row(lam, k, n) == row, (lam, k)
+    @pytest.mark.parametrize("seeded, failing, first", [
+        ("q-terms unhalved", 1353, ((1,), 1, 1)),
+        ("one weight doubled", 1, ((2,), 1, 3)),
+    ], ids=["q-terms unhalved", "one weight doubled"])
+    def test_a_seeded_row_error_fails_the_oracle(self, monkeypatch, seeded, failing, first):
+        """Each seeded error in route B's rows fails ``pieri-oracle`` at
+        weights <= 12 (1,842 cases), one record per (lam, k, n) naming its
+        witness; the true rows stay memoised underneath."""
+        row = quantum._row
+
+        def seeded_row(mask, k, n):
+            terms = row(mask, k, n)
+            if seeded == "q-terms unhalved":
+                return tuple((key, m << (key >> n)) for key, m in terms)
+            if (mask, k, n) == (0b10, 1, 3):  # sigma_1 sigma_2, its first term
+                return ((terms[0][0], 2 * terms[0][1]),) + terms[1:]
+            return terms
+
+        monkeypatch.setattr(quantum, "_row", seeded_row)
+        records = suites.suite_pieri_oracle(12)
+        assert len({(r["lam"], r["k"], r["n"]) for r in records}) == len(records) == failing
+        assert all(set(r) == {"suite", "lam", "k", "n"} for r in records)
+        assert records[0] == dict(zip(("suite", "lam", "k", "n"), ("pieri-oracle",) + first))
 
 
 class TestGiambelliSpecial:
