@@ -12,6 +12,7 @@ from lgschubert.qtilde import (
     qtilde,
     stable_expansion,
 )
+from lgschubert.quantum import pieri_row
 from lgschubert.suites import suite_qtilde_properties
 from lgschubert.symplectic import verify_extension_formula
 from test_polyring import X, basis_x, exps, swap_vars
@@ -248,6 +249,20 @@ class TestStructureConstants:
                 assert small == {k: v for k, v in stable.items() if k and k[0] <= m or not k}
 
 
+class TestPieri:
+    def test_matches_polynomial_product(self):
+        """Route B's Pieri row at n = lam_1 + k, where every strip shape is
+        a classical term, is the strict part of qtilde(lam) e_k expanded in
+        the basis, each term worth 2**e."""
+        for w in range(9):
+            for lam in enumerate_partitions(w, w, strict=True):
+                for k in range(6):
+                    n = (lam[0] if lam else 0) + k or 1
+                    rhs = expand_in_basis(basis(lam, None) * EPoly.gen(k, None))
+                    assert {mu: 1 << e for (mu, d), e in pieri_row(lam, k, n) if not d} == {
+                        mu: c for mu, c in rhs.items() if is_strict(mu)}, (lam, k)
+
+
 class TestFConstant:
     def test_examples(self):
         assert f_constant((1,), (1,), (2,)) == 1
@@ -267,6 +282,13 @@ class TestFConstant:
                     assert f_constant(lam, mu, nu) >= 0
 
 
+def _warmed(bad):
+    """The partition nearest bad (its positive parts, sorted), whose
+    structure constants the memo then holds: the constants-* cases show
+    the guard still comes before the memo lookup."""
+    return tuple(sorted((p for p in bad if p > 0), reverse=True))
+
+
 class TestPartitionGuard:
     """Every public entry point that reads a partition raises the one
     usage error of ``partitions.require_partition`` for a sequence that is
@@ -279,10 +301,13 @@ class TestPartitionGuard:
         lambda bad: basis(bad, 3),
         lambda bad: stable_expansion(bad, (1,)),
         lambda bad: stable_expansion((1,), bad),
+        lambda bad: (stable_expansion(_warmed(bad), (1,)), stable_expansion(bad, (1,))),
+        lambda bad: (stable_expansion((1,), _warmed(bad)), stable_expansion((1,), bad)),
         lambda bad: f_constant(bad, (1,), (1,)),
         lambda bad: f_constant((1,), bad, (1,)),
         lambda bad: f_constant((1,), (1,), bad),
-    ], ids=["basis", "basis-m", "stable-lam", "stable-mu", "f-lam", "f-mu", "f-nu"])
+    ], ids=["basis", "basis-m", "stable-lam", "stable-mu", "constants-lam", "constants-mu",
+            "f-lam", "f-mu", "f-nu"])
     def test_rejects_non_partitions(self, call, bad):
         with pytest.raises(ValueError, match=" is not a partition$"):
             call(bad)

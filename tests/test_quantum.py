@@ -365,6 +365,21 @@ def oracle_pieri_rows(n):
     return rows
 
 
+def plain_walk_rows(n):
+    """Every ``pieri_row`` of D_n, read off the strip oracle as the basis
+    ring reads its Pieri terms: the strict shapes grown on lam by k boxes
+    with first part at most n + 1, in the oracle's order, each shape
+    (n + 1, nu) read as q sigma_nu at exponent one less and put after the
+    others."""
+    rows = {}
+    for lam in all_strict_upto(n):
+        for k in range(n + 1):
+            kept = [(mu, w.bit_length() - 1) for mu, w in oracle_strips(lam, k, n + 1)]
+            rows[lam, k] = (tuple(((mu, 0), e) for mu, e in kept if mu[:1] <= (n,))
+                            + tuple(((mu[1:], 1), e - 1) for mu, e in kept if mu[:1] == (n + 1,)))
+    return rows
+
+
 class TestPieriRow:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_the_strip_oracle(self, n):
@@ -381,6 +396,16 @@ class TestPieriRow:
         assert pieri_row((2, 1), 1, 2) == ((((1,), 1), 0),)
         assert pieri_row((), 2, 3) == ((((2,), 0), 0),)
         assert pieri_row((3, 1), 2, 3) == ((((3, 2, 1), 0), 0), (((2,), 1), 1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_is_the_plain_walk_kept_strict_and_capped(self, n):
+        """Route B walks its strict, capped strips on masks by itself; each
+        row is the strict strips with first part at most n + 1, terms and
+        order alike.  Its q-terms are read off the top row (n + 1, nu),
+        where ``oracle_pieri_rows`` finds them as the nu that lam grows
+        from."""
+        for (lam, k), row in plain_walk_rows(n).items():
+            assert pieri_row(lam, k, n) == row, (lam, k)
 
     @pytest.mark.parametrize("seeded, failing, first", [
         ("q-terms unhalved", 1353, ((1,), 1, 1)),
