@@ -4,9 +4,10 @@ variables inside the formula itself, then at every m, truncated or not,
 the one recursion ``expand_rows``, equal-pair split or the Pfaffian sum
 ``pfaffian_sum``, which the peeled forms of ``symplectic`` follow too),
 expansion in the basis, stable structure constants (memoized once
-per unordered pair, the ring being commutative; with e_k as one factor
-they are the Pieri rule that ``quantum.pieri_row_check`` holds route B's
-rows to), and the checks of the defining properties of the family.
+per unordered pair and bound, the ring being commutative; with e_k as one
+factor they are the Pieri rule that ``quantum.pieri_row_check`` holds
+route B's rows to), and the checks of the defining properties of the
+family.
 Their one x-variable check reads the basis element through
 ``polyring.peel``; the peeling identities of the x-expansion are checked
 in ``symplectic``.
@@ -15,7 +16,13 @@ A basis element qtilde(lam) is attached to every partition lam; for strict
 lam these map onto Schubert classes of the Lagrangian Grassmannian.  The
 expansion of qtilde(lam) in e-monomials is unitriangular with respect to
 dominance (leading monomial e_lam, coefficient 1), which drives the exact
-back-substitution in ``expand_in_basis``.
+back-substitution in ``expand_in_basis``.  Every other monomial of
+qtilde(lam) is lex-higher than e_lam, so the coordinates at the partitions
+with first part at most some bound depend only on those partitions' own
+pivots: given that bound (``top``), the back-substitution stops there, and
+its zero-residual check covers the monomials with no generator above it.
+Route C reads its quantum products off such bounded expansions, at
+top = n + 1.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .polyring import (
     XPANSION_VAR_LIMIT,
     EPoly,
     add_into,
+    e_key_bound,
     elementary_xpoly,
     mul_into,
     pack_e,
@@ -115,17 +123,23 @@ def qtilde(nu, m: int) -> EPoly:
     return p if sign == 1 else -p
 
 
-def expand_in_basis(f: EPoly) -> dict[Partition, int]:
+def expand_in_basis(f: EPoly, top: int | None = None) -> dict[Partition, int]:
     """Integer coordinates of f in the basis {qtilde(lam)}, keyed by
-    partitions.
+    partitions; with ``top`` given, only those of the partitions with first
+    part at most top.
 
     Works weight by weight, grouping the packed terms of f by their weight
     field: partitions of each weight are peeled in ascending lexicographic
     order, so each subtraction only disturbs lex-higher monomials, and each
     partition's pivot monomial e_lam is looked up by its packed key from
-    the memo ``_partition_keys``.  Unit pivots and a zero final residual
-    are asserted; a failure of either would mean the unitriangularity the
-    basis guarantees is broken.
+    the memo ``_partition_keys``.  The partitions with first part at most
+    top are a lex-ascending prefix of each weight, so their coordinates
+    are final once that prefix is peeled, and the peel stops there; the
+    pivots are still the elements ``basis(lam, f.m)``, truncated no
+    further.  Unit pivots are asserted, and a zero residual on every
+    monomial with no generator above top (``e_key_bound(top)``; on every
+    monomial for top = None); a failure of either would mean the
+    unitriangularity the basis guarantees is broken.
     """
     coeffs: dict[Partition, int] = {}
     by_weight: dict[int, dict[int, int]] = {}
@@ -136,7 +150,8 @@ def expand_in_basis(f: EPoly) -> dict[Partition, int]:
         if w == 0:
             coeffs[()] = residual[0]
             continue
-        for lam, key in _partition_keys(w, min(f.m, w) if f.m is not None else w):
+        cap = min(b for b in (w, f.m, top) if b is not None)
+        for lam, key in _partition_keys(w, cap):
             c = residual.get(key)
             if not c:
                 continue
@@ -146,6 +161,9 @@ def expand_in_basis(f: EPoly) -> dict[Partition, int]:
             # the unit pivot cancels residual[key] along with the rest
             add_into(residual, q.terms.items(), -c)
             coeffs[lam] = c
+        if top is not None:
+            bound = e_key_bound(top)
+            residual = {key: c for key, c in residual.items() if key < bound}
         if residual:
             raise VerificationError(f"nonzero residual at weight {w}: {unpack_e(residual)}")
     return coeffs
@@ -159,28 +177,37 @@ def _partition_keys(w: int, cap: int) -> tuple[tuple[Partition, int], ...]:
     return tuple(zip(lams, pack_e(dict.fromkeys(lams, 1))))
 
 
-def stable_expansion(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+def stable_expansion(lam: Partition, mu: Partition,
+                     top: int | None = None) -> Mapping[Partition, int]:
     """Memoized basis expansion of the untruncated product of two basis
-    elements.  EPoly multiplication is commutative, so the pair is put in
-    order before the memo lookup and (lam, mu) and (mu, lam) share one
-    expansion.  Each factor must be a partition (``require_partition``).
-    The result is shared by every caller, read-only."""
+    elements; with ``top`` given, only its coefficients at partitions with
+    first part at most top, the product's peel stopped there and its
+    residual checked below that bound (``expand_in_basis``).  EPoly
+    multiplication is commutative, so the pair is put in order before the
+    memo lookup and (lam, mu) and (mu, lam) share one expansion per top.
+    Each factor must be a partition (``require_partition``).  The result
+    is shared by every caller, read-only."""
     lam, mu = require_partition(lam), require_partition(mu)
     if mu < lam:
         lam, mu = mu, lam
-    return _ordered_expansion(lam, mu)
+    return _ordered_expansion(lam, mu, top)
 
 
 @cache
-def _ordered_expansion(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
-    return MappingProxyType(expand_in_basis(basis(lam, None) * basis(mu, None)))
+def _ordered_expansion(lam: Partition, mu: Partition, top: int | None) -> Mapping[Partition, int]:
+    return MappingProxyType(expand_in_basis(basis(lam, None) * basis(mu, None), top))
 
 
-def f_constant(lam: Partition, mu: Partition, nu: Partition) -> int:
+def f_constant(lam: Partition, mu: Partition, nu: Partition, top: int | None = None) -> int:
     """The structure constant e(lam, mu; nu) rescaled by
-    2**(len(lam) + len(mu) - len(nu)); exact divisibility is asserted."""
+    2**(len(lam) + len(mu) - len(nu)); exact divisibility is asserted.
+    With ``top`` given, e is read off ``stable_expansion(lam, mu, top)``,
+    whose peel stops at first part top, so nu must have its first part at
+    most top (ValueError otherwise)."""
     lam, mu, nu = (require_partition(p) for p in (lam, mu, nu))
-    e = stable_expansion(lam, mu).get(nu, 0)
+    if top is not None and nu[:1] > (top,):
+        raise ValueError(f"{nu} has a part above the bound {top}")
+    e = stable_expansion(lam, mu, top).get(nu, 0)
     if e == 0:
         return 0
     t = len(lam) + len(mu) - len(nu)

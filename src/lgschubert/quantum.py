@@ -3,8 +3,11 @@
 A quantum class is a finite map (strict partition with parts <= n, q-degree)
 -> integer.  Three independent multiplication engines are provided:
 
-* qprod_constants (route C): expand the untruncated product of the two
-  basis elements (the stable structure constants).
+* qprod_constants (route C): form the untruncated product of the two
+  basis elements and expand it in the basis (the stable structure
+  constants), the back-substitution stopped at first part n + 1, past
+  which the read-out keeps no index.  Its pivots are still the
+  untruncated basis elements.
 * qprod_quotient (route A): truncate both basis elements to n + 1 variables,
   multiply, and expand in the basis there.
 * qprod_pieri (route B): expand one factor along its quantum Giambelli
@@ -24,11 +27,12 @@ is dropped.  Route B's Pieri rows read their q-terms the same way, off the
 classical Pieri rule for the basis: a strict strip that grows lam to
 (n + 1, nu) gives q sigma_nu, at half the weight of its strip.  The three
 still cross-check each other in ``engines-agree``: C forms the product
-untruncated, A forms it after truncation, and B forms neither, only one
-strip walk per Pieri row, its own.  Route B is the default of
-``lgschubert product``; A and C cross-validate it, and C serves ``gw`` and
-``table``.  ``pieri_row_check`` holds each of route B's Pieri rows to the
-product of basis elements, read out as routes A and C read theirs.
+untruncated and peels it only to first part n + 1, A forms it after
+truncation, and B forms neither, only one strip walk per Pieri row, its
+own.  Route B is the default of ``lgschubert product``; A and C
+cross-validate it, and C serves ``gw`` and ``table``.  ``pieri_row_check``
+holds each of route B's Pieri rows to the product of basis elements, read
+out as routes A and C read theirs.
 
 The paper's two-row quantum Giambelli formula is written once,
 ``_two_row(i, j, n)``.  Route B reads it through ``giambelli_special`` for
@@ -121,7 +125,9 @@ def _ordered(read, lam: Partition, mu: Partition, n: int) -> Mapping:
 
 
 def qprod_constants(lam: Partition, mu: Partition, n: int) -> Mapping:
-    """Quantum product read off the stable structure constants (route C).
+    """Quantum product read off the stable structure constants (route C),
+    their expansion peeled to first part n + 1
+    (``stable_expansion(lam, mu, n + 1)``), the read-out's indices.
 
     Memoised per ordered pair and rank, like the stable expansion it reads:
     (lam, mu) and (mu, lam) share one validated result, read-only.  A
@@ -131,7 +137,7 @@ def qprod_constants(lam: Partition, mu: Partition, n: int) -> Mapping:
 
 @cache
 def _constants_read(lam: Partition, mu: Partition, n: int) -> Mapping:
-    return MappingProxyType(_read_quantum(stable_expansion(lam, mu), n))
+    return MappingProxyType(_read_quantum(stable_expansion(lam, mu, n + 1), n))
 
 
 def qprod_quotient(lam: Partition, mu: Partition, n: int) -> Mapping:
@@ -442,7 +448,8 @@ def pieri_row_check(lam: Partition, k: int, n: int) -> bool:
     product of basis elements qtilde(lam) e_k, its stable expansion read
     out as routes A and C read theirs (``_read_quantum``): the row's terms,
     each worth 2**e.  At n >= lam_1 + k every strip shape is a step-0
-    term, so the row is the uncapped Pieri rule of the basis."""
+    term, so the row is the uncapped Pieri rule of the basis.  The
+    expansion is peeled in full, one memo entry for every rank."""
     return _read_quantum(stable_expansion(lam, (k,) if k else ()), n) == {
         cls: 1 << e for cls, e in pieri_row(lam, k, n)}
 
@@ -506,12 +513,13 @@ def qlr_check(lam: Partition, mu: Partition, n: int) -> bool:
     """Check the closed quantum Littlewood-Richardson expressions for a
     second factor with two or three rows: classical constants in degree 0,
     halved prepended constants in degree 1, and rescaled constants of the
-    starred factor in the top degrees."""
+    starred factor in the top degrees.  Every index read has first part at
+    most n + 1, so each expansion is peeled to that bound, as route C's."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
     if len(mu) not in (2, 3):
         raise ValueError("second factor must have two or three rows")
     w0 = sum(lam) + sum(mu)
-    sc = stable_expansion(lam, mu)
+    sc = stable_expansion(lam, mu, n + 1)
     expected: QuantumClass = {}
     for nu in _dn_of_weight(w0, n):
         c = sc.get(nu, 0)
@@ -526,7 +534,7 @@ def qlr_check(lam: Partition, mu: Partition, n: int) -> bool:
     mu_star = star(mu, n)
     for d in range(2, len(mu) + 1):
         for nu in _dn_of_weight(w0 - d * (n + 1), n):
-            c = f_constant(nu, mu_star, prepend(n + 1, len(mu) - d, lam))
+            c = f_constant(nu, mu_star, prepend(n + 1, len(mu) - d, lam), n + 1)
             if c:
                 expected[(nu, d)] = c
     return expected == qprod_constants(lam, mu, n)
@@ -536,7 +544,9 @@ def fform_check(lam: Partition, mu: Partition, n: int) -> bool:
     """Check the rescaled-constant expressions for quantum structure
     constants: every degree-d coefficient equals the f-constant of
     (nu, mu-star; ((n+1)^e, lam)) with d + e = len(mu), and for a two-row mu
-    the degree-one constants match the starred classical identity."""
+    the degree-one constants match the starred classical identity.  Every
+    index read has first part at most n + 1, so each expansion is peeled
+    to that bound, as route C's."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
     if not mu:
         raise ValueError("second factor must be nonempty")
@@ -549,14 +559,14 @@ def fform_check(lam: Partition, mu: Partition, n: int) -> bool:
         e = ell_mu - d
         w = sum(lam) + sum(mu) - d * (n + 1)
         for nu in _dn_of_weight(w, n):
-            if actual.get((nu, d), 0) != f_constant(nu, mu_star, prepend(n + 1, e, lam)):
+            if actual.get((nu, d), 0) != f_constant(nu, mu_star, prepend(n + 1, e, lam), n + 1):
                 return False
     if ell_mu == 2:
-        base = stable_expansion(lam, mu)
+        base = stable_expansion(lam, mu, n + 1)
         w1 = sum(lam) + sum(mu) - (n + 1)
         for nu in _dn_of_weight(w1, n):
             lhs = base.get(prepend(n + 1, 1, nu), 0)
-            rhs = stable_expansion(nu, mu_star).get(prepend(n + 1, 1, lam), 0)
+            rhs = stable_expansion(nu, mu_star, n + 1).get(prepend(n + 1, 1, lam), 0)
             t = len(lam) - len(nu)
             if lhs * (1 << max(0, -t)) != rhs * (1 << max(0, t)):
                 return False

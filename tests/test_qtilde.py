@@ -222,6 +222,23 @@ class TestStructureConstants:
             assert list(ab.items()) == list(ba.items())
             assert stable_expansion(lam, mu) is ba
 
+    def test_a_bounded_peel_keeps_the_coefficients_below_its_bound(self):
+        """For every ordered pair of partitions, strict or not, with
+        |lam| + |mu| <= 12, and every top from 1 to the largest first part
+        of the expansion, the expansion with its peel stopped at top is the
+        full expansion restricted to partitions with first part <= top."""
+        pool = [lam for w in range(13) for lam in enumerate_partitions(w, w)]
+        for lam in pool:
+            for mu in pool:
+                if sum(lam) + sum(mu) > 12:
+                    continue
+                full = stable_expansion(lam, mu)
+                largest = max((nu[0] for nu in full if nu), default=0)
+                for top in range(1, largest + 1):
+                    assert stable_expansion(lam, mu, top) == {
+                        nu: c for nu, c in full.items() if nu[:1] <= (top,)}, (lam, mu, top)
+        qtilde_module._ordered_expansion.cache_clear()
+
     def test_expansion_valid_in_x_model(self):
         """Substitute actual x-variables: the claimed expansion must hold as
         a polynomial identity in Z[x_1..x_m], a representation disjoint from
@@ -269,6 +286,15 @@ class TestFConstant:
         assert f_constant((1,), (1,), (1, 1)) == 1
         assert f_constant((2, 1), (), (2, 1)) == 1
         assert f_constant((1,), (1,), (3,)) == 0
+
+    def test_a_bound_at_or_above_the_index_reads_the_same_constant(self):
+        """With a bound, the constant is read off the expansion peeled to
+        it; an index with a part above the bound, whose coefficient that
+        expansion leaves out, is refused rather than read as 0."""
+        for top in (3, 4, None):
+            assert f_constant((2, 1), (2,), (3, 2), top) == f_constant((2, 1), (2,), (3, 2)) == 1
+        with pytest.raises(ValueError, match=r"^\(2,\) has a part above the bound 1$"):
+            f_constant((1,), (1,), (2,), 1)
 
     def test_strict_triples_nonnegative(self):
         strict = [

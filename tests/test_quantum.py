@@ -1,12 +1,14 @@
 import contextlib
 import functools
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lgschubert import partitions, qtilde, quantum, suites
+from lgschubert.cli import main
 from lgschubert.classical import classical_product, giambelli_check, line_count_check
 from lgschubert.partitions import (
     all_strict_upto,
@@ -56,6 +58,91 @@ class TestRouteC:
         with pytest.raises(ValueError):
             qprod_constants((3,), (1,), 2)
 
+    def test_peels_no_pivot_above_the_read_out(self, monkeypatch):
+        """Route C stops its back-substitution at first part n + 1: over
+        every pair of D_4, from empty memos, ``basis`` is asked for no
+        untruncated element with a part above 5, neither as a factor nor
+        as a pivot, so the read-out's dropped coefficients are never
+        peeled."""
+        seen = set()
+
+        def spy(lam, m):
+            seen.add((lam, m))
+            return basis(lam, m)
+
+        monkeypatch.setattr(qtilde, "basis", spy)
+        monkeypatch.setattr(quantum, "basis", spy)
+        clear_basis_memos()
+        try:
+            for lam, mu in itertools.product(all_strict_upto(4), repeat=2):
+                qprod_constants(lam, mu, 4)
+        finally:
+            monkeypatch.undo()
+            clear_basis_memos()
+        assert any(m is None and lam[:1] == (5,) for lam, m in seen)
+        assert not [lam for lam, m in seen if m is None and lam[:1] > (5,)]
+
+    def test_a_non_unit_pivot_inside_the_bound_fails(self, capsys):
+        """A pivot of 2 at (4, 1), whose first part is n + 1 = 4, the last
+        the bounded peel reaches: route C raises, and ``engines-agree`` and
+        ``qtilde-properties`` each report it and exit 1."""
+        with faulty_basis((4, 1), {(4, 1): 1}):
+            with pytest.raises(VerificationError, match=r"^non-unit pivot for \(4, 1\)$"):
+                qprod_constants((3, 1), (1,), 3)
+            for argv in (["verify", "engines-agree", "--n", "3"],
+                         ["verify", "qtilde-properties", "--m", "4", "--wmax", "5"]):
+                assert main(argv) == 1, argv
+                assert "non-unit pivot for (4, 1)" in capsys.readouterr().out
+
+    def test_a_residual_inside_the_bound_fails(self):
+        """A lex-lower term e_(3,2) in the element of (4, 1) breaks the
+        unitriangularity the peel relies on; the residual it leaves has no
+        part above the bound n + 1 = 4, so the bounded peel still raises."""
+        with faulty_basis((4, 1), {(3, 2): 1}):
+            with pytest.raises(VerificationError, match=r"^nonzero residual at weight 5: "):
+                qprod_constants((3, 1), (1,), 3)
+
+    def test_a_lex_higher_term_inside_the_bound_fails_the_cross_check(self, capsys):
+        """A lex-higher term e_3 in the element of (2, 1) keeps the family
+        unitriangular, so no peel can see it: the expansion in that family
+        is exact, only wrong.  Route B, which reads no basis element,
+        disagrees, and ``engines-agree`` exits 1."""
+        with faulty_basis((2, 1), {(3,): 1}):
+            assert qprod_constants((2,), (1,), 3) == {((3,), 0): 1, ((2, 1), 0): 1}
+            assert main(["verify", "engines-agree", "--n", "3"]) == 1
+            failures = json.loads(capsys.readouterr().out)["failures"]
+            assert {"suite": "engines-agree", "lam": [2], "mu": [1], "n": 3} in failures
+
+
+def clear_basis_memos():
+    """Empty ``basis`` and every memo built on it, so the next product asks
+    ``basis`` for each element afresh."""
+    basis.cache_clear()
+    qtilde._ordered_expansion.cache_clear()
+    clear_product_memos()
+
+
+@contextlib.contextmanager
+def faulty_basis(lam, extra):
+    """Every element basis(lam, m) served with the term map ``extra``,
+    keyed by generator tuples, added to it (the terms that fit m): all
+    memos built on ``basis`` are cleared on entry and on exit."""
+    def patched(nu, m):
+        q = basis(nu, m)
+        if nu != lam:
+            return q
+        fits = {gens: c for gens, c in extra.items() if m is None or gens[0] <= m}
+        return q + polyring.EPoly(m, polyring.pack_e(fits))
+
+    clear_basis_memos()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qtilde, "basis", patched)
+            mp.setattr(quantum, "basis", patched)
+            yield
+    finally:
+        clear_basis_memos()
+
 
 def clear_product_memos():
     """Empty the read-out memos: route C's over the stable expansions, which
@@ -73,8 +160,8 @@ def poisoned(lam, mu, key, value):
     the read-out memo is cleared on entry and on exit."""
     pair, memo = tuple(sorted((lam, mu))), qtilde._ordered_expansion
 
-    def patched(a, b):
-        expansion = memo(a, b)
+    def patched(a, b, top):
+        expansion = memo(a, b, top)
         return {**expansion, key: value} if (a, b) == pair else expansion
 
     clear_product_memos()
