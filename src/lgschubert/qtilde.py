@@ -17,12 +17,20 @@ lam these map onto Schubert classes of the Lagrangian Grassmannian.  The
 expansion of qtilde(lam) in e-monomials is unitriangular with respect to
 dominance (leading monomial e_lam, coefficient 1), which drives the exact
 back-substitution in ``expand_in_basis``.  Every other monomial of
-qtilde(lam) is lex-higher than e_lam, so the coordinates at the partitions
-with first part at most some bound depend only on those partitions' own
-pivots: given that bound (``top``), the back-substitution stops there, and
-its zero-residual check covers the monomials with no generator above it.
-Route C reads its quantum products off such bounded expansions, at
-top = n + 1.
+qtilde(lam) is lex-higher than e_lam, so an element whose first part is
+above some bound has no monomial free of generators above it, and the
+coordinates at the partitions with first part at most that bound
+(``top``) depend only on the monomials below it.  Given top, the
+expansion drops every other monomial up front, stops the
+back-substitution at first part top, and peels with the bounded elements
+``_bounded(lam, top)``: the finished untruncated element less its
+monomials with a generator above top.  Packed fields add without carry,
+so the product of two bounded elements is the untruncated product less
+the same monomials, and ``stable_expansion`` forms only that.  Route C
+reads its quantum products off such bounded expansions, at top = n + 1:
+it truncates the finished untruncated elements, where route A truncates
+inside the recursion that builds each element, ``basis(lam, n + 1)``,
+which route C never reads.
 """
 
 from __future__ import annotations
@@ -132,19 +140,26 @@ def expand_in_basis(f: EPoly, top: int | None = None) -> dict[Partition, int]:
     field: partitions of each weight are peeled in ascending lexicographic
     order, so each subtraction only disturbs lex-higher monomials, and each
     partition's pivot monomial e_lam is looked up by its packed key from
-    the memo ``_partition_keys``.  The partitions with first part at most
-    top are a lex-ascending prefix of each weight, so their coordinates
-    are final once that prefix is peeled, and the peel stops there; the
-    pivots are still the elements ``basis(lam, f.m)``, truncated no
-    further.  Unit pivots are asserted, and a zero residual on every
-    monomial with no generator above top (``e_key_bound(top)``; on every
-    monomial for top = None); a failure of either would mean the
-    unitriangularity the basis guarantees is broken.
+    the memo ``_partition_keys``.  Without top the pivots are the elements
+    ``basis(lam, f.m)``.  The partitions with first part at most top are a
+    lex-ascending prefix of each weight, and their coordinates depend only
+    on the monomials with no generator above top (below
+    ``e_key_bound(top)``): given top, f's other monomials are dropped up
+    front, the peel stops at that prefix, and each pivot is the bounded
+    element ``_bounded(lam, top)``, the untruncated element less its
+    monomials at or above the bound (top lowered to f.m for a truncated
+    f).  Unit pivots are asserted, and a zero residual on every monomial
+    kept; a failure of either would mean the unitriangularity the basis
+    guarantees is broken.
     """
+    if top is not None and f.m is not None:
+        top = min(top, f.m)
+    bound = None if top is None else e_key_bound(top)
     coeffs: dict[Partition, int] = {}
     by_weight: dict[int, dict[int, int]] = {}
     for key, c in f.terms.items():
-        by_weight.setdefault(key & E_WEIGHT_MASK, {})[key] = c
+        if bound is None or key < bound:
+            by_weight.setdefault(key & E_WEIGHT_MASK, {})[key] = c
     for w in sorted(by_weight):
         residual = by_weight[w]
         if w == 0:
@@ -155,18 +170,32 @@ def expand_in_basis(f: EPoly, top: int | None = None) -> dict[Partition, int]:
             c = residual.get(key)
             if not c:
                 continue
-            q = basis(lam, f.m)
+            q = basis(lam, f.m) if top is None else _bounded(lam, top)
             if q.terms.get(key, 0) != 1:
                 raise VerificationError(f"non-unit pivot for {lam}")
             # the unit pivot cancels residual[key] along with the rest
             add_into(residual, q.terms.items(), -c)
             coeffs[lam] = c
-        if top is not None:
-            bound = e_key_bound(top)
-            residual = {key: c for key, c in residual.items() if key < bound}
         if residual:
             raise VerificationError(f"nonzero residual at weight {w}: {unpack_e(residual)}")
     return coeffs
+
+
+@cache
+def _bounded(lam: Partition, top: int | None) -> EPoly:
+    """The untruncated element ``basis(lam, None)`` less its monomials with
+    a generator above top (at or above ``e_key_bound(top)``), itself for
+    top = None.  Filtered from the finished element, never read from the
+    truncated ``basis(lam, top)``, route A's, so route C stays independent
+    of route A.  Packed fields add without carry, so a product monomial
+    lies below the bound exactly when both factor monomials do: the product
+    of two bounded elements is the untruncated product less the same
+    monomials.  Memoized per (lam, top), its terms read-only."""
+    q = basis(lam, None)
+    if top is None:
+        return q
+    bound = e_key_bound(top)
+    return EPoly(None, {key: c for key, c in q.terms.items() if key < bound})
 
 
 @cache
@@ -181,8 +210,10 @@ def stable_expansion(lam: Partition, mu: Partition,
                      top: int | None = None) -> Mapping[Partition, int]:
     """Memoized basis expansion of the untruncated product of two basis
     elements; with ``top`` given, only its coefficients at partitions with
-    first part at most top, the product's peel stopped there and its
-    residual checked below that bound (``expand_in_basis``).  EPoly
+    first part at most top: the product of the two bounded elements
+    ``_bounded(lam, top)``, the untruncated product less its monomials with
+    a generator above top, peeled to first part top with bounded pivots
+    and its residual checked (``expand_in_basis``).  EPoly
     multiplication is commutative, so the pair is put in order before the
     memo lookup and (lam, mu) and (mu, lam) share one expansion per top.
     Each factor must be a partition (``require_partition``).  The result
@@ -195,7 +226,7 @@ def stable_expansion(lam: Partition, mu: Partition,
 
 @cache
 def _ordered_expansion(lam: Partition, mu: Partition, top: int | None) -> Mapping[Partition, int]:
-    return MappingProxyType(expand_in_basis(basis(lam, None) * basis(mu, None), top))
+    return MappingProxyType(expand_in_basis(_bounded(lam, top) * _bounded(mu, top), top))
 
 
 def f_constant(lam: Partition, mu: Partition, nu: Partition, top: int | None = None) -> int:

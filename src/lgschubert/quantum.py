@@ -3,11 +3,12 @@
 A quantum class is a finite map (strict partition with parts <= n, q-degree)
 -> integer.  Three independent multiplication engines are provided:
 
-* qprod_constants (route C): form the untruncated product of the two
-  basis elements and expand it in the basis (the stable structure
-  constants), the back-substitution stopped at first part n + 1, past
-  which the read-out keeps no index.  Its pivots are still the
-  untruncated basis elements.
+* qprod_constants (route C): expand the product of the two untruncated
+  basis elements in the basis (the stable structure constants), only as
+  far as the read-out sees: the read-out keeps no index past first part
+  n + 1, so the factors and the pivots are the finished untruncated
+  elements less their monomials with a generator above n + 1, and the
+  back-substitution stops at first part n + 1.
 * qprod_quotient (route A): truncate both basis elements to n + 1 variables,
   multiply, and expand in the basis there.
 * qprod_pieri (route B): expand one factor along its quantum Giambelli
@@ -26,10 +27,10 @@ Routes C and A share one read-out, ``_read_quantum``: the index
 is dropped.  Route B's Pieri rows read their q-terms the same way, off the
 classical Pieri rule for the basis: a strict strip that grows lam to
 (n + 1, nu) gives q sigma_nu, at half the weight of its strip.  The three
-still cross-check each other in ``engines-agree``: C forms the product
-untruncated and peels it only to first part n + 1, A forms it after
-truncation, and B forms neither, only one strip walk per Pieri row, its
-own.  Route B is the default of ``lgschubert product``; A and C
+still cross-check each other in ``engines-agree``: C truncates the
+finished untruncated elements, A truncates inside the recursion that
+builds each element, and B forms neither, only one strip walk per Pieri
+row, its own.  Route B is the default of ``lgschubert product``; A and C
 cross-validate it, and C serves ``gw`` and ``table``.  ``pieri_row_check``
 holds each of route B's Pieri rows to the product of basis elements, read
 out as routes A and C read theirs.

@@ -391,7 +391,7 @@ MEMOS = {
     "cli": {"_layout", "build_parser", "code_fingerprint"},
     "partitions": {"_enum"},
     "polyring": {"_peel_steps", "elementary_xpoly"},
-    "qtilde": {"_ordered_expansion", "_partition_keys", "basis"},
+    "qtilde": {"_bounded", "_ordered_expansion", "_partition_keys", "basis"},
     "quantum": {"_constants_read", "_quotient_read", "_row", "giambelli_special"},
     "symplectic": {"_peel_terms", "_peeled", "c_double_prime", "c_prime"},
 }

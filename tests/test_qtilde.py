@@ -239,6 +239,33 @@ class TestStructureConstants:
                         nu: c for nu, c in full.items() if nu[:1] <= (top,)}, (lam, mu, top)
         qtilde_module._ordered_expansion.cache_clear()
 
+    def test_a_bounded_element_is_the_untruncated_one_less_the_generators_above_top(self):
+        """For every partition of weight <= 10 and top 1..6, the bounded
+        element that route C multiplies and peels with is basis(lam, None)
+        less its monomials with a generator above top, itself for
+        top = None."""
+        for lam in (lam for w in range(11) for lam in enumerate_partitions(w, w)):
+            full = basis(lam, None)
+            assert qtilde_module._bounded(lam, None) == full
+            for top in range(1, 7):
+                bounded = qtilde_module._bounded(lam, top)
+                assert bounded.m is None
+                assert unpack_e(bounded.terms) == {
+                    gens: c for gens, c in unpack_e(full.terms).items() if gens[:1] <= (top,)
+                }, (lam, top)
+
+    def test_a_bounded_peel_of_a_truncated_product_keeps_its_coefficients(self):
+        """A bound at or above the truncation level m peels as far as m
+        does, and a lower one keeps the coefficients with first part at
+        most top."""
+        m = 4
+        for lam, mu in [((2, 1), (3, 1)), ((4, 2), (3,)), ((2, 2, 1), (1,))]:
+            f = qtilde(lam, m) * qtilde(mu, m)
+            full = expand_in_basis(f)
+            for top in range(1, 7):
+                assert expand_in_basis(f, top) == {
+                    nu: c for nu, c in full.items() if nu[:1] <= (top,)}, (lam, mu, top)
+
     def test_expansion_valid_in_x_model(self):
         """Substitute actual x-variables: the claimed expansion must hold as
         a polynomial identity in Z[x_1..x_m], a representation disjoint from

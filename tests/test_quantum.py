@@ -64,23 +64,32 @@ class TestRouteC:
         untruncated element with a part above 5, neither as a factor nor
         as a pivot, so the read-out's dropped coefficients are never
         peeled."""
-        seen = set()
-
-        def spy(lam, m):
-            seen.add((lam, m))
-            return basis(lam, m)
-
-        monkeypatch.setattr(qtilde, "basis", spy)
-        monkeypatch.setattr(quantum, "basis", spy)
-        clear_basis_memos()
-        try:
-            for lam, mu in itertools.product(all_strict_upto(4), repeat=2):
-                qprod_constants(lam, mu, 4)
-        finally:
-            monkeypatch.undo()
-            clear_basis_memos()
+        seen = route_c_basis_requests(monkeypatch, 4)
         assert any(m is None and lam[:1] == (5,) for lam, m in seen)
         assert not [lam for lam, m in seen if m is None and lam[:1] > (5,)]
+
+    def test_reads_no_truncated_element(self, monkeypatch):
+        """Route C truncates the finished untruncated elements, never
+        reading route A's: over every pair of D_4, from empty memos,
+        ``basis`` is asked only for m = None."""
+        seen = route_c_basis_requests(monkeypatch, 4)
+        assert seen and {m for _, m in seen} == {None}
+
+    def test_a_fault_in_the_truncated_elements_only_misses_route_c(self, capsys):
+        """A lex-higher term e_3 planted only in basis((2, 1), n + 1), the
+        element route A truncates inside its recursion, leaves every
+        route-C product of D_3 as it was, and route A's disagreement with
+        route B makes ``engines-agree`` exit 1."""
+        n = 3
+        pairs = list(itertools.product(all_strict_upto(n), repeat=2))
+        clear_basis_memos()
+        before = {pair: dict(qprod_constants(*pair, n)) for pair in pairs}
+        with faulty_basis((2, 1), {(3,): 1}, levels={n + 1}):
+            assert {pair: dict(qprod_constants(*pair, n)) for pair in pairs} == before
+            assert qprod_quotient((2,), (1,), n) != before[(2,), (1,)]
+            assert main(["verify", "engines-agree", "--n", str(n)]) == 1
+            failures = json.loads(capsys.readouterr().out)["failures"]
+            assert {"suite": "engines-agree", "lam": [2], "mu": [1], "n": n} in failures
 
     def test_a_non_unit_pivot_inside_the_bound_fails(self, capsys):
         """A pivot of 2 at (4, 1), whose first part is n + 1 = 4, the last
@@ -118,18 +127,41 @@ def clear_basis_memos():
     """Empty ``basis`` and every memo built on it, so the next product asks
     ``basis`` for each element afresh."""
     basis.cache_clear()
+    qtilde._bounded.cache_clear()
     qtilde._ordered_expansion.cache_clear()
     clear_product_memos()
 
 
+def route_c_basis_requests(monkeypatch, n):
+    """The (lam, m) that route C asks ``basis`` for over every pair of
+    D_n, every memo built on ``basis`` empty first."""
+    seen = set()
+
+    def spy(lam, m):
+        seen.add((lam, m))
+        return basis(lam, m)
+
+    monkeypatch.setattr(qtilde, "basis", spy)
+    monkeypatch.setattr(quantum, "basis", spy)
+    clear_basis_memos()
+    try:
+        for lam, mu in itertools.product(all_strict_upto(n), repeat=2):
+            qprod_constants(lam, mu, n)
+    finally:
+        monkeypatch.undo()
+        clear_basis_memos()
+    return seen
+
+
 @contextlib.contextmanager
-def faulty_basis(lam, extra):
+def faulty_basis(lam, extra, levels=None):
     """Every element basis(lam, m) served with the term map ``extra``,
-    keyed by generator tuples, added to it (the terms that fit m): all
-    memos built on ``basis`` are cleared on entry and on exit."""
+    keyed by generator tuples, added to it (the terms that fit m), or only
+    those with m in ``levels`` when that is given: all memos built on
+    ``basis`` are cleared on entry and on exit."""
     def patched(nu, m):
         q = basis(nu, m)
-        if nu != lam:
+        if nu != lam or levels is not None and m not in levels:
             return q
         fits = {gens: c for gens, c in extra.items() if m is None or gens[0] <= m}
         return q + polyring.EPoly(m, polyring.pack_e(fits))
@@ -260,6 +292,7 @@ class TestReadOnlyMemos:
         lambda: giambelli_special((3, 2), 3),
         lambda: basis((3, 1), 4).terms,
         lambda: basis((3, 3, 1), None).terms,
+        lambda: qtilde._bounded((3, 3, 1), 4).terms,
         lambda: symplectic._peeled((3, 2, 1), 4, 1).terms,
         lambda: symplectic.c_prime((3, 1), 4).terms,
         lambda: symplectic.c_double_prime((3, 1), 4).terms,
@@ -267,7 +300,7 @@ class TestReadOnlyMemos:
         lambda: polyring._peel_steps(4, 1),
         lambda: polyring._peel_steps(4, 1)[2],
     ], ids=["_ordered_expansion", "_constants_read", "_quotient_read", "giambelli_special", "basis",
-            "basis-rows", "_peeled", "c_prime", "c_double_prime", "elementary_xpoly",
+            "basis-rows", "_bounded", "_peeled", "c_prime", "c_double_prime", "elementary_xpoly",
             "_peel_steps", "_peel_steps-term-map"])
     def test_a_write_into_a_memo_result_raises(self, result):
         memo = result()
