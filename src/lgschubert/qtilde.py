@@ -16,21 +16,18 @@ A basis element qtilde(lam) is attached to every partition lam; for strict
 lam these map onto Schubert classes of the Lagrangian Grassmannian.  The
 expansion of qtilde(lam) in e-monomials is unitriangular with respect to
 dominance (leading monomial e_lam, coefficient 1), which drives the exact
-back-substitution in ``expand_in_basis``.  Every other monomial of
-qtilde(lam) is lex-higher than e_lam, so an element whose first part is
-above some bound has no monomial free of generators above it, and the
-coordinates at the partitions with first part at most that bound
-(``top``) depend only on the monomials below it.  Given top, the
-expansion drops every other monomial up front, stops the
-back-substitution at first part top, and peels with the bounded elements
-``_bounded(lam, top)``: the finished untruncated element less its
-monomials with a generator above top.  Packed fields add without carry,
-so the product of two bounded elements is the untruncated product less
-the same monomials, and ``stable_expansion`` forms only that.  Route C
-reads its quantum products off such bounded expansions, at top = n + 1:
-it truncates the finished untruncated elements, where route A truncates
-inside the recursion that builds each element, ``basis(lam, n + 1)``,
-which route C never reads.
+back-substitution in ``expand_in_basis``: one peel, over the partitions
+with parts at most the variable count, with pivots from the family it is
+given.  Truncation e_i -> 0 (i > m) is a ring homomorphism that sends
+every element whose first part is above m to zero and every other one to
+its truncation, so the coordinates of a truncated product are those of
+the untruncated product at the partitions with first part at most m.
+Route C reads its quantum products off such truncated expansions, at
+m = n + 1, with its own elements ``_bounded(lam, m)``: the finished
+untruncated element less its monomials with a generator above m, the one
+place the read-out's bound is applied.  Route A truncates inside the
+recursion that builds each element, ``basis(lam, n + 1)``, which route C
+never reads.
 """
 
 from __future__ import annotations
@@ -131,46 +128,35 @@ def qtilde(nu, m: int) -> EPoly:
     return p if sign == 1 else -p
 
 
-def expand_in_basis(f: EPoly, top: int | None = None) -> dict[Partition, int]:
-    """Integer coordinates of f in the basis {qtilde(lam)}, keyed by
-    partitions; with ``top`` given, only those of the partitions with first
-    part at most top.
+def expand_in_basis(f: EPoly, element=None) -> dict[Partition, int]:
+    """Integer coordinates of f in the basis {element(lam, f.m)}, keyed by
+    partitions: ``basis`` by default, route C's ``_bounded`` for its
+    truncated products.
 
     Works weight by weight, grouping the packed terms of f by their weight
-    field: partitions of each weight are peeled in ascending lexicographic
-    order, so each subtraction only disturbs lex-higher monomials, and each
-    partition's pivot monomial e_lam is looked up by its packed key from
-    the memo ``_partition_keys``.  Without top the pivots are the elements
-    ``basis(lam, f.m)``.  The partitions with first part at most top are a
-    lex-ascending prefix of each weight, and their coordinates depend only
-    on the monomials with no generator above top (below
-    ``e_key_bound(top)``): given top, f's other monomials are dropped up
-    front, the peel stops at that prefix, and each pivot is the bounded
-    element ``_bounded(lam, top)``, the untruncated element less its
-    monomials at or above the bound (top lowered to f.m for a truncated
-    f).  Unit pivots are asserted, and a zero residual on every monomial
-    kept; a failure of either would mean the unitriangularity the basis
-    guarantees is broken.
+    field: partitions of each weight with parts at most f.m are peeled in
+    ascending lexicographic order, so each subtraction only disturbs
+    lex-higher monomials, and each partition's pivot monomial e_lam is
+    looked up by its packed key from the memo ``_partition_keys``.  The
+    pivots are ``element(lam, f.m)``, the family resolved when the peel
+    runs.  Unit pivots are asserted, and a zero residual; a failure of
+    either would mean the unitriangularity the basis guarantees is broken.
     """
-    if top is not None and f.m is not None:
-        top = min(top, f.m)
-    bound = None if top is None else e_key_bound(top)
+    element = element or basis
     coeffs: dict[Partition, int] = {}
     by_weight: dict[int, dict[int, int]] = {}
     for key, c in f.terms.items():
-        if bound is None or key < bound:
-            by_weight.setdefault(key & E_WEIGHT_MASK, {})[key] = c
+        by_weight.setdefault(key & E_WEIGHT_MASK, {})[key] = c
     for w in sorted(by_weight):
         residual = by_weight[w]
         if w == 0:
             coeffs[()] = residual[0]
             continue
-        cap = min(b for b in (w, f.m, top) if b is not None)
-        for lam, key in _partition_keys(w, cap):
+        for lam, key in _partition_keys(w, w if f.m is None else min(w, f.m)):
             c = residual.get(key)
             if not c:
                 continue
-            q = basis(lam, f.m) if top is None else _bounded(lam, top)
+            q = element(lam, f.m)
             if q.terms.get(key, 0) != 1:
                 raise VerificationError(f"non-unit pivot for {lam}")
             # the unit pivot cancels residual[key] along with the rest
@@ -182,20 +168,19 @@ def expand_in_basis(f: EPoly, top: int | None = None) -> dict[Partition, int]:
 
 
 @cache
-def _bounded(lam: Partition, top: int | None) -> EPoly:
-    """The untruncated element ``basis(lam, None)`` less its monomials with
-    a generator above top (at or above ``e_key_bound(top)``), itself for
-    top = None.  Filtered from the finished element, never read from the
-    truncated ``basis(lam, top)``, route A's, so route C stays independent
-    of route A.  Packed fields add without carry, so a product monomial
-    lies below the bound exactly when both factor monomials do: the product
-    of two bounded elements is the untruncated product less the same
-    monomials.  Memoized per (lam, top), its terms read-only."""
+def _bounded(lam: Partition, m: int | None) -> EPoly:
+    """Route C's element in m variables: the untruncated element
+    ``basis(lam, None)`` less its monomials with a generator above m (at or
+    above ``e_key_bound(m)``), itself for m = None.  Truncation is a ring
+    homomorphism, so this is the truncated element, but filtered from the
+    finished one, never read from ``basis(lam, m)``, route A's, so route C
+    stays independent of route A.  Memoized per (lam, m), its terms
+    read-only."""
     q = basis(lam, None)
-    if top is None:
+    if m is None:
         return q
-    bound = e_key_bound(top)
-    return EPoly(None, {key: c for key, c in q.terms.items() if key < bound})
+    bound = e_key_bound(m)
+    return EPoly(m, {key: c for key, c in q.terms.items() if key < bound})
 
 
 @cache
@@ -210,10 +195,9 @@ def stable_expansion(lam: Partition, mu: Partition,
                      top: int | None = None) -> Mapping[Partition, int]:
     """Memoized basis expansion of the untruncated product of two basis
     elements; with ``top`` given, only its coefficients at partitions with
-    first part at most top: the product of the two bounded elements
-    ``_bounded(lam, top)``, the untruncated product less its monomials with
-    a generator above top, peeled to first part top with bounded pivots
-    and its residual checked (``expand_in_basis``).  EPoly
+    first part at most top: the product truncated to top variables, that
+    of the two bounded elements ``_bounded(lam, top)``, peeled with the
+    bounded elements as pivots (``expand_in_basis``).  EPoly
     multiplication is commutative, so the pair is put in order before the
     memo lookup and (lam, mu) and (mu, lam) share one expansion per top.
     Each factor must be a partition (``require_partition``).  The result
@@ -226,15 +210,15 @@ def stable_expansion(lam: Partition, mu: Partition,
 
 @cache
 def _ordered_expansion(lam: Partition, mu: Partition, top: int | None) -> Mapping[Partition, int]:
-    return MappingProxyType(expand_in_basis(_bounded(lam, top) * _bounded(mu, top), top))
+    return MappingProxyType(expand_in_basis(_bounded(lam, top) * _bounded(mu, top), _bounded))
 
 
 def f_constant(lam: Partition, mu: Partition, nu: Partition, top: int | None = None) -> int:
     """The structure constant e(lam, mu; nu) rescaled by
     2**(len(lam) + len(mu) - len(nu)); exact divisibility is asserted.
     With ``top`` given, e is read off ``stable_expansion(lam, mu, top)``,
-    whose peel stops at first part top, so nu must have its first part at
-    most top (ValueError otherwise)."""
+    the product truncated to top variables, so nu must have its first part
+    at most top (ValueError otherwise)."""
     lam, mu, nu = (require_partition(p) for p in (lam, mu, nu))
     if top is not None and nu[:1] > (top,):
         raise ValueError(f"{nu} has a part above the bound {top}")

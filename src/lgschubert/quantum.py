@@ -4,11 +4,10 @@ A quantum class is a finite map (strict partition with parts <= n, q-degree)
 -> integer.  Three independent multiplication engines are provided:
 
 * qprod_constants (route C): expand the product of the two untruncated
-  basis elements in the basis (the stable structure constants), only as
-  far as the read-out sees: the read-out keeps no index past first part
-  n + 1, so the factors and the pivots are the finished untruncated
-  elements less their monomials with a generator above n + 1, and the
-  back-substitution stops at first part n + 1.
+  basis elements in the basis (the stable structure constants), truncated
+  to n + 1 variables, since the read-out keeps no index past first part
+  n + 1: the factors and the pivots are the finished untruncated elements
+  less their monomials with a generator above n + 1.
 * qprod_quotient (route A): truncate both basis elements to n + 1 variables,
   multiply, and expand in the basis there.
 * qprod_pieri (route B): expand one factor along its quantum Giambelli
@@ -99,12 +98,11 @@ QuantumClass = dict  # map (Partition, d) -> int
 def _read_quantum(expansion: Mapping[Partition, int], n: int) -> QuantumClass:
     """Quantum product read off a basis expansion: each index ((n+1)^d, nu)
     with nu in D_n contributes its coefficient divided by 2^d in q-degree d,
-    and every other index is dropped.  The coefficient must be a nonnegative
-    multiple of 2^d; anything else falsifies the theory and raises."""
+    and every other index is dropped, a first part above n + 1 by the D_n
+    test on nu.  The coefficient must be a nonnegative multiple of 2^d;
+    anything else falsifies the theory and raises."""
     out: QuantumClass = {}
     for key, c in expansion.items():
-        if key and key[0] > n + 1:
-            continue
         d = 0
         while d < len(key) and key[d] == n + 1:
             d += 1
@@ -127,7 +125,7 @@ def _ordered(read, lam: Partition, mu: Partition, n: int) -> Mapping:
 
 def qprod_constants(lam: Partition, mu: Partition, n: int) -> Mapping:
     """Quantum product read off the stable structure constants (route C),
-    their expansion peeled to first part n + 1
+    their expansion truncated to n + 1 variables
     (``stable_expansion(lam, mu, n + 1)``), the read-out's indices.
 
     Memoised per ordered pair and rank, like the stable expansion it reads:
@@ -515,7 +513,8 @@ def qlr_check(lam: Partition, mu: Partition, n: int) -> bool:
     second factor with two or three rows: classical constants in degree 0,
     halved prepended constants in degree 1, and rescaled constants of the
     starred factor in the top degrees.  Every index read has first part at
-    most n + 1, so each expansion is peeled to that bound, as route C's."""
+    most n + 1, so each expansion is truncated to n + 1 variables, as
+    route C's."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
     if len(mu) not in (2, 3):
         raise ValueError("second factor must have two or three rows")
@@ -546,8 +545,8 @@ def fform_check(lam: Partition, mu: Partition, n: int) -> bool:
     constants: every degree-d coefficient equals the f-constant of
     (nu, mu-star; ((n+1)^e, lam)) with d + e = len(mu), and for a two-row mu
     the degree-one constants match the starred classical identity.  Every
-    index read has first part at most n + 1, so each expansion is peeled
-    to that bound, as route C's."""
+    index read has first part at most n + 1, so each expansion is
+    truncated to n + 1 variables, as route C's."""
     lam, mu = require_dn(lam, n), require_dn(mu, n)
     if not mu:
         raise ValueError("second factor must be nonempty")

@@ -4,7 +4,8 @@ without running the CLI), and each polynomial model defines its own
 multiplication.  The README names every verification suite, every
 function the benchmark reports by name still exists, one constant bounds
 the x-expansion variables and ``peel`` and the x-identity suites alone run
-its guard, each input rule is raised from one guard,
+its guard, ``qtilde._bounded`` and ``peel`` alone apply a key bound, each
+input rule is raised from one guard,
 only ``polyring`` knows the layout of a packed monomial of either model
 and only ``quantum`` that of route B's int keys, route B reaches no
 polynomial arithmetic,
@@ -239,18 +240,30 @@ def test_one_variable_limit():
     assert found == ["polyring.XPANSION_VAR_LIMIT"]
 
 
+def _callers(name: str) -> set[str]:
+    """The package functions, as module.function, that call ``name``."""
+    return {f"{path.stem}.{func.name}" for path in MODULES
+            for func in ast.walk(ast.parse(path.read_text())) if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name}
+
+
 def test_the_variable_limit_is_raised_by_peel():
     """``check_var_limit`` is called by ``polyring.peel``, the one x-form
     builder, and by the five x-identity suites before any case; no check in
     ``symplectic`` names it, since every side it compares is peeled."""
-    callers = {f"{path.stem}.{func.name}" for path in MODULES
-               for func in ast.walk(ast.parse(path.read_text())) if isinstance(func, ast.FunctionDef)
-               for node in ast.walk(func) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Name) and node.func.id == "check_var_limit"}
-    assert callers == {"polyring.peel", "suites.suite_extension", "suites.suite_cprime_expansion",
-                       "suites.suite_lem2", "suites.suite_pfaffian_prime",
-                       "suites.suite_pfaffian_double_prime"}
+    assert _callers("check_var_limit") == {
+        "polyring.peel", "suites.suite_extension", "suites.suite_cprime_expansion",
+        "suites.suite_lem2", "suites.suite_pfaffian_prime", "suites.suite_pfaffian_double_prime"}
     assert "check_var_limit" not in _names(PACKAGE_DIR / "symplectic.py")
+
+
+def test_one_place_applies_the_read_out_bound():
+    """``e_key_bound`` is called by ``qtilde._bounded``, which truncates
+    route C's elements to the read-out's bound, and by ``polyring.peel``,
+    which drops the monomials a truncated element cannot hold; the basis
+    expansion takes no bound, so no second place applies it."""
+    assert _callers("e_key_bound") == {"polyring.peel", "qtilde._bounded"}
 
 
 def _raises_carrying(phrase: str) -> list[str]:

@@ -249,22 +249,10 @@ class TestStructureConstants:
             assert qtilde_module._bounded(lam, None) == full
             for top in range(1, 7):
                 bounded = qtilde_module._bounded(lam, top)
-                assert bounded.m is None
+                assert bounded.m == top
                 assert unpack_e(bounded.terms) == {
                     gens: c for gens, c in unpack_e(full.terms).items() if gens[:1] <= (top,)
                 }, (lam, top)
-
-    def test_a_bounded_peel_of_a_truncated_product_keeps_its_coefficients(self):
-        """A bound at or above the truncation level m peels as far as m
-        does, and a lower one keeps the coefficients with first part at
-        most top."""
-        m = 4
-        for lam, mu in [((2, 1), (3, 1)), ((4, 2), (3,)), ((2, 2, 1), (1,))]:
-            f = qtilde(lam, m) * qtilde(mu, m)
-            full = expand_in_basis(f)
-            for top in range(1, 7):
-                assert expand_in_basis(f, top) == {
-                    nu: c for nu, c in full.items() if nu[:1] <= (top,)}, (lam, mu, top)
 
     def test_expansion_valid_in_x_model(self):
         """Substitute actual x-variables: the claimed expansion must hold as
