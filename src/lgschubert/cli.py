@@ -292,11 +292,9 @@ def cmd_table(args) -> int:
 def _bounded_int(low: int, text: str) -> int:
     """Argument type, with ``low`` bound by ``partial``, for an integer >= low:
     1 for ranks, variable counts and sample sizes, 0 for the sweep bounds
-    --wmax and --pmax."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = low - 1
+    --wmax and --pmax.  ASCII digits only: no sign, blank, underscore or
+    other script's digits, all of which ``int`` reads."""
+    value = int(text) if text.isascii() and text.isdigit() else low - 1
     if value < low:
         raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value

@@ -154,12 +154,13 @@ def partition_to_str(lam: Partition) -> str:
 
 
 def partition_from_str(text: str) -> Partition:
-    """Inverse of partition_to_str; '0' and '' both give the empty partition."""
+    """Inverse of partition_to_str; '0' and '' both give the empty partition.
+    Each part is ASCII digits, with blanks around it allowed: no sign, no
+    underscore and no other script's digits, all of which ``int`` reads."""
     text = text.strip()
     if text in ("", "0"):
         return ()
-    try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed partition {text!r}") from exc
-    return require_partition(parts)
+    parts = [x.strip() for x in text.split(",")]
+    if not all(x.isascii() and x.isdigit() for x in parts):
+        raise ValueError(f"malformed partition {text!r}")
+    return require_partition(int(x) for x in parts)

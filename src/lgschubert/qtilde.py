@@ -25,9 +25,12 @@ the untruncated product at the partitions with first part at most m.
 Route C reads its quantum products off such truncated expansions, at
 m = n + 1, with its own elements ``_bounded(lam, m)``: the finished
 untruncated element less its monomials with a generator above m, the one
-place the read-out's bound is applied.  Route A truncates inside the
-recursion that builds each element, ``basis(lam, n + 1)``, which route C
-never reads.
+place the read-out's bound is applied, for a strict lam and each pair
+(i, i); three or more parts with an equal pair are the product of the
+bounded elements of the pair and the rest, the split of ``expand_rows``
+taken after truncation, so route C builds no untruncated element with an
+equal pair past two parts.  Route A truncates inside the recursion that
+builds each element, ``basis(lam, n + 1)``, which route C never reads.
 """
 
 from __future__ import annotations
@@ -107,10 +110,21 @@ def expand_rows(c, lam: Partition, *args) -> Mapping:
     ``property_check``), any other the Pfaffian expansion along
     the last column, ``pfaffian_sum``.  The one recursion of ``basis`` on
     e-forms and of ``symplectic`` on peeled forms."""
+    split = _equal_pair(lam)
+    if split:
+        pair, rest = split
+        return (c(pair, *args) * c(rest, *args)).terms
+    return pfaffian_sum(c, lam, *args)
+
+
+def _equal_pair(lam: Partition) -> tuple[Partition, Partition] | None:
+    """The first adjacent equal pair (i, i) of lam and the rest of lam,
+    None for a strict lam: the split of ``expand_rows`` and of route C's
+    ``_bounded``."""
     for j in range(len(lam) - 1):
         if lam[j] == lam[j + 1]:
-            return (c(lam[j:j + 2], *args) * c(lam[:j] + lam[j + 2:], *args)).terms
-    return pfaffian_sum(c, lam, *args)
+            return lam[j:j + 2], lam[:j] + lam[j + 2:]
+    return None
 
 
 def qtilde(nu, m: int) -> EPoly:
@@ -174,8 +188,16 @@ def _bounded(lam: Partition, m: int | None) -> EPoly:
     above ``e_key_bound(m)``), itself for m = None.  Truncation is a ring
     homomorphism, so this is the truncated element, but filtered from the
     finished one, never read from ``basis(lam, m)``, route A's, so route C
-    stays independent of route A.  Memoized per (lam, m), its terms
-    read-only."""
+    stays independent of route A.  With m finite, three or more parts with
+    an equal pair (i, i) split as ``expand_rows`` splits them, after the
+    truncation: _bounded((i, i), m) * _bounded(rest, m), the same terms
+    (packed fields add without carry), so no untruncated non-strict element
+    of three or more parts is built; a strict lam and each pair (i, i) are
+    filtered from the untruncated element, never built at level m, which is
+    route A's recursion.  Memoized per (lam, m), its terms read-only."""
+    split = _equal_pair(lam) if m is not None and len(lam) > 2 else None
+    if split:
+        return _bounded(split[0], m) * _bounded(split[1], m)
     q = basis(lam, None)
     if m is None:
         return q

@@ -7,7 +7,9 @@ A quantum class is a finite map (strict partition with parts <= n, q-degree)
   basis elements in the basis (the stable structure constants), truncated
   to n + 1 variables, since the read-out keeps no index past first part
   n + 1: the factors and the pivots are the finished untruncated elements
-  less their monomials with a generator above n + 1.
+  less their monomials with a generator above n + 1, those with an equal
+  pair (i, i) and three or more parts the product of such truncated
+  elements of the pair and the rest, so that no untruncated one is built.
 * qprod_quotient (route A): truncate both basis elements to n + 1 variables,
   multiply, and expand in the basis there.
 * qprod_pieri (route B): expand one factor along its quantum Giambelli

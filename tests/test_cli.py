@@ -204,6 +204,24 @@ class TestProduct:
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("n", ["1_0", "+3", "٣", " 3"])
+    def test_rank_in_anything_but_ascii_digits_is_usage_error(self, capsys, monkeypatch, n):
+        """``int`` reads each of these ("1_0" as 10), the rank argument
+        does not, and no engine runs."""
+        monkeypatch.setitem(cli.ENGINES, "pieri", lambda *args: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "product", "--n", n, "--lambda", "", "--mu", "")
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"argument --n: expected an integer >= 1, got {n!r}\n")
+
+    @pytest.mark.parametrize("lam", ["1_0", "+3", "٣"])
+    def test_partition_in_anything_but_ascii_digits_is_malformed(self, capsys, lam):
+        code, out, err = run(capsys, "product", "--n", "3", "--lambda", lam, "--mu", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed partition {lam!r}\n"
+
     def test_malformed_partition(self, capsys):
         code, _, err = run(
             capsys, "product", "--ring", "quantum", "--n", "2",

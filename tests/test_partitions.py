@@ -200,3 +200,14 @@ class TestSerialization:
             partition_from_str("1,2")
         with pytest.raises(ValueError):
             partition_from_str("a,b")
+
+    def test_blanks_around_parts_are_read(self):
+        assert partition_from_str(" 3, 2 ,1 ") == (3, 2, 1)
+
+    @pytest.mark.parametrize("text", ["1_0", "+3", "\u0663", "3,+1", "2,1_0", "-1", "3,,1",
+                                      "\uff13"])
+    def test_only_ascii_digits_are_parts(self, text):
+        """A part is ASCII digits: an underscore, a sign or another
+        script's digit, each of which ``int`` reads, is malformed."""
+        with pytest.raises(ValueError, match=f"^malformed partition {re.escape(repr(text))}$"):
+            partition_from_str(text)

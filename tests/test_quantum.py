@@ -75,6 +75,35 @@ class TestRouteC:
         seen = route_c_basis_requests(monkeypatch, 4)
         assert seen and {m for _, m in seen} == {None}
 
+    def test_builds_no_untruncated_element_with_an_equal_pair(self, monkeypatch):
+        """Route C splits an equal pair off after truncation: over every
+        pair of D_4, from empty memos, ``basis`` is asked for no untruncated
+        element of three or more parts with an equal pair, only for strict
+        ones and the pairs (i, i) themselves, each of which it still
+        reads."""
+        seen = route_c_basis_requests(monkeypatch, 4)
+        untruncated = {lam for lam, m in seen if m is None}
+        assert not [lam for lam in untruncated if len(lam) > 2 and not partitions.is_strict(lam)]
+        assert {(i, i) for i in range(1, 5)} <= untruncated
+        assert any(len(lam) > 2 for lam in untruncated)
+
+    def test_a_fault_in_the_untruncated_pair_reaches_its_split_elements(self, capsys):
+        """A lex-higher term e_3 e_1 planted only in the untruncated
+        basis((2, 2), None) reaches route C's element of (2, 2, 1), which is
+        built from the pair's bounded element, and ``engines-agree`` at
+        n = 2 exits 1: the pair element still comes from the untruncated
+        one, and routes A and B, which read no untruncated element,
+        disagree with route C."""
+        n = 2
+        clear_basis_memos()
+        clean = qtilde._bounded((2, 2, 1), n + 1)
+        with faulty_basis((2, 2), {(3, 1): 1}, levels={None}):
+            assert qtilde._bounded((2, 2, 1), n + 1) != clean
+            assert main(["verify", "engines-agree", "--n", str(n)]) == 1
+            failures = json.loads(capsys.readouterr().out)["failures"]
+            assert len(failures) == 6
+            assert {f["suite"] for f in failures} == {"engines-agree"}
+
     def test_a_fault_in_the_truncated_elements_only_misses_route_c(self, capsys):
         """A lex-higher term e_3 planted only in basis((2, 1), n + 1), the
         element route A truncates inside its recursion, leaves every
